@@ -47,7 +47,6 @@ from .scaler import (
     OracleResult,
     ScaleLP,
     SolverError,
-    StrictResult,
     build_lp,
     solve_scalable,
     solve_strict,
@@ -79,7 +78,6 @@ __all__ = [
     "QuadExt",
     "ScaleLP",
     "SolverError",
-    "StrictResult",
     "SymmetricMatrix",
     "analyze_frame",
     "analyze_graph",

@@ -33,9 +33,10 @@ from .report import (
     AnalysisConfig,
     analyze_frame,
     analyze_graph,
+    oracle_json,
     stable_dumps,
 )
-from .scaler import SolverError, build_lp, solve_scalable, solve_strict
+from .scaler import SolverError, build_lp, solve_strict
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -219,17 +220,11 @@ def cmd_filters(args) -> int:
 
 def cmd_scale(args) -> int:
     frame = resolve_frame(args.input, args.exact, args.seed)
-    lp = build_lp(frame)
-    nonneg = solve_scalable(lp, args.tol)
-    strict = solve_strict(lp, args.tol)
-    from .report import _oracle_json, _strict_json
-
     out = {
         "report_version": REPORT_VERSION,
         "input": {"source": args.input, "m": frame.count, "n": frame.dim,
                   "scalar_mode": frame.scalar_mode, "tol": args.tol},
-        "nonneg": _oracle_json(nonneg),
-        "strict": _strict_json(strict),
+        **oracle_json(solve_strict(build_lp(frame), args.tol)),
     }
     print(stable_dumps(out))
     return EXIT_OK

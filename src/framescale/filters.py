@@ -43,7 +43,6 @@ def strongest(verdicts) -> str:
 
 @dataclass(frozen=True)
 class FilterConfig:
-    tol_zero: float = 1e-10
     vertex_cap: int = DEFAULT_VERTEX_CAP
     enable_experimental: bool = False
     induced_path_offset: int = 2  # slack on top of floor(n/2), see filter doc

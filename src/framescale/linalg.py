@@ -79,13 +79,6 @@ class SymmetricMatrix:
             total = total + self.entry(i, i)
         return total
 
-    def max_abs_diff(self, other: "SymmetricMatrix") -> float:
-        if other.order != self.order:
-            raise ValueError("order mismatch")
-        return max(
-            abs(float(a) - float(b)) for a, b in zip(self._upper, other._upper)
-        )
-
     def is_exact(self) -> bool:
         return any(
             isinstance(x, EXACT_TYPES) and not isinstance(x, int)

@@ -23,9 +23,9 @@ from .filters import (
 from .frames import Frame, classify_tightness, is_frame
 from .graphs import FrameGraph, GraphStats, build_graph, compute_stats
 from .linalg import SymmetricMatrix
-from .scaler import OracleResult, StrictResult, build_lp, solve_scalable, solve_strict
+from .scaler import OracleResult, build_lp, solve_strict
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -100,26 +100,14 @@ def _battery_json(battery: FilterBattery):
     ]
 
 
-def _oracle_json(res: OracleResult):
+def _answer_json(res: OracleResult):
     out = {"status": res.status}
     if res.weights is not None:
         out["weights"] = [_scalar(w) for w in res.weights]
         out["scalings"] = list(res.scalings)
         out["residual"] = res.residual
-    if res.farkas is not None:
-        out["farkas"] = _matrix_json(res.farkas)
-    if res.detail:
-        out["detail"] = res.detail
-    return out
-
-
-def _strict_json(res: StrictResult):
-    out = {"status": res.status}
-    if res.weights is not None:
-        out["weights"] = [_scalar(w) for w in res.weights]
-        out["scalings"] = list(res.scalings)
+    if res.margin is not None:
         out["margin"] = _scalar(res.margin)
-        out["residual"] = res.residual
     if res.farkas is not None:
         out["farkas"] = _matrix_json(res.farkas)
     if res.detail:
@@ -127,18 +115,23 @@ def _strict_json(res: StrictResult):
     return out
 
 
-def _conclusion(battery: FilterBattery, nonneg: OracleResult | None,
-                strict: StrictResult | None, warnings: list):
-    if nonneg is None:
+def oracle_json(strict: OracleResult) -> dict:
+    """Both answers of one solve_strict run: the nonneg block is its
+    projection, with the same weights or the same certificate."""
+    return {"nonneg": _answer_json(strict.nonneg()),
+            "strict": _answer_json(strict)}
+
+
+def _conclusion(battery: FilterBattery, strict: OracleResult | None,
+                warnings: list):
+    if strict is None:
         return {
             "verdict": battery.combined_verdict,
             "basis": "filters_only",
         }
-    if nonneg.status == "numerically_ambiguous" or (
-        strict is not None and strict.status == "numerically_ambiguous"
-    ):
+    if strict.status == "numerically_ambiguous":
         return {"verdict": "numerically_ambiguous", "basis": "oracle"}
-    if nonneg.status == "infeasible":
+    if strict.status == "infeasible":
         return {"verdict": NOT_SCALABLE, "basis": "oracle+farkas"}
     # feasible from here on
     if battery.combined_verdict == NOT_SCALABLE:
@@ -146,12 +139,12 @@ def _conclusion(battery: FilterBattery, nonneg: OracleResult | None,
             "internal inconsistency: a filter proved not_scalable but the "
             "oracle found weights"
         )
-    if strict is not None and strict.status == "strictly_feasible":
+    if strict.status == "strictly_feasible":
         return {"verdict": "strictly_scalable", "basis": "oracle"}
     return {
         "verdict": "scalable",
         "basis": "oracle",
-        "strict_status": strict.status if strict is not None else "skipped",
+        "strict_status": strict.status,
     }
 
 
@@ -169,7 +162,6 @@ def analyze_frame(frame: Frame, config: AnalysisConfig | None = None,
         frame.dim,
         frame=frame,
         config=FilterConfig(
-            tol_zero=tol_zero,
             vertex_cap=config.vertex_cap,
             enable_experimental=config.enable_experimental,
         ),
@@ -177,14 +169,12 @@ def analyze_frame(frame: Frame, config: AnalysisConfig | None = None,
     )
     warnings.extend(battery.warnings)
 
-    nonneg = strict = None
+    strict = None
     if not config.filters_only:
-        lp = build_lp(frame)
-        nonneg = solve_scalable(lp, config.tol)
-        strict = solve_strict(lp, config.tol)
+        strict = solve_strict(build_lp(frame), config.tol)
 
     tightness = classify_tightness(frame, config.tol)
-    conclusion = _conclusion(battery, nonneg, strict, warnings)
+    conclusion = _conclusion(battery, strict, warnings)
     return {
         "report_version": REPORT_VERSION,
         "input": {
@@ -207,11 +197,7 @@ def analyze_frame(frame: Frame, config: AnalysisConfig | None = None,
         },
         "filters": _battery_json(battery),
         "combined_filter_verdict": battery.combined_verdict,
-        "oracle": (
-            {"skipped": True}
-            if nonneg is None
-            else {"nonneg": _oracle_json(nonneg), "strict": _strict_json(strict)}
-        ),
+        "oracle": {"skipped": True} if strict is None else oracle_json(strict),
         "conclusion": conclusion,
         "warnings": warnings,
     }
@@ -228,14 +214,13 @@ def analyze_graph(graph: FrameGraph, dim: int,
         graph,
         dim,
         config=FilterConfig(
-            tol_zero=config.tol_zero,
             vertex_cap=config.vertex_cap,
             enable_experimental=config.enable_experimental,
         ),
         stats=stats,
     )
     warnings = list(battery.warnings)
-    conclusion = _conclusion(battery, None, None, warnings)
+    conclusion = _conclusion(battery, None, warnings)
     return {
         "report_version": REPORT_VERSION,
         "input": {

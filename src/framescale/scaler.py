@@ -3,15 +3,16 @@
 Scalability is nonnegative linear feasibility in the squared weights
 w_i = a_i^2: stacking the upper triangle of sum_i w_i f_i f_i^t = I gives an
 equality system A w = b.  Strict scalability maximizes the floor t with
-w_i >= t.  Both are solved by a dense two-phase simplex with Bland's rule;
-infeasibility is returned as a Farkas certificate reassembled into a
+w_i >= t.  One dense two-phase simplex with Bland's rule answers both
+questions: phase 1 decides feasibility, phase 2 maximizes the floor.
+Infeasibility is returned as a Farkas certificate reassembled into a
 symmetric matrix Y with <f_i, Y f_i> <= 0 for all i and trace(Y) = 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .exactnum import QuadExt, sign, to_fast_rational
@@ -19,6 +20,7 @@ from .frames import Frame, SymmetricMatrix, Tightness, classify_operator
 
 FEASIBILITY_TOL = 1e-8
 PIVOT_TOL = 1e-10
+PIVOT_CAP_FACTOR = 50  # pivots per tableau row plus column
 
 
 class SolverError(RuntimeError):
@@ -55,30 +57,31 @@ def build_lp(frame: Frame) -> ScaleLP:
 
 @dataclass(frozen=True)
 class OracleResult:
-    status: str  # "feasible" | "infeasible" | "numerically_ambiguous"
+    # solve_strict: "strictly_feasible" | "boundary" | "infeasible" |
+    # "numerically_ambiguous"; nonneg() maps the first two to "feasible"
+    status: str
     weights: tuple | None = None  # w_i = a_i^2
     scalings: tuple | None = None  # a_i = sqrt(w_i), floats
     residual: float | None = None
     farkas: SymmetricMatrix | None = None
     detail: str = ""
+    margin: object = None  # optimal floor t* = min w_i (strict answers only)
 
-
-@dataclass(frozen=True)
-class StrictResult:
-    status: str  # "strictly_feasible" | "boundary" | "infeasible"
-    weights: tuple | None = None
-    scalings: tuple | None = None
-    margin: object = None  # optimal floor t* (min w_i)
-    residual: float | None = None
-    farkas: SymmetricMatrix | None = None
-    detail: str = ""
+    def nonneg(self) -> "OracleResult":
+        """The answer to {Aw = b, w >= 0} that this strict answer implies:
+        the same weights or the same certificate."""
+        if self.status in ("strictly_feasible", "boundary"):
+            return replace(self, status="feasible", margin=None)
+        return self
 
 
 class _Tableau:
     """Dense simplex tableau with Bland's rule; scalar-generic.
 
     zero_tol = 0 gives exact pivoting (Fraction / QuadExt entries);
-    a positive zero_tol gives tolerant float pivoting.
+    a positive zero_tol gives tolerant float pivoting.  Exact Bland pivoting
+    cannot cycle; the pivot cap stops a float run that drift sends round in
+    circles.
     """
 
     def __init__(self, rows, rhs, zero_tol):
@@ -86,6 +89,7 @@ class _Tableau:
         self.ncols = len(rows[0]) if rows else 0
         self.basis = []
         self.zero_tol = zero_tol
+        self.pivots_left = PIVOT_CAP_FACTOR * (len(self.t) + self.ncols)
 
     def _nonzero(self, x) -> bool:
         if self.zero_tol == 0:
@@ -122,7 +126,10 @@ class _Tableau:
         unbounded direction."""
         enter = None
         thresh = -self.zero_tol if self.zero_tol else 0
+        basic = set(self.basis)
         for j in allowed_cols:
+            if j in basic:  # float drift can leave a basic column at -eps
+                continue
             below = (sign(reduced[j]) < 0) if self.zero_tol == 0 \
                 else (reduced[j] < thresh)
             if below:
@@ -146,6 +153,9 @@ class _Tableau:
                 leave = i
         if leave is None:
             raise SolverError("unbounded direction in simplex")
+        if self.pivots_left == 0:
+            raise SolverError("simplex pivot cap reached")
+        self.pivots_left -= 1
         self.pivot(leave, enter)
         return True
 
@@ -158,13 +168,14 @@ class _Tableau:
         return x
 
 
-def _phase1(rows, rhs, exact: bool):
+def _phase1(rows, rhs, exact: bool, tol: float):
     """Phase-1 simplex on {Ax = b, x >= 0}.
 
-    Returns (tableau, opt, y) where opt is the artificial optimum and y the
-    row multipliers (a Farkas certificate when opt > 0).  On a feasible
-    outcome the artificials are driven out and redundant rows deleted, so
-    the returned tableau is ready for phase 2 over the original columns.
+    Returns (None, y) when the artificial optimum exceeds tol (0 in exact
+    mode): y are row multipliers with y^t A <= 0 < y^t b, a Farkas
+    certificate.  Otherwise returns (tableau, None) with the artificials
+    driven out and redundant rows deleted, ready for phase 2 over the
+    original columns.
     """
     s = len(rows)
     k = len(rows[0])
@@ -203,12 +214,8 @@ def _phase1(rows, rhs, exact: bool):
     for j in range(k, k + s):
         opt = opt + x_all[j]
 
-    reduced, _ = tab.reduced_costs(cost)
-    y = [flips[i] * (one - reduced[k + i]) for i in range(s)]
-
-    infeasible = (sign(opt) > 0) if exact else (opt > FEASIBILITY_TOL)
-    if infeasible:
-        return tab, opt, y, k
+    if (sign(opt) > 0) if exact else (opt > tol):
+        return None, [flips[i] * (one - reduced[k + i]) for i in range(s)]
 
     # drive artificial variables out of the basis
     for i in range(len(tab.basis) - 1, -1, -1):
@@ -225,7 +232,7 @@ def _phase1(rows, rhs, exact: bool):
     for row in tab.t:
         del row[k:-1]
     tab.ncols = k
-    return tab, opt, y, k
+    return tab, None
 
 
 def _farkas_matrix(lp: ScaleLP, y) -> SymmetricMatrix:
@@ -283,13 +290,19 @@ def _scalings(weights):
     return tuple(math.sqrt(max(float(w), 0.0)) for w in weights)
 
 
-def solve_scalable(lp: ScaleLP, tol: float = FEASIBILITY_TOL) -> OracleResult:
-    """Decide {Aw = b, w >= 0}: vertex weights or a Farkas certificate."""
-    rows, rhs = _prepare(lp)
-    tab, opt, y, k = _phase1(rows, rhs, lp.exact)
+def solve_strict(lp: ScaleLP, tol: float = FEASIBILITY_TOL) -> OracleResult:
+    """Maximize the floor t over {Aw = b, w_i >= t >= 0}.
 
-    infeasible = (sign(opt) > 0) if lp.exact else (opt > tol)
-    if infeasible:
+    Substituting w = t*1 + u (u >= 0) keeps the system in standard form.  It
+    is feasible exactly when {Aw = b, w >= 0} is, so this one run answers
+    both questions: phase 1 gives the Farkas certificate, or phase 2 gives
+    the max-floor weights and the margin t*.
+    """
+    rows, rhs = _prepare(lp)
+    ext_rows = [[sum(r, r[0] * 0)] + list(r) for r in rows]
+    tab, y = _phase1(ext_rows, rhs, lp.exact, tol)
+
+    if tab is None:
         farkas = _farkas_matrix(lp, y)
         if not lp.exact and not verify_farkas_frame_free(lp, farkas, tol):
             return OracleResult(
@@ -299,37 +312,7 @@ def solve_scalable(lp: ScaleLP, tol: float = FEASIBILITY_TOL) -> OracleResult:
             )
         return OracleResult("infeasible", farkas=farkas)
 
-    w = _as_weights(tab.solution(k), lp.exact, tol)
-    residual = _residual(lp, w)
-    if not lp.exact and residual > 10 * tol:
-        return OracleResult(
-            "numerically_ambiguous",
-            detail=f"phase-1 optimum near zero but residual {residual:.3e}",
-        )
-    return OracleResult(
-        "feasible", weights=w, scalings=_scalings(w), residual=residual
-    )
-
-
-def solve_strict(lp: ScaleLP, tol: float = FEASIBILITY_TOL) -> StrictResult:
-    """Maximize the floor t over {Aw = b, w_i >= t >= 0}.
-
-    Substituting w = t*1 + u (u >= 0) keeps the system in standard form.
-    """
-    rows, rhs = _prepare(lp)
-    ext_rows = [[sum(r, r[0] * 0)] + list(r) for r in rows]
-    tab, opt, y, k = _phase1(ext_rows, rhs, lp.exact)
-
-    infeasible = (sign(opt) > 0) if lp.exact else (opt > tol)
-    if infeasible:
-        farkas = _farkas_matrix(lp, y)
-        if not lp.exact and not verify_farkas_frame_free(lp, farkas, tol):
-            return StrictResult(
-                "infeasible", farkas=farkas,
-                detail="dual certificate is numerically marginal",
-            )
-        return StrictResult("infeasible", farkas=farkas)
-
+    k = tab.ncols
     one = rhs[0] * 0 + 1
     zero = one * 0
     cost = [-one] + [zero] * lp.m  # maximize t
@@ -341,13 +324,22 @@ def solve_strict(lp: ScaleLP, tol: float = FEASIBILITY_TOL) -> StrictResult:
     t_star = x[0]
     w = _as_weights((t_star + u for u in x[1:]), lp.exact, tol)
     residual = _residual(lp, w)
-    margin = min(w)
+    if not lp.exact and residual > 10 * tol:
+        return OracleResult(
+            "numerically_ambiguous",
+            detail=f"feasible basis but weight residual {residual:.3e}",
+        )
     strict = (sign(t_star) > 0) if lp.exact else (float(t_star) > tol)
-    status = "strictly_feasible" if strict else "boundary"
-    return StrictResult(
-        status, weights=w, scalings=_scalings(w), margin=margin,
-        residual=residual,
+    return OracleResult(
+        "strictly_feasible" if strict else "boundary",
+        weights=w, scalings=_scalings(w), residual=residual, margin=min(w),
     )
+
+
+def solve_scalable(lp: ScaleLP, tol: float = FEASIBILITY_TOL) -> OracleResult:
+    """Decide {Aw = b, w >= 0}: the nonneg projection of solve_strict, so
+    feasible weights are the max-floor weights."""
+    return solve_strict(lp, tol).nonneg()
 
 
 @dataclass(frozen=True)
@@ -421,14 +413,3 @@ def verify_farkas_frame_free(lp: ScaleLP, y: SymmetricMatrix,
         if quad > tol:
             return False
     return float(y.trace()) >= 1.0 - tol
-
-
-def exactify_weights(weights):
-    """Fractions (or exact scalars) for reporting; passthrough for floats."""
-    out = []
-    for w in weights:
-        if isinstance(w, (Fraction, int, QuadExt)):
-            out.append(w)
-        else:
-            out.append(float(w))
-    return tuple(out)

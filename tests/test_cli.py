@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from framescale import scaler
 from framescale.cli import main
 
 
@@ -21,7 +22,7 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", "paper/M1", "--exact")
         assert code == 0
         report = json.loads(out)
-        assert report["report_version"] == 1
+        assert report["report_version"] == 2
         assert report["conclusion"]["verdict"] == "not_scalable"
         assert report["graph"]["edges"] == [[1, 2], [3, 4]]
         assert report["oracle"]["nonneg"]["status"] == "infeasible"
@@ -161,6 +162,39 @@ class TestScale:
         report = json.loads(out)
         assert report["nonneg"]["weights"] == ["1", "1", "1"]
         assert report["nonneg"]["scalings"] == [1.0, 1.0, 1.0]
+
+    def test_nonneg_block_is_the_strict_answer(self, capsys):
+        _, out, _ = run(capsys, "scale", "canonical/mercedes", "--exact")
+        report = json.loads(out)
+        assert report["nonneg"]["status"] == "feasible"
+        assert "margin" not in report["nonneg"]
+        assert report["nonneg"]["weights"] == report["strict"]["weights"]
+        _, out, _ = run(capsys, "scale", "paper/M1", "--exact")
+        report = json.loads(out)
+        assert report["nonneg"]["farkas"] == report["strict"]["farkas"]
+
+    def test_pivot_cap_exit_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(scaler, "PIVOT_CAP_FACTOR", 0)
+        code, out, err = run(capsys, "scale", "paper/M1", "--exact")
+        assert code == 3 and not out and "pivot cap" in err
+
+
+class TestOneSolve:
+    """One simplex run answers both oracle questions."""
+
+    @pytest.mark.parametrize("command", ["analyze", "scale"])
+    @pytest.mark.parametrize("frame", ["paper/M1", "canonical/mercedes"])
+    def test_phase1_runs_once(self, capsys, monkeypatch, command, frame):
+        calls = []
+        phase1 = scaler._phase1
+
+        def counted(*args):
+            calls.append(args)
+            return phase1(*args)
+
+        monkeypatch.setattr(scaler, "_phase1", counted)
+        code, _, _ = run(capsys, command, frame, "--exact")
+        assert code == 0 and len(calls) == 1
 
 
 class TestComplement:

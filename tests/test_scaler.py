@@ -135,6 +135,37 @@ class TestSolveStrict:
         res = solve_strict(build_lp(onb(3)))
         assert res.status == "strictly_feasible" and res.margin == 1
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_float_drift_does_not_loop(self, seed):
+        # float drift leaves a basic column at reduced cost -1e-10 here;
+        # entering it pivots in place, so the run would never end
+        fr = random_parseval(32, 10, seed)
+        res = solve_strict(build_lp(fr))
+        assert res.status == "strictly_feasible"
+        assert verify_weights(fr, res.weights).residual < 1e-7
+
+
+class TestOneSolve:
+    def test_feasible_projection_keeps_weights(self):
+        fr = Frame.from_vectors([[1, 0], [0, 1], [1, 0], [0, 1]], exact=True)
+        st = solve_strict(build_lp(fr))
+        nn = solve_scalable(build_lp(fr))
+        assert nn.status == "feasible" and nn.margin is None
+        assert nn.weights == st.weights and nn.residual == st.residual
+        # the nonneg weights are the max-floor weights
+        assert min(nn.weights) == st.margin > 0
+
+    def test_boundary_projects_to_feasible(self):
+        fr = Frame.from_vectors(
+            [[1, 0], [0, 1], [Fraction(3, 5), Fraction(4, 5)]], exact=True
+        )
+        assert solve_scalable(build_lp(fr)).status == "feasible"
+
+    def test_infeasible_projection_keeps_certificate(self):
+        st = solve_strict(build_lp(M1))
+        nn = solve_scalable(build_lp(M1))
+        assert nn == st and nn.status == "infeasible"
+
 
 class TestVerifiers:
     def test_verify_weights_mercedes(self):
