@@ -1,7 +1,6 @@
 """Exact scalar arithmetic: rationals plus quadratic irrationals a + b*sqrt(d).
 
-Exact mode runs on :class:`fractions.Fraction` (transparently upgraded to
-``gmpy2.mpq`` inside the LP solver when gmpy2 is installed).  A small
+Exact mode runs on :class:`fractions.Fraction`.  A small
 quadratic-extension type :class:`QuadExt` covers the built-in frames whose
 entries live in Q(sqrt(d)), e.g. three unit vectors at 120 degrees.
 """
@@ -10,11 +9,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-try:
-    from gmpy2 import mpq as _mpq
-except ImportError:  # pragma: no cover - gmpy2 is an optional speedup
-    _mpq = None
 
 
 class ExactModeError(TypeError):
@@ -171,10 +165,7 @@ class QuadExt:
         return f"{self.a}+{self.b}*sqrt({self.d})"
 
 
-_EXACT_TYPES = [int, Fraction, QuadExt]
-if _mpq is not None:
-    _EXACT_TYPES.append(type(_mpq(1)))
-EXACT_TYPES = tuple(_EXACT_TYPES)
+EXACT_TYPES = (int, Fraction, QuadExt)
 
 
 def is_exact_scalar(x) -> bool:
@@ -219,13 +210,6 @@ def rational_sqrt(x: Fraction):
     if rn * rn == x.numerator and rd * rd == x.denominator:
         return Fraction(rn, rd)
     return None
-
-
-def to_fast_rational(x):
-    """Promote Fraction/int to gmpy2.mpq when available (LP hot path)."""
-    if _mpq is None or isinstance(x, QuadExt):
-        return Fraction(x) if isinstance(x, int) else x
-    return _mpq(x)
 
 
 def exact_str(x) -> str:

@@ -38,13 +38,9 @@ class AnalysisConfig:
 
 
 def _scalar(x):
-    if isinstance(x, float):
-        return x
     if isinstance(x, (Fraction, QuadExt)):
         return exact_str(x)
-    if isinstance(x, int):
-        return x
-    return exact_str(x)  # gmpy2.mpq and friends
+    return x  # float or int
 
 
 def _matrix_json(s: SymmetricMatrix):

@@ -7,15 +7,23 @@ w_i >= t.  One dense two-phase simplex with Bland's rule answers both
 questions: phase 1 decides feasibility, phase 2 maximizes the floor.
 Infeasibility is returned as a Farkas certificate reassembled into a
 symmetric matrix Y with <f_i, Y f_i> <= 0 for all i and trace(Y) = 1.
+
+Exact LPs are solved by fraction-free integer pivoting: a rational system
+is multiplied by one common denominator, and the tableau then holds Python
+ints over one common denominator D, so no pivot builds a Fraction or takes
+a gcd.  Weights and certificates become Fractions only when they are read
+out.  LPs over Q(sqrt d) take the same pivots with exact field division;
+float LPs use normalized pivots with a zero tolerance.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .exactnum import QuadExt, sign, to_fast_rational
+from .exactnum import QuadExt, sign
 from .frames import Frame, SymmetricMatrix, Tightness, classify_operator
 
 FEASIBILITY_TOL = 1e-8
@@ -76,81 +84,110 @@ class OracleResult:
 
 
 class _Tableau:
-    """Dense simplex tableau with Bland's rule; scalar-generic.
+    """Dense simplex tableau over the columns of [A | b], with Bland's rule.
 
-    zero_tol = 0 gives exact pivoting (Fraction / QuadExt entries);
-    a positive zero_tol gives tolerant float pivoting.  Exact Bland pivoting
-    cannot cycle; the pivot cap stops a float run that drift sends round in
-    circles.
+    Exact mode is fraction-free (Bareiss 1968, Edmonds 1967).  The tableau
+    is T = D * B^-1 [A | b] for the current basis B, with one common
+    denominator D > 0.  A pivot on p = T[r][c] sets, for every row i != r,
+    objective row included,
+
+        T_i <- (p * T_i - T_i[c] * T_r) / D,    then D <- p.
+
+    By Cramer's rule every entry is a minor of the integer input, so each
+    division is exact: integer LPs stay on Python ints (floor division,
+    no gcd), and Q(sqrt d) LPs take the same steps with the field's exact
+    `/`.  A negative pivot (driving artificials out) first negates its row,
+    which keeps D > 0.  Since D > 0 scales every row alike, Bland's rule
+    picks the same pivots as on B^-1 [A | b].
+
+    Float mode keeps D = 1: it divides the pivot row by the pivot and treats
+    entries within PIVOT_TOL of zero as zero.
+
+    The objective row holds D times the reduced costs and is updated by
+    every pivot.  Exact Bland pivoting cannot cycle; the pivot cap stops a
+    float run that drift sends round in circles.
     """
 
-    def __init__(self, rows, rhs, zero_tol):
-        self.t = [list(r) + [b] for r, b in zip(rows, rhs)]
-        self.ncols = len(rows[0]) if rows else 0
-        self.basis = []
-        self.zero_tol = zero_tol
-        self.pivots_left = PIVOT_CAP_FACTOR * (len(self.t) + self.ncols)
+    def __init__(self, rows, basis, exact: bool):
+        self.t = rows  # each row: one entry per column, then the rhs
+        self.basis = basis
+        self.exact = exact
+        self.zero_tol = 0 if exact else PIVOT_TOL
+        self.obj = None
+        self.d = rows[0][-1] * 0 + 1
+        self.div = (operator.floordiv if isinstance(self.d, int)
+                    else operator.truediv)
+        self.ncols = len(rows[0]) - 1
+        self.pivots_left = PIVOT_CAP_FACTOR * (len(rows) + self.ncols)
 
-    def _nonzero(self, x) -> bool:
-        if self.zero_tol == 0:
-            return sign(x) != 0
-        return abs(x) > self.zero_tol
+    def set_objective(self, cost):
+        """Objective row D*c - sum_i c_B(i) T_i for integer costs c, one per
+        column; its rhs entry is not read."""
+        obj = [self.d * c for c in cost] + [self.d * 0]
+        for row, j in zip(self.t, self.basis):
+            cb = cost[j]
+            if cb:
+                obj = [a - cb * b for a, b in zip(obj, row)]
+        self.obj = obj
 
     def pivot(self, row: int, col: int):
         t = self.t
         piv = t[row][col]
-        inv = 1 / piv if self.zero_tol == 0 else 1.0 / piv
-        t[row] = [x * inv for x in t[row]]
+        if self.exact:
+            if piv < 0:
+                t[row] = [-x for x in t[row]]
+                piv = -piv
+            prow, d, div = t[row], self.d, self.div
+
+            def update(r):
+                f = r[col]
+                if not f:
+                    return r if piv == d else [div(piv * a, d) for a in r]
+                return [div(piv * a - f * b, d) for a, b in zip(r, prow)]
+
+            self.d = piv
+        else:
+            inv = 1.0 / piv
+            prow = t[row] = [x * inv for x in t[row]]
+
+            def update(r):
+                f = r[col]
+                if abs(f) <= PIVOT_TOL:
+                    return r
+                return [a - f * b for a, b in zip(r, prow)]
+
         for i in range(len(t)):
-            if i == row:
-                continue
-            factor = t[i][col]
-            if self._nonzero(factor):
-                t[i] = [a - factor * b for a, b in zip(t[i], t[row])]
+            if i != row:
+                t[i] = update(t[i])
+        if self.obj is not None:
+            self.obj = update(self.obj)
         self.basis[row] = col
 
-    def reduced_costs(self, cost):
-        """cost has one entry per column (rhs excluded)."""
-        r = list(cost)
-        obj = cost[0] * 0
-        for i, bi in enumerate(self.basis):
-            cb = cost[bi]
-            if self._nonzero(cb):
-                row = self.t[i]
-                r = [a - cb * b for a, b in zip(r, row[:-1])]
-                obj = obj + cb * row[-1]
-        return r, obj
-
-    def bland_step(self, reduced, allowed_cols) -> bool:
-        """One Bland pivot; returns False at optimality.  Raises on an
-        unbounded direction."""
-        enter = None
-        thresh = -self.zero_tol if self.zero_tol else 0
-        basic = set(self.basis)
-        for j in allowed_cols:
-            if j in basic:  # float drift can leave a basic column at -eps
-                continue
-            below = (sign(reduced[j]) < 0) if self.zero_tol == 0 \
-                else (reduced[j] < thresh)
-            if below:
-                enter = j
-                break
+    def bland_step(self, allowed_cols) -> bool:
+        """One Bland pivot on the objective row; returns False at
+        optimality.  Raises on an unbounded direction."""
+        obj, tol = self.obj, self.zero_tol
+        basic = set(self.basis)  # float drift can leave a basic column at -eps
+        enter = next(
+            (j for j in allowed_cols if j not in basic and obj[j] < -tol),
+            None,
+        )
         if enter is None:
             return False
+        # min ratio T_i[-1] / T_i[enter] over T_i[enter] > 0, smallest basic
+        # index on ties; exact ratios are compared by cross-multiplying
         leave = None
-        best_ratio = None
         for i, row in enumerate(self.t):
             a = row[enter]
-            if not (sign(a) > 0 if self.zero_tol == 0 else a > PIVOT_TOL):
+            if not a > tol:
                 continue
-            ratio = row[-1] / a
-            if (
-                best_ratio is None
-                or ratio < best_ratio
-                or (ratio == best_ratio and self.basis[i] < self.basis[leave])
-            ):
-                best_ratio = ratio
-                leave = i
+            num, den = (row[-1], a) if self.exact else (row[-1] / a, 1.0)
+            if leave is not None:
+                lhs, rhs = num * best_den, best_num * den
+                if lhs > rhs or (lhs == rhs
+                                 and self.basis[i] > self.basis[leave]):
+                    continue
+            leave, best_num, best_den = i, num, den
         if leave is None:
             raise SolverError("unbounded direction in simplex")
         if self.pivots_left == 0:
@@ -160,12 +197,17 @@ class _Tableau:
         return True
 
     def solution(self, nvars: int):
-        zero = self.t[0][0] * 0 if self.t else 0
-        x = [zero] * nvars
-        for i, bi in enumerate(self.basis):
-            if bi < nvars:
-                x[bi] = self.t[i][-1]
+        """Values T_i[-1] / D of the first nvars variables."""
+        x = [_quotient(self.d * 0, self.d)] * nvars
+        for row, j in zip(self.t, self.basis):
+            if j < nvars:
+                x[j] = _quotient(row[-1], self.d)
         return x
+
+
+def _quotient(x, d):
+    """x / d, as a Fraction when both are ints."""
+    return Fraction(x, d) if isinstance(x, int) else x / d
 
 
 def _phase1(rows, rhs, exact: bool, tol: float):
@@ -173,57 +215,39 @@ def _phase1(rows, rhs, exact: bool, tol: float):
 
     Returns (None, y) when the artificial optimum exceeds tol (0 in exact
     mode): y are row multipliers with y^t A <= 0 < y^t b, a Farkas
-    certificate.  Otherwise returns (tableau, None) with the artificials
-    driven out and redundant rows deleted, ready for phase 2 over the
-    original columns.
+    certificate, up to a positive factor.  Otherwise returns (tableau, None)
+    with the artificials driven out and redundant rows deleted, ready for
+    phase 2 over the original columns.
     """
     s = len(rows)
     k = len(rows[0])
-    zero_tol = 0 if exact else PIVOT_TOL
-
-    flips = []
-    frows, frhs = [], []
-    for r, b in zip(rows, rhs):
-        neg = (sign(b) < 0) if exact else (b < 0)
-        flips.append(-1 if neg else 1)
-        if neg:
-            frows.append([-x for x in r])
-            frhs.append(-b)
-        else:
-            frows.append(list(r))
-            frhs.append(b)
-
-    one = frhs[0] * 0 + 1
+    one = rhs[0] * 0 + 1
     zero = one * 0
+    flips = [-1 if b < 0 else 1 for b in rhs]
     aug = [
-        row + [one if i == j else zero for j in range(s)]
-        for i, row in enumerate(frows)
+        [f * x for x in r] + [one if i == j else zero for j in range(s)]
+        + [f * b]
+        for i, (r, b, f) in enumerate(zip(rows, rhs, flips))
     ]
-    tab = _Tableau(aug, frhs, zero_tol)
-    tab.basis = [k + i for i in range(s)]
+    tab = _Tableau(aug, [k + i for i in range(s)], exact)
+    tab.set_objective([0] * k + [1] * s)
+    allowed = range(k + s)
+    while tab.bland_step(allowed):
+        pass
 
-    cost = [zero] * k + [one] * s
-    allowed = list(range(k + s))
-    while True:
-        reduced, _ = tab.reduced_costs(cost)
-        if not tab.bland_step(reduced, allowed):
-            break
-
-    x_all = tab.solution(k + s)
-    opt = zero
-    for j in range(k, k + s):
-        opt = opt + x_all[j]
-
-    if (sign(opt) > 0) if exact else (opt > tol):
-        return None, [flips[i] * (one - reduced[k + i]) for i in range(s)]
+    opt = sum((row[-1] for row, j in zip(tab.t, tab.basis) if j >= k), zero)
+    if opt > (0 if exact else tol):
+        # y_i = D - obj[k+i]: D times (1 - reduced cost of artificial i)
+        return None, [f * (tab.d - tab.obj[k + i])
+                      for i, f in enumerate(flips)]
 
     # drive artificial variables out of the basis
+    tab.obj = None
     for i in range(len(tab.basis) - 1, -1, -1):
         if tab.basis[i] < k:
             continue
-        col = next(
-            (j for j in range(k) if tab._nonzero(tab.t[i][j])), None
-        )
+        row = tab.t[i]
+        col = next((j for j in range(k) if abs(row[j]) > tab.zero_tol), None)
         if col is not None:
             tab.pivot(i, col)
         else:
@@ -246,27 +270,33 @@ def _farkas_matrix(lp: ScaleLP, y) -> SymmetricMatrix:
         raise SolverError("degenerate Farkas multipliers (trace <= 0)")
     entries = {}
     for (p, q), yv in zip(lp.row_index, y):
-        entries[(p, q)] = yv / total if p == q else yv / (2 * total)
-    zero = total * 0
+        entries[(p, q)] = _quotient(yv, total if p == q else 2 * total)
+    zero = _quotient(total * 0, total)
     return SymmetricMatrix.from_function(
         lp.n, lambda i, j: entries.get((min(i, j), max(i, j)), zero)
     )
 
 
 def _prepare(lp: ScaleLP):
-    if lp.exact:
-        quad = any(
-            isinstance(x, QuadExt) for r in lp.matrix for x in r
-        )
-        # gmpy2 rationals cannot mix with quadratic-field entries
-        conv = (lambda x: Fraction(x) if isinstance(x, int) else x) if quad \
-            else to_fast_rational
-        rows = [[conv(x) for x in r] for r in lp.matrix]
-        rhs = [conv(b) for b in lp.rhs]
+    """Rows and rhs in the scalar type the simplex runs on.
+
+    A rational LP is multiplied by one common denominator L of all of
+    [A | b], which leaves ints and the same pivot path (a row-by-row scale
+    would rescale the artificials).  Q(sqrt d) LPs keep their field
+    entries, floats become floats.
+    """
+    if not lp.exact:
+        conv = float
+    elif any(isinstance(x, QuadExt) for r in lp.matrix for x in r):
+        def conv(x):
+            return x if isinstance(x, QuadExt) else Fraction(x)
     else:
-        rows = [[float(x) for x in r] for r in lp.matrix]
-        rhs = [float(b) for b in lp.rhs]
-    return rows, rhs
+        scale = math.lcm(*(x.denominator for r in lp.matrix for x in r),
+                         *(b.denominator for b in lp.rhs))
+
+        def conv(x):
+            return x.numerator * (scale // x.denominator)
+    return [[conv(x) for x in r] for r in lp.matrix], [conv(b) for b in lp.rhs]
 
 
 def _residual(lp: ScaleLP, w) -> float:
@@ -313,13 +343,9 @@ def solve_strict(lp: ScaleLP, tol: float = FEASIBILITY_TOL) -> OracleResult:
         return OracleResult("infeasible", farkas=farkas)
 
     k = tab.ncols
-    one = rhs[0] * 0 + 1
-    zero = one * 0
-    cost = [-one] + [zero] * lp.m  # maximize t
-    while True:
-        reduced, _ = tab.reduced_costs(cost)
-        if not tab.bland_step(reduced, range(k)):
-            break
+    tab.set_objective([-1] + [0] * lp.m)  # maximize t
+    while tab.bland_step(range(k)):
+        pass
     x = tab.solution(k)
     t_star = x[0]
     w = _as_weights((t_star + u for u in x[1:]), lp.exact, tol)
@@ -329,7 +355,7 @@ def solve_strict(lp: ScaleLP, tol: float = FEASIBILITY_TOL) -> OracleResult:
             "numerically_ambiguous",
             detail=f"feasible basis but weight residual {residual:.3e}",
         )
-    strict = (sign(t_star) > 0) if lp.exact else (float(t_star) > tol)
+    strict = (t_star > 0) if lp.exact else (float(t_star) > tol)
     return OracleResult(
         "strictly_feasible" if strict else "boundary",
         weights=w, scalings=_scalings(w), residual=residual, margin=min(w),

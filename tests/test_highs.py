@@ -71,6 +71,13 @@ def test_random_frame_exact_and_float(seed):
     check_against_highs(fr.to_float())
 
 
+@pytest.mark.parametrize("shape", [(16, 6), (24, 8), (32, 10)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("seed", range(3))
+def test_random_frame_exact_large(shape, seed):
+    check_against_highs(random_frame(*shape, seed))
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_random_parseval_float(seed):
     m, n = _shapes(seed + 1000, 32, 6)

@@ -167,6 +167,34 @@ class TestOneSolve:
         assert nn == st and nn.status == "infeasible"
 
 
+class TestScalingInvariance:
+    """Multiplying every vector by c multiplies A by c^2.  The pivot path is
+    the same, so the weights and the margin scale by 1/c^2 and the
+    normalized certificate and the verdict stay as they are.  c = 2/3 gives
+    the rational LP new denominators to clear; Mercedes takes the Q(sqrt 3)
+    path."""
+
+    C = Fraction(2, 3)
+
+    @pytest.mark.parametrize("frame, status, margin", [
+        (M1, "infeasible", None),
+        (MERCEDES, "strictly_feasible", Fraction(3, 2)),
+        (random_frame(4, 2, 1), "boundary", 0),
+    ], ids=["M1", "mercedes", "random_frame_boundary"])
+    def test_scaled_frame(self, frame, status, margin):
+        base = solve_strict(build_lp(frame))
+        scaled = solve_strict(
+            build_lp(scale_frame(frame, [self.C] * frame.count))
+        )
+        assert base.status == scaled.status == status
+        if status == "infeasible":
+            assert scaled.farkas.rows() == base.farkas.rows()
+            return
+        factor = 1 / self.C ** 2
+        assert scaled.weights == tuple(w * factor for w in base.weights)
+        assert scaled.margin == base.margin * factor == margin
+
+
 class TestVerifiers:
     def test_verify_weights_mercedes(self):
         rep = verify_weights(MERCEDES, [Fraction(2, 3)] * 3)
@@ -207,6 +235,16 @@ class TestVerifiers:
         assert classify_tightness(out, 1e-9).kind == "parseval"
 
 
+def _assert_weights_or_certificate(fr):
+    res = solve_scalable(build_lp(fr))
+    if res.status == "feasible":
+        assert verify_weights(fr, res.weights).residual == 0
+        assert all(w >= 0 for w in res.weights)
+    else:
+        assert res.status == "infeasible"
+        assert verify_farkas(fr, res.farkas, 0)
+
+
 class TestRandomized:
     @pytest.mark.parametrize("seed", range(30))
     def test_exact_float_agreement(self, seed):
@@ -228,14 +266,18 @@ class TestRandomized:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_dichotomy_weights_or_certificate(self, seed):
+        _assert_weights_or_certificate(random_frame(6, 3, seed + 100))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_fractional_entries_weights_or_certificate(self, seed):
+        # each entry over its own denominator, so the LP rows have
+        # different denominators; the oracle must clear them as one
+        rng = random.Random(seed)
         fr = random_frame(6, 3, seed + 100)
-        res = solve_scalable(build_lp(fr))
-        if res.status == "feasible":
-            assert verify_weights(fr, res.weights).residual == 0
-            assert all(w >= 0 for w in res.weights)
-        else:
-            assert res.status == "infeasible"
-            assert verify_farkas(fr, res.farkas, 0)
+        _assert_weights_or_certificate(Frame.from_vectors(
+            [[x / rng.randint(1, 5) for x in v] for v in fr.vectors],
+            exact=True,
+        ))
 
     @pytest.mark.parametrize("seed", range(15))
     def test_strict_consistent_with_nonneg(self, seed):
