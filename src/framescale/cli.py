@@ -157,9 +157,18 @@ def _graph_from_json(data) -> FrameGraph:
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != m:
             raise GraphError("adjacency matrix must be square")
-        for j in range(i + 1, m):
-            if row[j]:
-                edges.append((i, j))
+        for j, x in enumerate(row):
+            # exact ints only: JSON true and 1.0 compare equal to 1
+            if type(x) is not int or x not in (0, 1):
+                raise GraphError(
+                    f"adjacency entry ({i + 1},{j + 1}) must be 0 or 1")
+            if j < i and x != data[j][i]:
+                raise GraphError(
+                    f"adjacency matrix is not symmetric at ({j + 1},{i + 1})")
+        if row[i]:
+            raise GraphError(
+                f"adjacency diagonal entry ({i + 1},{i + 1}) must be 0")
+        edges += [(i, j) for j in range(i + 1, m) if row[j]]
     return FrameGraph(m, edges)
 
 

@@ -2,9 +2,21 @@
 
 The frame graph puts an edge between two vectors exactly when their inner
 product is nonzero (above ``tol_zero`` in float mode, exactly nonzero in
-exact mode).  All statistics are computed exactly; the two exponential
-searches (independence number, longest induced path) are exact branch and
-bound / pruned DFS behind a configurable vertex cap.
+exact mode).  All statistics are computed exactly.  The two exponential
+searches, independence number and longest induced path, run behind a
+configurable vertex cap as branch and bound over bitmasks:
+
+- maximum independent set: a subtree is cut when its candidates, counted
+  one by one or as the cliques of a greedy clique cover (an independent
+  set meets each clique at most once), cannot beat the best size so far;
+- longest induced path: from an endpoint whose free neighbours are C and
+  whose other free vertices are R, the path adds at most 1 + |R| more
+  vertices, since the step to one vertex of C blocks the rest of C.
+
+Both keep the witness of the plain DFS in the same branching order: a best
+is replaced only by a strictly larger one, so the witness is the first
+maximum in DFS order, and every ancestor of that maximum has a bound above
+the best found before it, so no cut removes it.
 """
 
 from __future__ import annotations
@@ -230,21 +242,35 @@ def _bridges(g: FrameGraph):
 
 
 def _max_independent_set_masks(adj_masks):
-    """Exact maximum independent set over bitmask adjacency; returns a mask."""
-    n = len(adj_masks)
-    full = (1 << n) - 1
-    best = {"mask": 0, "size": 0}
+    """Exact maximum independent set over bitmask adjacency; returns a mask.
 
-    def popcount(x):
-        return x.bit_count()
+    Branches on the lowest-index candidate of maximum degree among the
+    candidates, include branch first, and cuts a subtree when the popcount
+    of its candidates, or the clique count of a greedy clique cover of
+    them, cannot beat the best size so far.
+    """
+    best_size = best_mask = 0
 
     def grow(candidates, chosen, size):
-        if size + popcount(candidates) <= best["size"]:
+        nonlocal best_size, best_mask
+        room = best_size - size
+        if candidates.bit_count() <= room:
             return
         if candidates == 0:
-            if size > best["size"]:
-                best["size"] = size
-                best["mask"] = chosen
+            best_size, best_mask = size, chosen
+            return
+        # an independent set meets each clique of a cover at most once
+        rest, cliques = candidates, 0
+        while rest and cliques <= room:
+            low = rest & -rest
+            rest ^= low
+            clique = rest & adj_masks[low.bit_length() - 1]
+            while clique:
+                low = clique & -clique
+                rest ^= low
+                clique &= adj_masks[low.bit_length() - 1]
+            cliques += 1
+        if cliques <= room:
             return
         # branch on a candidate of maximum degree within the candidate set
         pick, pick_deg = -1, -1
@@ -252,42 +278,73 @@ def _max_independent_set_masks(adj_masks):
         while c:
             v = (c & -c).bit_length() - 1
             c &= c - 1
-            d = popcount(adj_masks[v] & candidates)
+            d = (adj_masks[v] & candidates).bit_count()
             if d > pick_deg:
                 pick, pick_deg = v, d
         bit = 1 << pick
         grow(candidates & ~(bit | adj_masks[pick]), chosen | bit, size + 1)
         grow(candidates & ~bit, chosen, size)
 
-    grow(full, 0, 0)
-    return best["mask"]
+    grow((1 << len(adj_masks)) - 1, 0, 0)
+    return best_mask
 
 
 def _longest_induced_path(g: FrameGraph):
-    """Longest induced path as (vertex count, witness tuple), exact DFS."""
+    """Longest induced path as (vertex count, witness tuple), exact.
+
+    The witness is the first longest path of a DFS over starts in ascending
+    order, then neighbours in ascending order.  The search computes lengths
+    only; the witness is replayed afterwards, one vertex at a time.
+    """
     n = g.vertex_count
+    full = (1 << n) - 1
     adj = [0] * n
     for (i, j) in g.edges:
         adj[i] |= 1 << j
         adj[j] |= 1 << i
-    best = {"len": 1, "path": (0,)}
 
-    def extend(path, endpoint, blocked):
-        if len(path) > best["len"]:
-            best["len"] = len(path)
-            best["path"] = tuple(path)
-        cand = adj[endpoint] & ~blocked
+    def ext(cand, rest, need):
+        """Most vertices a path can still add at an endpoint whose free
+        neighbours are cand, with rest the other free vertices: exact when
+        that is >= need, otherwise some upper bound below need."""
+        if not cand:
+            return 0
+        # the step to one candidate blocks all the others
+        bound = 1 + rest.bit_count()
+        if bound < need:
+            return bound
+        best = 0
+        need -= 1  # asked of each child, or more than its elders gave
         while cand:
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            path.append(v)
-            # previous endpoint's other neighbors become chords if revisited
-            extend(path, v, blocked | (1 << v) | (adj[endpoint] & ~(1 << v)))
-            path.pop()
+            low = cand & -cand
+            cand ^= low
+            nxt = adj[low.bit_length() - 1] & rest
+            r = 1 + ext(nxt, rest & ~nxt, best if best > need else need)
+            if r > best:
+                best = r
+                if best == bound:
+                    break
+        return best
 
-    for start in range(n):
-        extend([start], start, 1 << start)
-    return best["len"], best["path"]
+    length, start = 1, 0
+    for s in range(n):
+        r = ext(adj[s], full & ~(1 << s) & ~adj[s], length)
+        if r >= length:
+            length, start = 1 + r, s
+
+    path = [start]
+    cand, rest = adj[start], full & ~(1 << start) & ~adj[start]
+    for need in range(length - 2, -1, -1):
+        # the first neighbour, in ascending order, that still reaches length
+        while True:
+            low = cand & -cand
+            cand ^= low
+            nxt = adj[low.bit_length() - 1] & rest
+            if ext(nxt, rest & ~nxt, need) >= need:
+                break
+        path.append(low.bit_length() - 1)
+        cand, rest = nxt, rest & ~nxt
+    return length, tuple(path)
 
 
 def compute_stats(g: FrameGraph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> GraphStats:
@@ -365,38 +422,11 @@ def unique_common_neighbor_pairs(g: FrameGraph):
     return out
 
 
-def closed_neighborhoods_distinct(g: FrameGraph):
-    """(True, None) if all closed neighborhoods differ, else (False, pair)."""
-    closed = [g.neighbors(v) | {v} for v in range(g.vertex_count)]
-    for u, v in combinations(range(g.vertex_count), 2):
-        if closed[u] == closed[v]:
-            return False, (u, v)
-    return True, None
-
-
 def zero_pattern_equal(g1: FrameGraph, g2: FrameGraph) -> bool:
     """Index-aligned adjacency identity (not general graph isomorphism)."""
     if g1.vertex_count != g2.vertex_count:
         raise GraphError("vertex counts differ")
     return g1.edges == g2.edges
-
-
-def induced_subgraph(g: FrameGraph, keep) -> FrameGraph:
-    """Subgraph on the kept vertices; labels are re-indexed in sorted order
-    and the original labels recorded in vertex flags."""
-    keep = sorted(set(keep))
-    if not keep:
-        raise GraphError("cannot take the subgraph on an empty vertex set")
-    if keep[0] < 0 or keep[-1] >= g.vertex_count:
-        raise GraphError("kept vertices out of range")
-    index = {v: k for k, v in enumerate(keep)}
-    edges = [
-        (index[i], index[j]) for (i, j) in g.edges if i in index and j in index
-    ]
-    flags = {
-        index[v]: set(g.vertex_flags[v]) | {f"orig_v{v + 1}"} for v in keep
-    }
-    return FrameGraph(len(keep), edges, flags)
 
 
 def export_dot(g: FrameGraph) -> str:
@@ -405,10 +435,7 @@ def export_dot(g: FrameGraph) -> str:
     for v in range(g.vertex_count):
         # "isolated" is derivable from the edge list; only data-quality
         # flags such as zero_vector are worth showing
-        flags = sorted(
-            f for f in g.vertex_flags[v]
-            if f != "isolated" and not f.startswith("orig_")
-        )
+        flags = sorted(f for f in g.vertex_flags[v] if f != "isolated")
         attr = f' [flags="{",".join(flags)}"]' if flags else ""
         lines.append(f"  v{v + 1}{attr};")
     for (i, j) in g.sorted_edges():

@@ -247,7 +247,11 @@ def _phase1(rows, rhs, exact: bool, tol: float):
         if tab.basis[i] < k:
             continue
         row = tab.t[i]
-        col = next((j for j in range(k) if abs(row[j]) > tab.zero_tol), None)
+        # only a nonbasic column may take the artificial's place; float drift
+        # can leave entries above the tolerance in basic columns
+        basic = set(tab.basis)
+        col = next((j for j in range(k)
+                    if j not in basic and abs(row[j]) > tab.zero_tol), None)
         if col is not None:
             tab.pivot(i, col)
         else:

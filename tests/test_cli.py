@@ -97,6 +97,45 @@ class TestFileInput:
         assert run(capsys, "analyze", str(path))[0] == 2
 
 
+class TestGraphFile:
+    def filters(self, tmp_path, capsys, adjacency):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"adjacency": adjacency}))
+        return run(capsys, "filters", "--graph", str(path), "--dim", "2")
+
+    def test_path_p3_accepted(self, tmp_path, capsys):
+        code, out, _ = self.filters(tmp_path, capsys,
+                                    [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+        assert code == 0
+        assert json.loads(out)["graph"]["edges"] == [[1, 2], [2, 3]]
+
+    def test_upper_triangle_alone_not_trusted(self, tmp_path, capsys):
+        # a loop, an asymmetric pair and a string entry, all below or on
+        # the diagonal
+        code, _, err = self.filters(tmp_path, capsys,
+                                    [[1, 1, 0], [0, 0, "x"], [1, 0, 0]])
+        assert code == 2 and "adjacency" in err
+
+    @pytest.mark.parametrize("entry", ["x", 2, -1, True, 1.0, None, [1]])
+    def test_entry_not_0_or_1_exit_2(self, tmp_path, capsys, entry):
+        code, _, err = self.filters(tmp_path, capsys,
+                                    [[0, entry], [entry, 0]])
+        assert code == 2 and "must be 0 or 1" in err
+
+    def test_nonzero_diagonal_exit_2(self, tmp_path, capsys):
+        code, _, err = self.filters(tmp_path, capsys, [[0, 1], [1, 1]])
+        assert code == 2 and "diagonal" in err
+
+    def test_asymmetric_exit_2(self, tmp_path, capsys):
+        code, _, err = self.filters(tmp_path, capsys,
+                                    [[0, 1, 0], [0, 0, 1], [0, 1, 0]])
+        assert code == 2 and "not symmetric at (1,2)" in err
+
+    def test_not_square_exit_2(self, tmp_path, capsys):
+        code, _, err = self.filters(tmp_path, capsys, [[0, 1], [1, 0, 0]])
+        assert code == 2 and "square" in err
+
+
 class TestFilters:
     def test_graph_star_dim3(self, capsys):
         code, out, _ = run(capsys, "filters", "--graph", "K_{1,3}",

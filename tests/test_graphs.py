@@ -14,7 +14,6 @@ from framescale.graphs import (
     GraphError,
     balanced_bipartition_exists,
     build_graph,
-    closed_neighborhoods_distinct,
     complete_bipartite_graph,
     complete_graph,
     compute_stats,
@@ -23,7 +22,6 @@ from framescale.graphs import (
     export_dot,
     graph_join,
     graph_union,
-    induced_subgraph,
     path_graph,
     unique_common_neighbor_pairs,
     zero_pattern_equal,
@@ -68,6 +66,72 @@ def brute_longest_induced_path(g: FrameGraph) -> int:
         if found:
             best = r
     return best
+
+
+def induced_subgraph(g: FrameGraph, keep) -> FrameGraph:
+    """Subgraph on the kept vertices, re-indexed in sorted order."""
+    index = {v: k for k, v in enumerate(sorted(set(keep)))}
+    edges = [
+        (index[i], index[j]) for (i, j) in g.edges if i in index and j in index
+    ]
+    return FrameGraph(len(index), edges)
+
+
+def reference_mis_mask(g: FrameGraph) -> int:
+    """Maximum independent set by popcount-bounded branch and bound, in the
+    branching order of the library search: the lowest-index candidate of
+    maximum degree, include branch first.  Both keep the first maximum."""
+    adj = [sum(1 << w for w in g.neighbors(v)) for v in range(g.vertex_count)]
+    best = {"mask": 0, "size": 0}
+
+    def grow(candidates, chosen, size):
+        if size + candidates.bit_count() <= best["size"]:
+            return
+        if candidates == 0:
+            best["size"], best["mask"] = size, chosen
+            return
+        pick, pick_deg = -1, -1
+        c = candidates
+        while c:
+            v = (c & -c).bit_length() - 1
+            c &= c - 1
+            d = (adj[v] & candidates).bit_count()
+            if d > pick_deg:
+                pick, pick_deg = v, d
+        bit = 1 << pick
+        grow(candidates & ~(bit | adj[pick]), chosen | bit, size + 1)
+        grow(candidates & ~bit, chosen, size)
+
+    grow((1 << g.vertex_count) - 1, 0, 0)
+    return best["mask"]
+
+
+def reference_longest_induced_path(g: FrameGraph):
+    """Unbounded DFS over every induced path, starts in ascending order,
+    then neighbours in ascending order; keeps the first longest path."""
+    adj = [sum(1 << w for w in g.neighbors(v)) for v in range(g.vertex_count)]
+    best = {"len": 1, "path": (0,)}
+
+    def extend(path, endpoint, blocked):
+        if len(path) > best["len"]:
+            best["len"], best["path"] = len(path), tuple(path)
+        cand = adj[endpoint] & ~blocked
+        while cand:
+            v = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            path.append(v)
+            # the old endpoint's other neighbours would become chords
+            extend(path, v, blocked | (1 << v) | (adj[endpoint] & ~(1 << v)))
+            path.pop()
+
+    for start in range(g.vertex_count):
+        extend([start], start, 1 << start)
+    return best["len"], best["path"]
+
+
+def gnp(rng: random.Random, m: int, p: float) -> FrameGraph:
+    return FrameGraph(m, [(i, j) for i in range(m) for j in range(i + 1, m)
+                          if rng.random() < p])
 
 
 class TestFrameGraph:
@@ -187,6 +251,37 @@ class TestStats:
                    for i, j in itertools.combinations(wit, 2))
 
 
+class TestSearchesMatchReference:
+    """The bounded searches return the reference searches' witnesses, not
+    only their sizes, so reports stay byte-identical."""
+
+    @staticmethod
+    def check(g: FrameGraph):
+        st = compute_stats(g)
+        mask = reference_mis_mask(g)
+        assert st.max_independent_set == tuple(
+            v for v in range(g.vertex_count) if mask >> v & 1)
+        length, witness = reference_longest_induced_path(g)
+        assert (st.induced_path_vertices, st.induced_path_witness) == \
+            (length, witness)
+        assert not induced_subgraph(g, st.max_independent_set).edges
+        path = induced_subgraph(g, witness)
+        assert len(path.edges) == length - 1
+        assert all(g.has_edge(a, b) for a, b in zip(witness, witness[1:]))
+
+    @pytest.mark.parametrize("m", range(1, 19))
+    def test_small(self, m):
+        rng = random.Random(f"reference:{m}")
+        for p in (0.05, 0.1, 0.2, 0.3, 0.5, 0.8):
+            for _ in range(3):
+                self.check(gnp(rng, m, p))
+
+    @pytest.mark.parametrize("m, p", [(24, 0.3), (28, 0.2), (32, 0.1),
+                                      (32, 0.3), (32, 0.5)])
+    def test_large(self, m, p):
+        self.check(gnp(random.Random(f"reference:{m}:{p}"), m, p))
+
+
 class TestBalancedBipartition:
     def test_k2_union_k2_true(self):
         g = graph_union(complete_graph(2), complete_graph(2))
@@ -226,18 +321,6 @@ class TestUniqueCommonNeighbor:
     def test_c5_all_pairs(self):
         # in C5 every non-adjacent pair has exactly one common neighbor
         assert len(unique_common_neighbor_pairs(cycle_graph(5))) == 5
-
-
-class TestClosedNeighborhoods:
-    def test_k2_collision(self):
-        distinct, pair = closed_neighborhoods_distinct(complete_graph(2))
-        assert not distinct and pair == (0, 1)
-
-    def test_p3_distinct(self):
-        assert closed_neighborhoods_distinct(path_graph(3))[0]
-
-    def test_star_distinct(self):
-        assert closed_neighborhoods_distinct(complete_bipartite_graph(1, 3))[0]
 
 
 class TestPatternAndSubgraph:

@@ -144,6 +144,18 @@ class TestSolveStrict:
         assert res.status == "strictly_feasible"
         assert verify_weights(fr, res.weights).residual < 1e-7
 
+    @pytest.mark.parametrize("m, n, seed", [(52, 12, 120), (56, 12, 8)])
+    def test_artificials_leave_for_nonbasic_columns(self, m, n, seed):
+        # float drift leaves entries above PIVOT_TOL in basic columns of an
+        # artificial's row; pivoting one in listed a column twice in the
+        # basis, and (52, 12, 120) answered numerically_ambiguous
+        fr = random_parseval(m, n, seed)
+        res = solve_strict(build_lp(fr))
+        assert res.status == "strictly_feasible"
+        report = verify_weights(fr, res.weights)
+        assert report.residual < 1e-7
+        assert report.tightness.kind == "parseval"
+
 
 class TestOneSolve:
     def test_feasible_projection_keeps_weights(self):
