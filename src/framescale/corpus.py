@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactnum import QuadExt
-from .frames import Frame, FrameError, is_frame, random_parseval
+from .frames import Frame, FrameError, is_frame
 from .graphs import (
     FrameGraph,
     complete_bipartite_graph,
@@ -244,26 +244,6 @@ def _cycle_pattern_ok(frame: Frame, m: int, margin: float = 1e-4) -> bool:
     return True
 
 
-def generate(kind: str, params: dict, seed: int) -> NamedInstance:
-    """Seeded generator front end; deterministic in (kind, params, seed)."""
-    if kind == "onb":
-        frame = onb(params["n"])
-    elif kind == "random_frame":
-        frame = random_frame(params["m"], params["n"], seed)
-    elif kind == "random_parseval":
-        frame = random_parseval(params["m"], params["n"], seed)
-    elif kind == "cycle_pattern_frame":
-        frame = cycle_pattern_frame(params["m"], params["n"], seed)
-    else:
-        raise CorpusError(f"unknown generator kind {kind!r}")
-    label = ",".join(f"{k}={v}" for k, v in sorted(params.items()))
-    return NamedInstance(
-        f"generated/{kind}({label};seed={seed})",
-        frame=frame,
-        provenance=f"generator {kind}",
-    )
-
-
 def named_graph(spec: str) -> FrameGraph:
     """Parse small named graphs: Kn, K_{a,b}, Cn, Pn, En (edgeless)."""
     text = spec.strip()
@@ -289,7 +269,6 @@ __all__ = [
     "CorpusError",
     "NamedInstance",
     "cycle_pattern_frame",
-    "generate",
     "load",
     "named_graph",
     "names",

@@ -172,10 +172,6 @@ def is_exact_scalar(x) -> bool:
     return isinstance(x, EXACT_TYPES) and not isinstance(x, bool)
 
 
-def is_rational_scalar(x) -> bool:
-    return is_exact_scalar(x) and not isinstance(x, QuadExt)
-
-
 def sign(x) -> int:
     """Exact sign of any supported scalar (-1, 0, +1)."""
     if isinstance(x, QuadExt):

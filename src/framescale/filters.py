@@ -16,13 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .exactnum import sign
-from .frames import Frame
+from .frames import Frame, integer_vectors
 from .graphs import (
     DEFAULT_VERTEX_CAP,
     FrameGraph,
     GraphStats,
     balanced_bipartition_exists,
     compute_stats,
+    mask_vertices,
     unique_common_neighbor_pairs,
 )
 
@@ -87,7 +88,7 @@ def filter_square_nonempty(g: FrameGraph, m: int, n: int,
         return FilterReport(fid, cite, applicable=False)
     if stats.is_empty:
         return FilterReport(fid, cite, applicable=True)
-    edge = min(g.sorted_edges())
+    edge = g.sorted_edges()[0]
     return FilterReport(
         fid, cite, applicable=True, verdict=NOT_SCALABLE,
         certificate={"edge": _edge(edge)},
@@ -165,6 +166,7 @@ def filter_diameter_codim2(g: FrameGraph, m: int, n: int,
 
 
 def _far_pair(g: FrameGraph, at_least: int):
+    # the pair found first follows the iteration order of the neighbour sets
     for src in range(g.vertex_count):
         dist = {src: 0}
         frontier = [src]
@@ -289,10 +291,10 @@ def filter_tree(g: FrameGraph, m: int, n: int,
                         "strictly scalable frame"
     if m < 3:
         return FilterReport(fid, cite, applicable=False)
-    if stats.is_connected and len(g.edges) == m - 1:
+    if stats.is_connected and g.edge_count() == m - 1:
         return FilterReport(
             fid, cite, applicable=True, verdict=NOT_STRICTLY_SCALABLE,
-            certificate={"edge_count": len(g.edges), "connected": True},
+            certificate={"edge_count": m - 1, "connected": True},
         )
     return FilterReport(fid, cite, applicable=True)
 
@@ -360,25 +362,28 @@ def filter_adjacent_dependence(frame: Frame, g: FrameGraph) -> FilterReport:
         "adjacent parallel vectors force identical closed neighborhoods; "
         "disagreement signals a tolerance problem"
     )
+    # closed neighbourhoods first: parallelism is tested only on the edges
+    # whose ends disagree, in the order of the sorted edge list
+    closed = [mask | 1 << v for v, mask in enumerate(g.masks)]
+    same = {}
+    for v, c in enumerate(closed):
+        same[c] = same.get(c, 0) | 1 << v
+    vectors = integer_vectors(frame) or frame.vectors
     warnings = []
-    for (i, j) in g.sorted_edges():
-        if not _parallel(frame, i, j):
-            continue
-        ni = g.neighbors(i) | {i}
-        nj = g.neighbors(j) | {j}
-        if ni != nj:
-            warnings.append(
-                f"parallel adjacent vectors v{_v(i)}, v{_v(j)} have different "
-                f"closed neighborhoods; check tol_zero"
-            )
+    for i, mask in enumerate(g.masks):
+        for j in mask_vertices(mask & ~same[closed[i]] & -(2 << i)):
+            if _parallel(vectors[i], vectors[j], frame.is_exact):
+                warnings.append(
+                    f"parallel adjacent vectors v{_v(i)}, v{_v(j)} have "
+                    f"different closed neighborhoods; check tol_zero"
+                )
     return FilterReport(
         fid, cite, applicable=True, experimental=True, warnings=tuple(warnings)
     )
 
 
-def _parallel(frame: Frame, i: int, j: int) -> bool:
-    u, v = frame.vectors[i], frame.vectors[j]
-    if frame.is_exact:
+def _parallel(u, v, exact: bool) -> bool:
+    if exact:
         return all(
             sign(u[p] * v[q] - u[q] * v[p]) == 0
             for p in range(len(u))

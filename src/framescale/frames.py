@@ -97,6 +97,22 @@ def inner(u, v):
     return total
 
 
+def integer_vectors(frame: Frame):
+    """Each vector of an exact rational frame times the least common
+    multiple of its denominators, as tuples of ints: a positive multiple of
+    the vector, so the signs of inner products and of 2x2 minors, which
+    decide adjacency and parallelism, are those of the frame.  None for a
+    float frame or one with an entry in Q(sqrt d)."""
+    if not frame.is_exact or any(
+            type(x) is not Fraction for v in frame.vectors for x in v):
+        return None
+    out = []
+    for v in frame.vectors:
+        d = math.lcm(*(x.denominator for x in v))
+        out.append(tuple(x.numerator * (d // x.denominator) for x in v))
+    return out
+
+
 def gram(frame: Frame) -> SymmetricMatrix:
     """m x m matrix of pairwise inner products."""
     vs = frame.vectors

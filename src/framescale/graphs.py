@@ -2,7 +2,8 @@
 
 The frame graph puts an edge between two vectors exactly when their inner
 product is nonzero (above ``tol_zero`` in float mode, exactly nonzero in
-exact mode).  All statistics are computed exactly.  The two exponential
+exact mode).  All statistics are computed exactly, from the adjacency
+bitmasks the graph builds once (``FrameGraph.masks``).  The two exponential
 searches, independence number and longest induced path, run behind a
 configurable vertex cap as branch and bound over bitmasks:
 
@@ -23,9 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import mul
 
 from .exactnum import sign
-from .frames import Frame
+from .frames import Frame, integer_vectors
 
 DEFAULT_VERTEX_CAP = 32
 
@@ -34,48 +36,104 @@ class GraphError(ValueError):
     pass
 
 
-class FrameGraph:
-    """Simple undirected graph on vertex indices 0..m-1."""
+def mask_vertices(mask: int) -> list:
+    """The vertices of a bitmask, in ascending order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    __slots__ = ("vertex_count", "edges", "vertex_flags", "_adj")
+
+class FrameGraph:
+    """Simple undirected graph on vertex indices 0..m-1.
+
+    ``masks[v]`` is the neighbourhood of v as a bitmask, built once; the
+    statistics and filters read it.  The edge set and the neighbour sets are
+    built on first use, from the edges in the order given (ascending for
+    ``from_masks``), so they are the same sets, iterating in the same order,
+    as a graph that built them eagerly.
+    """
+
+    __slots__ = ("vertex_count", "masks", "vertex_flags", "_given", "_edges",
+                 "_adj")
 
     def __init__(self, vertex_count: int, edges, vertex_flags=None):
         if vertex_count < 1:
             raise GraphError("need at least one vertex")
-        canon = set()
-        for (i, j) in edges:
+        given = tuple(edges)
+        masks = [0] * vertex_count
+        for (i, j) in given:
             if i == j:
                 raise GraphError(f"loop at vertex {i}")
             if not (0 <= i < vertex_count and 0 <= j < vertex_count):
                 raise GraphError(f"edge ({i},{j}) out of range")
-            canon.add((min(i, j), max(i, j)))
-        self.vertex_count = vertex_count
-        self.edges = frozenset(canon)
-        adj = [set() for _ in range(vertex_count)]
-        for (i, j) in canon:
-            adj[i].add(j)
-            adj[j].add(i)
-        self._adj = tuple(frozenset(s) for s in adj)
-        flags = {i: set() for i in range(vertex_count)}
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+        self._init(masks, vertex_flags, given)
+
+    @classmethod
+    def from_masks(cls, masks, vertex_flags=None) -> "FrameGraph":
+        """Graph whose vertex v has neighbourhood ``masks[v]``; the masks
+        must be symmetric with no bit v in ``masks[v]``."""
+        if not masks:
+            raise GraphError("need at least one vertex")
+        g = cls.__new__(cls)
+        g._init(masks, vertex_flags, None)
+        return g
+
+    def _init(self, masks, vertex_flags, given):
+        m = len(masks)
+        self.vertex_count = m
+        self.masks = tuple(masks)
+        self._given = given
+        self._edges = self._adj = None
+        flags = {i: set() for i in range(m)}
         if vertex_flags:
             for i, fs in vertex_flags.items():
                 flags[i] |= set(fs)
-        for i in range(vertex_count):
-            if not self._adj[i]:
+        for i in range(m):
+            if not masks[i]:
                 flags[i].add("isolated")
         self.vertex_flags = {i: frozenset(fs) for i, fs in flags.items()}
 
+    def _build_sets(self) -> None:
+        given = self._given if self._given is not None else self.sorted_edges()
+        canon = set()
+        for (i, j) in given:
+            canon.add((min(i, j), max(i, j)))
+        adj = [set() for _ in range(self.vertex_count)]
+        for (i, j) in canon:
+            adj[i].add(j)
+            adj[j].add(i)
+        self._edges = frozenset(canon)
+        self._adj = tuple(frozenset(s) for s in adj)
+
+    @property
+    def edges(self) -> frozenset:
+        if self._edges is None:
+            self._build_sets()
+        return self._edges
+
     def neighbors(self, v: int) -> frozenset:
+        if self._adj is None:
+            self._build_sets()
         return self._adj[v]
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return self.masks[v].bit_count()
+
+    def edge_count(self) -> int:
+        return sum(mask.bit_count() for mask in self.masks) // 2
 
     def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.edges
+        m = self.vertex_count
+        return 0 <= i < m and 0 <= j < m and bool(self.masks[i] >> j & 1)
 
     def sorted_edges(self):
-        return sorted(self.edges)
+        return [(i, j) for i, mask in enumerate(self.masks)
+                for j in mask_vertices(mask & -(2 << i))]
 
     def has_flagged_vertices(self) -> bool:
         return any(self.vertex_flags[i] for i in range(self.vertex_count))
@@ -84,14 +142,14 @@ class FrameGraph:
         if not isinstance(other, FrameGraph):
             return NotImplemented
         return (
-            self.vertex_count == other.vertex_count and self.edges == other.edges
+            self.vertex_count == other.vertex_count and self.masks == other.masks
         )
 
     def __hash__(self):
-        return hash((self.vertex_count, self.edges))
+        return hash((self.vertex_count, self.masks))
 
     def __repr__(self):
-        return f"FrameGraph(m={self.vertex_count}, edges={len(self.edges)})"
+        return f"FrameGraph(m={self.vertex_count}, edges={self.edge_count()})"
 
 
 def build_graph(frame: Frame, tol_zero: float = 1e-10) -> FrameGraph:
@@ -102,25 +160,30 @@ def build_graph(frame: Frame, tol_zero: float = 1e-10) -> FrameGraph:
     if tol_zero < 0:
         raise GraphError("tol_zero must be nonnegative")
     m = frame.count
-    vs = frame.vectors
-
-    def nonzero(x) -> bool:
-        if frame.is_exact:
+    ints = integer_vectors(frame)
+    vs = frame.vectors if ints is None else ints
+    if ints is not None:
+        nonzero = bool
+    elif frame.is_exact:
+        def nonzero(x) -> bool:
             return sign(x) != 0
-        return abs(float(x)) > tol_zero
+    else:
+        def nonzero(x) -> bool:
+            return abs(x) > tol_zero
 
-    edges = []
-    for i in range(m):
+    masks = [0] * m
+    for i, u in enumerate(vs):
+        bit, row = 1 << i, 0
         for j in range(i + 1, m):
-            ip = sum(a * b for a, b in zip(vs[i], vs[j]))
-            if nonzero(ip):
-                edges.append((i, j))
+            if nonzero(sum(map(mul, u, vs[j]))):
+                row |= 1 << j
+                masks[j] |= bit
+        masks[i] |= row
     flags = {}
     for i in range(m):
-        norm_sq = sum(a * a for a in vs[i])
-        if not nonzero(norm_sq):
+        if not nonzero(sum(map(mul, vs[i], vs[i]))):
             flags[i] = {"zero_vector"}
-    return FrameGraph(m, edges, flags)
+    return FrameGraph.from_masks(masks, flags)
 
 
 @dataclass(frozen=True)
@@ -143,101 +206,85 @@ class GraphStats:
 
 
 def _components(g: FrameGraph):
-    seen = [False] * g.vertex_count
-    comps = []
-    for start in range(g.vertex_count):
-        if seen[start]:
-            continue
-        stack, comp = [start], []
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in g.neighbors(v):
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(tuple(sorted(comp)))
-    return tuple(comps)
+    """Connected components as sorted vertex tuples, in order of their
+    smallest vertex, and per component the sizes (|X_c|, |Y_c|) of its two
+    colour classes, X_c holding the smallest vertex; the sizes are None
+    when some component has an odd cycle.  One BFS by layers per component:
+    an edge inside a layer closes an odd cycle."""
+    masks = g.masks
+    left = (1 << g.vertex_count) - 1
+    comps, parts = [], []
+    while left:
+        frontier = comp = left & -left
+        sides = [frontier, 0]  # even and odd BFS layers
+        parity = 0
+        while frontier:
+            reach = 0
+            for v in mask_vertices(frontier):
+                reach |= masks[v]
+            if reach & frontier:
+                parts = None
+            frontier = reach & ~comp
+            comp |= frontier
+            parity ^= 1
+            sides[parity] |= frontier
+        left &= ~comp
+        comps.append(tuple(mask_vertices(comp)))
+        if parts is not None:
+            parts.append((sides[0].bit_count(), sides[1].bit_count()))
+    return tuple(comps), None if parts is None else tuple(parts)
 
 
-def _diameter(g: FrameGraph, connected: bool):
-    if not connected:
-        return None
-    if g.vertex_count == 1:
-        return 0
+def _diameter(g: FrameGraph) -> int:
+    """Diameter of a connected graph: the most BFS layers from any vertex."""
+    masks = g.masks
+    full = (1 << g.vertex_count) - 1
     best = 0
     for src in range(g.vertex_count):
-        dist = {src: 0}
-        frontier = [src]
+        seen = frontier = 1 << src
         d = 0
-        while frontier:
+        while seen != full:
+            reach = 0
+            for v in mask_vertices(frontier):
+                reach |= masks[v]
+            frontier = reach & ~seen
+            seen |= frontier
             d += 1
-            nxt = []
-            for v in frontier:
-                for w in g.neighbors(v):
-                    if w not in dist:
-                        dist[w] = d
-                        nxt.append(w)
-            frontier = nxt
-        best = max(best, max(dist.values()))
+        if d > best:
+            best = d
     return best
 
 
-def _two_coloring(g: FrameGraph, comps):
-    """Returns (is_bipartite, color dict, per-component part sizes)."""
-    color = {}
-    part_sizes = []
-    for comp in comps:
-        color[comp[0]] = 0
-        queue = [comp[0]]
-        while queue:
-            v = queue.pop()
-            for w in g.neighbors(v):
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return False, {}, ()
-        x = sum(1 for v in comp if color[v] == 0)
-        part_sizes.append((x, len(comp) - x))
-    return True, color, tuple(part_sizes)
-
-
 def _bridges(g: FrameGraph):
-    """Bridge edges by iterative DFS low-link."""
-    disc = [-1] * g.vertex_count
-    low = [0] * g.vertex_count
+    """Bridge edges by one DFS over bitmasks.  A DFS tree edge (p, v) is a
+    bridge when it is the only edge leaving the subtree of v: the subtree's
+    neighbours outside it are just p, and p has one neighbour inside it."""
+    masks = g.masks
+    unvisited = (1 << g.vertex_count) - 1
+    subtree = [1 << v for v in range(g.vertex_count)]
+    reach = list(masks)  # neighbours of the subtree, the subtree included
     out = []
-    timer = 0
-    for root in range(g.vertex_count):
-        if disc[root] != -1:
-            continue
-        stack = [(root, -1, iter(sorted(g.neighbors(root))))]
-        disc[root] = low[root] = timer
-        timer += 1
+    while unvisited:
+        root = unvisited & -unvisited
+        unvisited ^= root
+        stack = [root.bit_length() - 1]
         while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for w in it:
-                if disc[w] == -1:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, v, iter(sorted(g.neighbors(w)))))
-                    advanced = True
-                    break
-                elif w != parent:
-                    low[v] = min(low[v], disc[w])
-                # parallel edges are impossible in a simple graph, so the
-                # single parent skip is safe
-            if not advanced:
-                stack.pop()
-                if stack:
-                    pv = stack[-1][0]
-                    low[pv] = min(low[pv], low[v])
-                    if low[v] > disc[pv]:
-                        out.append((min(pv, v), max(pv, v)))
-        # root handled implicitly
+            v = stack[-1]
+            nxt = masks[v] & unvisited
+            if nxt:
+                low = nxt & -nxt
+                unvisited ^= low
+                stack.append(low.bit_length() - 1)
+                continue
+            stack.pop()
+            if stack:
+                p = stack[-1]
+                sub = subtree[v]
+                if (reach[v] & ~sub == 1 << p
+                        and (masks[p] & sub).bit_count() == 1):
+                    out.append((min(p, v), max(p, v)))
+                subtree[p] |= sub
+                reach[p] |= reach[v]
     return tuple(sorted(out))
 
 
@@ -298,10 +345,7 @@ def _longest_induced_path(g: FrameGraph):
     """
     n = g.vertex_count
     full = (1 << n) - 1
-    adj = [0] * n
-    for (i, j) in g.edges:
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
+    adj = g.masks
 
     def ext(cand, rest, need):
         """Most vertices a path can still add at an endpoint whose free
@@ -354,41 +398,32 @@ def compute_stats(g: FrameGraph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> GraphS
     reported as None with cap_exceeded=True when vertex_count > vertex_cap.
     """
     m = g.vertex_count
-    comps = _components(g)
+    comps, part_sizes = _components(g)
     connected = len(comps) == 1
-    diameter = _diameter(g, connected)
-    bip, _, part_sizes = _two_coloring(g, comps)
-    bridges = _bridges(g)
-    leaves = tuple(v for v in range(m) if g.degree(v) == 1)
-    is_complete = len(g.edges) == m * (m - 1) // 2
-    is_empty = not g.edges
-    is_cycle = connected and m >= 3 and all(g.degree(v) == 2 for v in range(m))
+    degrees = [mask.bit_count() for mask in g.masks]
+    edge_count = sum(degrees) // 2
 
     cap_exceeded = m > vertex_cap
     alpha = mis = path_len = witness = None
     if not cap_exceeded:
-        adj_masks = [0] * m
-        for (i, j) in g.edges:
-            adj_masks[i] |= 1 << j
-            adj_masks[j] |= 1 << i
-        mask = _max_independent_set_masks(adj_masks)
-        mis = tuple(v for v in range(m) if mask >> v & 1)
+        mask = _max_independent_set_masks(g.masks)
+        mis = tuple(mask_vertices(mask))
         alpha = len(mis)
         path_len, witness = _longest_induced_path(g)
 
     return GraphStats(
         components=comps,
         is_connected=connected,
-        diameter=diameter,
-        is_bipartite=bip,
-        component_part_sizes=part_sizes if bip else None,
+        diameter=_diameter(g) if connected else None,
+        is_bipartite=part_sizes is not None,
+        component_part_sizes=part_sizes,
         alpha=alpha,
         max_independent_set=mis,
-        bridges=bridges,
-        leaves=leaves,
-        is_complete=is_complete,
-        is_empty=is_empty,
-        is_cycle=is_cycle,
+        bridges=_bridges(g),
+        leaves=tuple(v for v in range(m) if degrees[v] == 1),
+        is_complete=edge_count == m * (m - 1) // 2,
+        is_empty=not edge_count,
+        is_cycle=connected and m >= 3 and all(d == 2 for d in degrees),
         induced_path_vertices=path_len,
         induced_path_witness=witness,
         cap_exceeded=cap_exceeded,
@@ -398,9 +433,8 @@ def compute_stats(g: FrameGraph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> GraphS
 def balanced_bipartition_exists(g: FrameGraph) -> bool:
     """Whether some global bipartition (X, Y) of a bipartite graph has
     |X| = |Y|: a sign choice per component over part-size differences."""
-    comps = _components(g)
-    bip, _, part_sizes = _two_coloring(g, comps)
-    if not bip:
+    _, part_sizes = _components(g)
+    if part_sizes is None:
         raise GraphError("graph is not bipartite")
     diffs = [x - y for (x, y) in part_sizes]
     sums = {0}
@@ -412,13 +446,14 @@ def balanced_bipartition_exists(g: FrameGraph) -> bool:
 def unique_common_neighbor_pairs(g: FrameGraph):
     """All non-adjacent pairs u < v with exactly one common neighbor,
     returned as (u, v, witness)."""
+    masks = g.masks
+    full = (1 << g.vertex_count) - 1
     out = []
-    for u, v in combinations(range(g.vertex_count), 2):
-        if g.has_edge(u, v):
-            continue
-        common = g.neighbors(u) & g.neighbors(v)
-        if len(common) == 1:
-            out.append((u, v, min(common)))
+    for u, mu in enumerate(masks):
+        for v in mask_vertices(full & ~mu & -(2 << u)):
+            common = mu & masks[v]
+            if common and not common & (common - 1):
+                out.append((u, v, common.bit_length() - 1))
     return out
 
 
@@ -426,7 +461,7 @@ def zero_pattern_equal(g1: FrameGraph, g2: FrameGraph) -> bool:
     """Index-aligned adjacency identity (not general graph isomorphism)."""
     if g1.vertex_count != g2.vertex_count:
         raise GraphError("vertex counts differ")
-    return g1.edges == g2.edges
+    return g1.masks == g2.masks
 
 
 def export_dot(g: FrameGraph) -> str:

@@ -184,13 +184,3 @@ def symmetric_eigs(a: SymmetricMatrix, tol: float,
     """Eigenvalues only; see jacobi_eigensystem for the contract."""
     values, _, off = jacobi_eigensystem(a, tol, max_sweeps)
     return Spectrum(tuple(values), off)
-
-
-def count_positive_eigenvalues(a: SymmetricMatrix, rank_tol: float | None = None,
-                               eig_tol: float = 1e-12) -> int:
-    """Numerical rank of a PSD matrix as eigenvalues above rank_tol."""
-    values, _, _ = jacobi_eigensystem(a, eig_tol)
-    if rank_tol is None:
-        scale = max((abs(x) for x in values), default=0.0)
-        rank_tol = a.order * 2.220446049250313e-16 * max(scale, 1.0)
-    return sum(1 for x in values if x > rank_tol)

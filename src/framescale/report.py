@@ -8,10 +8,10 @@ are 1-based (v1..vm).
 
 from __future__ import annotations
 
-import json
-import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, starmap
+from json.encoder import encode_basestring_ascii
 
 from .exactnum import QuadExt, exact_str
 from .filters import (
@@ -238,22 +238,59 @@ def analyze_graph(graph: FrameGraph, dim: int,
     }
 
 
-_FLOAT_TOKEN = re.compile(r'"\\u0001F(\d+)\\u0001"')
-
-
 def stable_dumps(obj) -> str:
-    """json.dumps with sorted keys and floats fixed at 17 significant digits."""
-    floats: list[str] = []
+    """The byte-stable JSON text of a report.
 
-    def walk(o):
-        if isinstance(o, float):
-            floats.append(format(o, ".17g"))
-            return f"\x01F{len(floats) - 1}\x01"
-        if isinstance(o, dict):
-            return {k: walk(v) for k, v in o.items()}
-        if isinstance(o, (list, tuple)):
-            return [walk(x) for x in o]
-        return o
+    The format is that of ``json.dumps(obj, sort_keys=True, indent=2)``
+    except for floats: keys sorted, a two-space indent, strings with ASCII
+    escapes (``encode_basestring_ascii``), tuples written as lists, and
+    floats written with ``format(x, ".17g")``, 17 significant digits (so
+    ``nan``, ``inf`` and ``-0`` appear as such).  Keys must be strings.
+    """
+    return _text(obj, "\n")
 
-    text = json.dumps(walk(obj), sort_keys=True, indent=2)
-    return _FLOAT_TOKEN.sub(lambda m: floats[int(m.group(1))], text)
+
+_INT = {int}
+
+
+def _text(o, nl: str) -> str:
+    """The text of ``o``; ``nl`` is a newline followed by the indent of the
+    line ``o`` starts on."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return format(o, ".17g")
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = nl + "  "
+        sep = "," + inner
+        types = set(map(type, o))
+        if types == _INT:
+            items = map(int.__repr__, o)
+        elif (types == {list} and len(set(map(len, o))) == 1
+              and set(map(type, chain.from_iterable(o))) == _INT and o[0]):
+            # rows of ints of one length, such as edge lists: one template
+            deeper = inner + "  "
+            row = ("," + deeper).join(["{}"] * len(o[0]))
+            items = starmap(("[" + deeper + row + inner + "]").format, o)
+        else:
+            items = [_text(x, inner) for x in o]
+        return "[" + inner + sep.join(items) + nl + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = nl + "  "
+        return "{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(k) + ": " + _text(o[k], inner)
+             for k in sorted(o)]) + nl + "}"
+    raise TypeError(
+        f"Object of type {type(o).__name__} is not JSON serializable")

@@ -97,6 +97,32 @@ class TestFileInput:
         assert run(capsys, "analyze", str(path))[0] == 2
 
 
+class TestDataQualityWarning:
+    """Parallel adjacent vectors with different closed neighbourhoods point
+    at a misjudged zero tolerance."""
+
+    @staticmethod
+    def warnings(tmp_path, capsys, vectors):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"dimension": 2, "vectors": vectors}))
+        code, out, err = run(capsys, "analyze", str(path), "--filters-only")
+        assert code == 0 and not err
+        return json.loads(out)["warnings"]
+
+    def test_split_neighbourhoods_warn(self, tmp_path, capsys):
+        # <v2, v3> = 1.2e-10 clears the default tol_zero, <v1, v3> = 6e-11
+        # does not, so the parallel pair v1, v2 sees v3 differently
+        vectors = [["1", "0"], ["2", "0"], ["6e-11", "1"], ["0", "1"]]
+        assert self.warnings(tmp_path, capsys, vectors) == [
+            "parallel adjacent vectors v1, v2 have different closed "
+            "neighborhoods; check tol_zero"
+        ]
+
+    def test_equal_neighbourhoods_silent(self, tmp_path, capsys):
+        vectors = [["1", "0"], ["2", "0"], ["1", "1"], ["-1", "1"]]
+        assert self.warnings(tmp_path, capsys, vectors) == []
+
+
 class TestGraphFile:
     def filters(self, tmp_path, capsys, adjacency):
         path = tmp_path / "g.json"

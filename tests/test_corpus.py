@@ -7,7 +7,6 @@ import pytest
 from framescale.corpus import (
     CorpusError,
     cycle_pattern_frame,
-    generate,
     load,
     named_graph,
     names,
@@ -86,14 +85,6 @@ class TestGenerators:
     def test_cycle_pattern_unsupported_codim(self):
         with pytest.raises(FrameError):
             cycle_pattern_frame(8, 4, 1)
-
-    def test_generate_front_end(self):
-        inst = generate("onb", {"n": 3}, 0)
-        assert inst.frame.count == 3
-        inst2 = generate("cycle_pattern_frame", {"m": 7, "n": 5}, 2)
-        assert compute_stats(build_graph(inst2.frame, 1e-10)).is_cycle
-        with pytest.raises(CorpusError):
-            generate("nope", {}, 0)
 
 
 class TestNamedGraph:

@@ -11,7 +11,6 @@ from framescale.exactnum import (
     QuadExt,
     exact_str,
     is_exact_scalar,
-    is_rational_scalar,
     parse_exact,
     rational_sqrt,
     sign,
@@ -100,10 +99,6 @@ class TestHelpers:
         assert is_exact_scalar(3)
         assert is_exact_scalar(QuadExt(3, 1, 1))
         assert not is_exact_scalar(0.5)
-
-    def test_is_rational_scalar(self):
-        assert is_rational_scalar(Fraction(1, 2))
-        assert not is_rational_scalar(QuadExt(3, 0, 1))
 
     def test_rational_sqrt_perfect_square(self):
         assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)

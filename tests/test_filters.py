@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from framescale.corpus import load, named_graph, onb
@@ -11,6 +14,7 @@ from framescale.filters import (
     NOT_STRICTLY_SCALABLE,
     FilterConfig,
     FilterReport,
+    filter_adjacent_dependence,
     filter_alpha,
     filter_bipartite_balance,
     filter_complete_codim1,
@@ -313,6 +317,76 @@ class TestRunAll:
             "unique_common_neighbor", "leaf_bridge", "tree", "cycle",
             "induced_path",
         ]
+
+
+def reference_parallel(frame: Frame, i: int, j: int) -> bool:
+    """All 2x2 minors of f_i, f_j vanish: exactly on the frame's own
+    entries, or within 1e-12 * (largest |entry|, at least 1)^2 in float."""
+    u, v = frame.vectors[i], frame.vectors[j]
+    minors = [u[p] * v[q] - u[q] * v[p]
+              for p in range(len(u)) for q in range(p + 1, len(u))]
+    if frame.is_exact:
+        return not any(minors)
+    scale = max(max(map(abs, u)), max(map(abs, v)), 1.0)
+    return all(abs(x) <= 1e-12 * scale * scale for x in minors)
+
+
+def reference_adjacent_warnings(frame: Frame, g: FrameGraph):
+    """Every sorted edge tested for parallelism first, then for equal closed
+    neighbourhoods."""
+    out = []
+    for (i, j) in sorted(g.edges):
+        if reference_parallel(frame, i, j) and \
+                g.neighbors(i) | {i} != g.neighbors(j) | {j}:
+            out.append(
+                f"parallel adjacent vectors v{i + 1}, v{j + 1} have different "
+                f"closed neighborhoods; check tol_zero"
+            )
+    return tuple(out)
+
+
+def _frame_with_parallels(rng: random.Random, exact: bool) -> Frame:
+    """Small integer vectors, about half of them integer or fractional
+    multiples of an earlier one, plus near-zero perturbations in float
+    mode."""
+    n = rng.randint(2, 4)
+    vectors = []
+    for _ in range(rng.randint(n, 14)):
+        if vectors and rng.random() < 0.5:
+            factor = rng.choice((-2, 3, Fraction(1, 2), Fraction(-2, 3)))
+            vectors.append([factor * x for x in rng.choice(vectors)])
+        else:
+            vectors.append([rng.randint(-1, 1) for _ in range(n)])
+        if not exact and rng.random() < 0.3:
+            vectors[-1][rng.randrange(n)] += 6e-11
+    return Frame.from_vectors(vectors, exact=exact)
+
+
+class TestAdjacentDependence:
+    """Closed neighbourhoods are compared before parallelism is tested; the
+    warnings are those of the parallelism-first reference, in its order."""
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_matches_reference(self, exact):
+        rng = random.Random(f"adjacent-dependence:{exact}")
+        parallel = warned = 0
+        for _ in range(150):
+            fr = _frame_with_parallels(rng, exact)
+            g = build_graph(fr, 0 if exact else 1e-10)
+            expected = reference_adjacent_warnings(fr, g)
+            assert filter_adjacent_dependence(fr, g).warnings == expected
+            parallel += any(reference_parallel(fr, i, j)
+                            for i, j in g.sorted_edges())
+            warned += bool(expected)
+        # exact adjacency cannot split parallel vectors; float can
+        assert parallel >= 50
+        assert (warned == 0) if exact else (warned >= 10)
+
+    def test_equal_neighbourhoods_no_warning(self):
+        fr = Frame.from_vectors([[1, 0], [2, 0], [1, 1], [-1, 1]])
+        g = build_graph(fr, 1e-10)
+        assert g.has_edge(0, 1) and reference_parallel(fr, 0, 1)
+        assert not filter_adjacent_dependence(fr, g).warnings
 
 
 class TestNamedGraphSpecs:

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from framescale.corpus import load, onb
+from framescale.exactnum import QuadExt, sign
 from framescale.frames import Frame, random_parseval
 from framescale.graphs import (
     FrameGraph,
@@ -129,6 +131,115 @@ def reference_longest_induced_path(g: FrameGraph):
     return best["len"], best["path"]
 
 
+def reference_components(g: FrameGraph):
+    """Depth-first components over neighbour sets, sorted vertex tuples in
+    order of their smallest vertex."""
+    seen = [False] * g.vertex_count
+    comps = []
+    for start in range(g.vertex_count):
+        if seen[start]:
+            continue
+        stack, comp = [start], []
+        seen[start] = True
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in g.neighbors(v):
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps)
+
+
+def reference_diameter(g: FrameGraph, connected: bool):
+    """A dict BFS from every vertex; None when disconnected."""
+    if not connected:
+        return None
+    best = 0
+    for src in range(g.vertex_count):
+        dist = {src: 0}
+        frontier = [src]
+        d = 0
+        while frontier:
+            d += 1
+            nxt = []
+            for v in frontier:
+                for w in g.neighbors(v):
+                    if w not in dist:
+                        dist[w] = d
+                        nxt.append(w)
+            frontier = nxt
+        best = max(best, max(dist.values()))
+    return best
+
+
+def reference_part_sizes(g: FrameGraph, comps):
+    """Per-component colour class sizes of a 2-colouring that gives each
+    component's smallest vertex colour 0, or None on an odd cycle."""
+    color = {}
+    sizes = []
+    for comp in comps:
+        color[comp[0]] = 0
+        queue = [comp[0]]
+        while queue:
+            v = queue.pop()
+            for w in g.neighbors(v):
+                if w not in color:
+                    color[w] = 1 - color[v]
+                    queue.append(w)
+                elif color[w] == color[v]:
+                    return None
+        x = sum(1 for v in comp if color[v] == 0)
+        sizes.append((x, len(comp) - x))
+    return tuple(sizes)
+
+
+def reference_bridges(g: FrameGraph):
+    """Bridge edges by iterative DFS low-link over sorted neighbour sets."""
+    disc = [-1] * g.vertex_count
+    low = [0] * g.vertex_count
+    out = []
+    timer = 0
+    for root in range(g.vertex_count):
+        if disc[root] != -1:
+            continue
+        stack = [(root, -1, iter(sorted(g.neighbors(root))))]
+        disc[root] = low[root] = timer
+        timer += 1
+        while stack:
+            v, parent, it = stack[-1]
+            advanced = False
+            for w in it:
+                if disc[w] == -1:
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    stack.append((w, v, iter(sorted(g.neighbors(w)))))
+                    advanced = True
+                    break
+                elif w != parent:
+                    low[v] = min(low[v], disc[w])
+            if not advanced:
+                stack.pop()
+                if stack:
+                    pv = stack[-1][0]
+                    low[pv] = min(low[pv], low[v])
+                    if low[v] > disc[pv]:
+                        out.append((min(pv, v), max(pv, v)))
+    return tuple(sorted(out))
+
+
+def reference_unique_common_neighbor_pairs(g: FrameGraph):
+    out = []
+    for u, v in itertools.combinations(range(g.vertex_count), 2):
+        if (u, v) in g.edges:
+            continue
+        common = g.neighbors(u) & g.neighbors(v)
+        if len(common) == 1:
+            out.append((u, v, min(common)))
+    return out
+
+
 def gnp(rng: random.Random, m: int, p: float) -> FrameGraph:
     return FrameGraph(m, [(i, j) for i in range(m) for j in range(i + 1, m)
                           if rng.random() < p])
@@ -151,6 +262,34 @@ class TestFrameGraph:
         g = FrameGraph(3, [(0, 1)])
         assert "isolated" in g.vertex_flags.get(2, frozenset())
         assert g.has_flagged_vertices()
+
+    def test_neighbour_sets_iterate_as_built_from_given_edges(self):
+        # the diameter filter's distant pair follows this iteration order
+        rng = random.Random("mask-stats:order")
+        for m in (9, 20, 40):
+            edges = [(j, i) if rng.random() < 0.5 else (i, j)
+                     for i in range(m) for j in range(i + 1, m)
+                     if rng.random() < 0.3]
+            rng.shuffle(edges)
+            canon = set()
+            for (i, j) in edges:
+                canon.add((min(i, j), max(i, j)))
+            adj = [set() for _ in range(m)]
+            for (i, j) in canon:
+                adj[i].add(j)
+                adj[j].add(i)
+            g = FrameGraph(m, edges)
+            assert list(g.edges) == list(frozenset(canon))
+            assert [list(g.neighbors(v)) for v in range(m)] == \
+                [list(frozenset(s)) for s in adj]
+
+    def test_from_masks_matches_edge_list(self):
+        rng = random.Random("mask-stats:from-masks")
+        for m in (1, 5, 17, 40):
+            g = gnp(rng, m, 0.3)
+            h = FrameGraph.from_masks(g.masks)
+            assert h == g and h.edges == g.edges
+            assert all(h.neighbors(v) == g.neighbors(v) for v in range(m))
 
 
 class TestBuildGraph:
@@ -181,6 +320,27 @@ class TestBuildGraph:
     def test_exact_mode_requires_zero_tol(self):
         with pytest.raises(GraphError):
             build_graph(M1, 1e-10)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_exact_edges_are_nonzero_inner_products(self, seed):
+        # rational entries are cleared to integers first; Q(sqrt 2) entries
+        # keep their exact sign test
+        rng = random.Random(seed)
+        n = rng.randint(1, 5)
+        entries = [0, 0, 1, -1, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)]
+        if seed % 4 == 0:
+            entries.append(QuadExt(2, Fraction(1, 3), -1))
+        vectors = [[rng.choice(entries) for _ in range(n)]
+                   for _ in range(rng.randint(1, 12))]
+        fr = Frame.from_vectors(vectors, exact=True)
+        vs = fr.vectors
+        dot = [[sign(sum((a * b for a, b in zip(u, v)), Fraction(0)))
+                for v in vs] for u in vs]
+        g = build_graph(fr, 0)
+        assert g.sorted_edges() == [(i, j) for i in range(len(vs))
+                                    for j in range(i + 1, len(vs)) if dot[i][j]]
+        assert [v for v in range(len(vs)) if "zero_vector" in g.vertex_flags[v]] \
+            == [v for v in range(len(vs)) if not dot[v][v]]
 
     def test_float_threshold(self):
         fr = Frame.from_vectors([[1.0, 0.0], [1e-12, 1.0]])
@@ -253,7 +413,9 @@ class TestStats:
 
 class TestSearchesMatchReference:
     """The bounded searches return the reference searches' witnesses, not
-    only their sizes, so reports stay byte-identical."""
+    only their sizes, and the statistics read off the adjacency bitmasks
+    equal those of the neighbour-set references, disconnected graphs
+    included, so reports stay byte-identical."""
 
     @staticmethod
     def check(g: FrameGraph):
@@ -280,6 +442,46 @@ class TestSearchesMatchReference:
                                       (32, 0.3), (32, 0.5)])
     def test_large(self, m, p):
         self.check(gnp(random.Random(f"reference:{m}:{p}"), m, p))
+
+    @staticmethod
+    def check_stats(g: FrameGraph):
+        m = g.vertex_count
+        st = compute_stats(g, vertex_cap=0)  # the searches are checked above
+        comps = reference_components(g)
+        connected = len(comps) == 1
+        parts = reference_part_sizes(g, comps)
+        assert st.components == comps
+        assert st.is_connected == connected
+        assert st.diameter == reference_diameter(g, connected)
+        assert st.is_bipartite == (parts is not None)
+        assert st.component_part_sizes == parts
+        assert st.bridges == reference_bridges(g)
+        degrees = [len(g.neighbors(v)) for v in range(m)]
+        assert [g.degree(v) for v in range(m)] == degrees
+        assert st.leaves == tuple(v for v in range(m) if degrees[v] == 1)
+        assert st.is_complete == (len(g.edges) == m * (m - 1) // 2)
+        assert st.is_empty == (not g.edges)
+        assert st.is_cycle == (connected and m >= 3 and set(degrees) == {2})
+        assert g.edge_count() == len(g.edges)
+        assert g.sorted_edges() == sorted(g.edges)
+        assert unique_common_neighbor_pairs(g) == \
+            reference_unique_common_neighbor_pairs(g)
+
+    @pytest.mark.parametrize("m", range(1, 41))
+    def test_stats_gnp(self, m):
+        rng = random.Random(f"mask-stats:{m}")
+        for p in (0.05, 0.1, 0.2, 0.3, 0.5, 0.8):
+            for _ in range(2):
+                self.check_stats(gnp(rng, m, p))
+
+    def test_stats_named_and_disconnected(self):
+        rng = random.Random("mask-stats:unions")
+        for g in (complete_graph(40), cycle_graph(40), path_graph(40),
+                  empty_graph(40), complete_bipartite_graph(7, 12),
+                  graph_union(cycle_graph(9), complete_graph(4)),
+                  graph_union(gnp(rng, 20, 0.3), gnp(rng, 20, 0.5)),
+                  graph_join(cycle_graph(5), empty_graph(3))):
+            self.check_stats(g)
 
 
 class TestBalancedBipartition:

@@ -82,3 +82,9 @@ def test_random_frame_exact_large(shape, seed):
 def test_random_parseval_float(seed):
     m, n = _shapes(seed + 1000, 32, 6)
     check_against_highs(random_parseval(m, n, seed))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_parseval_float_large(seed):
+    # the float tableau at its largest benchmark size, about 1 s each
+    check_against_highs(random_parseval(64, 12, seed))

@@ -12,10 +12,18 @@ import pytest
 from framescale.exactnum import ExactModeError
 from framescale.linalg import (
     SymmetricMatrix,
-    count_positive_eigenvalues,
     jacobi_eigensystem,
     symmetric_eigs,
 )
+
+
+def count_positive_eigenvalues(a: SymmetricMatrix) -> int:
+    """Numerical rank of a PSD matrix: Jacobi eigenvalues above
+    order * machine epsilon * max(largest |eigenvalue|, 1)."""
+    values, _, _ = jacobi_eigensystem(a, 1e-12)
+    scale = max((abs(x) for x in values), default=0.0)
+    rank_tol = a.order * 2.220446049250313e-16 * max(scale, 1.0)
+    return sum(1 for x in values if x > rank_tol)
 
 
 def random_symmetric(n: int, seed: int) -> SymmetricMatrix:
