@@ -52,20 +52,42 @@ class CliError(Exception):
         self.code = code
 
 
-def _parse_number(x, exact: bool):
-    if exact:
-        if isinstance(x, str):
-            return parse_exact(x)
-        if isinstance(x, int):
-            return parse_exact(x)
+def _exact_number(x):
+    if not isinstance(x, (str, int)):
         raise FrameError(
             f"exact mode needs integer or string entries, got {x!r}"
         )
-    if isinstance(x, str):
-        if "/" in x:
-            return float(parse_exact(x))
-        return float(x)
+    try:
+        return parse_exact(x)
+    except ZeroDivisionError:
+        raise FrameError(f"zero denominator in entry {x!r}") from None
+
+
+def _float_number(x):
+    if isinstance(x, str) and "/" in x:
+        return float(_exact_number(x))
     return float(x)
+
+
+def _entry_parser(exact: bool):
+    """The entry parser for one file.  In exact mode each distinct string is
+    converted once and its entries share the (immutable) Fraction, since
+    Fraction(str) runs a regular expression.  Float mode converts every
+    entry: float files rarely repeat a string, and storing each one costs
+    more than float(str) itself."""
+    if not exact:
+        return _float_number
+    seen = {}
+
+    def parse(x):
+        if type(x) is not str:
+            return _exact_number(x)
+        value = seen.get(x)
+        if value is None:
+            value = seen[x] = _exact_number(x)
+        return value
+
+    return parse
 
 
 def _frame_from_json(data, exact: bool) -> Frame:
@@ -77,13 +99,14 @@ def _frame_from_json(data, exact: bool) -> Frame:
     vectors = data["vectors"]
     if not isinstance(vectors, list) or not vectors:
         raise FrameError("vectors must be a non-empty list")
+    parse = _entry_parser(exact)
     parsed = []
     for vec in vectors:
         if not isinstance(vec, list) or len(vec) != n:
             raise FrameError(
                 f"every vector must have {n} entries, got {vec!r}"
             )
-        parsed.append([_parse_number(x, exact) for x in vec])
+        parsed.append(list(map(parse, vec)))
     return Frame.from_vectors(parsed, exact=exact)
 
 
@@ -91,7 +114,8 @@ def _frame_from_csv(text: str, exact: bool) -> Frame:
     rows = [row for row in csv.reader(text.splitlines()) if row]
     if not rows:
         raise FrameError("empty CSV input")
-    vectors = [[_parse_number(x.strip(), exact) for x in row] for row in rows]
+    parse = _entry_parser(exact)
+    vectors = [[parse(x.strip()) for x in row] for row in rows]
     widths = {len(v) for v in vectors}
     if len(widths) != 1:
         raise FrameError("CSV rows have inconsistent lengths")

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .exactnum import sign
-from .frames import Frame, integer_vectors
+from .frames import Frame
 from .graphs import (
     DEFAULT_VERTEX_CAP,
     FrameGraph,
@@ -368,7 +368,8 @@ def filter_adjacent_dependence(frame: Frame, g: FrameGraph) -> FilterReport:
     same = {}
     for v, c in enumerate(closed):
         same[c] = same.get(c, 0) | 1 << v
-    vectors = integer_vectors(frame) or frame.vectors
+    image = frame.integer_image
+    vectors = frame.vectors if image is None else image.vectors
     warnings = []
     for i, mask in enumerate(g.masks):
         for j in mask_vertices(mask & ~same[closed[i]] & -(2 << i)):

@@ -5,6 +5,14 @@ are supported: float64, and exact mode where every entry is a rational (or a
 quadratic irrational for a few built-in frames) and arithmetic never rounds.
 Operations whose output is irrational (eigendecomposition, the complement
 construction) refuse exact mode.
+
+An exact rational frame has one integer image, built once per frame: the
+vectors u_i = L * f_i for the least common multiple L of all its entry
+denominators.  Every exact step before the simplex reads it: the rank in
+`is_frame`, the frame operator in `classify_tightness` (as L^2 * S), the LP
+rows in `scaler.build_lp`, and the adjacency and parallelism tests of the
+graph side.  One L for every vector keeps all of them exact multiples of
+the rational quantities, with no Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -13,6 +21,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import floordiv, mul, truediv
 
 from .exactnum import (
     ExactModeError,
@@ -31,6 +41,25 @@ DEFAULT_TOL = 1e-8
 
 class FrameError(ValueError):
     """Malformed frame input."""
+
+
+def _exact_entry(x):
+    if isinstance(x, int):
+        return Fraction(x)
+    if not is_exact_scalar(x):
+        raise FrameError(f"exact mode requires exact entries, got {x!r}")
+    return x
+
+
+@dataclass(frozen=True)
+class IntegerImage:
+    """u_i = L * f_i as tuples of ints, for the least common multiple L of
+    all entry denominators of an exact rational frame.  Every vector is
+    scaled alike, so u_i . u_j = L^2 <f_i, f_j> and the u_i have the rank,
+    adjacency and parallel pairs of the frame."""
+
+    scale: int  # L
+    vectors: tuple
 
 
 @dataclass(frozen=True)
@@ -55,19 +84,26 @@ class Frame:
                     f"vector of length {len(v)} in a frame of dimension {self.dim}"
                 )
             if self.scalar_mode == EXACT_MODE:
-                row = []
-                for x in v:
-                    if isinstance(x, int):
-                        x = Fraction(x)
-                    if not is_exact_scalar(x):
-                        raise FrameError(
-                            f"exact mode requires exact entries, got {x!r}"
-                        )
-                    row.append(x)
-                fixed.append(tuple(row))
+                fixed.append(tuple(x if type(x) is Fraction else _exact_entry(x)
+                                   for x in v))
             else:
-                fixed.append(tuple(float(x) for x in v))
+                row = tuple(map(float, v))
+                if not all(map(math.isfinite, row)):
+                    raise FrameError(f"non-finite entry in vector {row!r}")
+                fixed.append(row)
         object.__setattr__(self, "vectors", tuple(fixed))
+
+    @cached_property
+    def integer_image(self) -> IntegerImage | None:
+        """The frame's integer image, or None for a float frame or one with
+        an entry in Q(sqrt d)."""
+        if not self.is_exact or any(
+                type(x) is not Fraction for v in self.vectors for x in v):
+            return None
+        scale = math.lcm(*(x.denominator for v in self.vectors for x in v))
+        return IntegerImage(scale, tuple(
+            tuple(x.numerator * (scale // x.denominator) for x in v)
+            for v in self.vectors))
 
     @property
     def count(self) -> int:
@@ -97,22 +133,6 @@ def inner(u, v):
     return total
 
 
-def integer_vectors(frame: Frame):
-    """Each vector of an exact rational frame times the least common
-    multiple of its denominators, as tuples of ints: a positive multiple of
-    the vector, so the signs of inner products and of 2x2 minors, which
-    decide adjacency and parallelism, are those of the frame.  None for a
-    float frame or one with an entry in Q(sqrt d)."""
-    if not frame.is_exact or any(
-            type(x) is not Fraction for v in frame.vectors for x in v):
-        return None
-    out = []
-    for v in frame.vectors:
-        d = math.lcm(*(x.denominator for x in v))
-        out.append(tuple(x.numerator * (d // x.denominator) for x in v))
-    return out
-
-
 def gram(frame: Frame) -> SymmetricMatrix:
     """m x m matrix of pairwise inner products."""
     vs = frame.vectors
@@ -134,27 +154,30 @@ def frame_operator(frame: Frame) -> SymmetricMatrix:
     return SymmetricMatrix.from_function(frame.dim, entry)
 
 
-def exact_rank(vectors) -> int:
-    """Rank by fraction-free-ish Gaussian elimination over exact scalars."""
+def bareiss_rank(vectors, div=floordiv) -> int:
+    """Rank by fraction-free Gaussian elimination (Bareiss 1968).
+
+    After k pivots every entry below the pivot rows is a (k+1)-minor of the
+    input, and the update (p * a - f * b) / d divides exactly by the
+    previous pivot d.  Integer rows stay on ints with the default floor
+    division; rows over Q(sqrt d) take div = truediv, the field's exact
+    division.
+    """
     rows = [list(v) for v in vectors]
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        pivot_row = next(
-            (r for r in range(rank, len(rows)) if sign(rows[r][col]) != 0), None
-        )
-        if pivot_row is None:
-            col += 1
+    rank, d = 0, 1
+    for col in range(len(rows[0])):
+        k = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if k is None:
             continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pivot = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            if sign(rows[r][col]) != 0:
-                factor = rows[r][col] / pivot
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+        rows[rank], rows[k] = rows[k], rows[rank]
+        prow = rows[rank]
+        p = prow[col]
+        for i in range(rank + 1, len(rows)):
+            r = rows[i]
+            f = r[col]
+            rows[i] = [div(p * a - f * b, d) for a, b in zip(r, prow)]
+        d = p
         rank += 1
-        col += 1
     return rank
 
 
@@ -163,7 +186,10 @@ def is_frame(frame: Frame, tol: float = DEFAULT_TOL) -> bool:
     if frame.count < frame.dim:
         return False
     if frame.is_exact:
-        return exact_rank(frame.vectors) == frame.dim
+        image = frame.integer_image
+        if image is None:
+            return bareiss_rank(frame.vectors, truediv) == frame.dim
+        return bareiss_rank(image.vectors) == frame.dim
     s = frame_operator(frame)
     values, _, _ = jacobi_eigensystem(s, min(tol, 1e-12))
     return min(values) > tol
@@ -211,7 +237,24 @@ def classify_operator(s: SymmetricMatrix, tol: float) -> Tightness:
 
 
 def classify_tightness(frame: Frame, tol: float = DEFAULT_TOL) -> Tightness:
-    return classify_operator(frame_operator(frame), tol)
+    """Parseval / tight / neither.  An exact rational frame is classified
+    on its integer image: its operator sum_i u_i u_i^t is L^2 * S, compared
+    with L^2 * I and then with a multiple of I."""
+    image = frame.integer_image
+    if image is None:
+        return classify_operator(frame_operator(frame), tol)
+    cols = tuple(zip(*image.vectors))
+    a = sum(map(mul, cols[0], cols[0]))
+    for p, u in enumerate(cols):
+        if sum(map(mul, u, u)) != a or any(
+                sum(map(mul, u, w)) for w in cols[p + 1:]):
+            return Tightness("not_tight")
+    scale2 = image.scale * image.scale
+    if a == scale2:
+        return Tightness("parseval", Fraction(1))
+    if a > 0:
+        return Tightness("tight", Fraction(a, scale2))
+    return Tightness("not_tight")
 
 
 def normalize_tight(frame: Frame, tol: float = DEFAULT_TOL) -> Frame:

@@ -27,7 +27,7 @@ from itertools import combinations
 from operator import mul
 
 from .exactnum import sign
-from .frames import Frame, integer_vectors
+from .frames import Frame
 
 DEFAULT_VERTEX_CAP = 32
 
@@ -160,9 +160,9 @@ def build_graph(frame: Frame, tol_zero: float = 1e-10) -> FrameGraph:
     if tol_zero < 0:
         raise GraphError("tol_zero must be nonnegative")
     m = frame.count
-    ints = integer_vectors(frame)
-    vs = frame.vectors if ints is None else ints
-    if ints is not None:
+    image = frame.integer_image
+    vs = frame.vectors if image is None else image.vectors
+    if image is not None:
         nonzero = bool
     elif frame.is_exact:
         def nonzero(x) -> bool:

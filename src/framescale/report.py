@@ -16,6 +16,7 @@ from json.encoder import encode_basestring_ascii
 from .exactnum import QuadExt, exact_str
 from .filters import (
     NOT_SCALABLE,
+    NOT_STRICTLY_SCALABLE,
     FilterBattery,
     FilterConfig,
     run_all_filters,
@@ -136,6 +137,11 @@ def _conclusion(battery: FilterBattery, strict: OracleResult | None,
             "oracle found weights"
         )
     if strict.status == "strictly_feasible":
+        if battery.combined_verdict == NOT_STRICTLY_SCALABLE:
+            warnings.append(
+                "internal inconsistency: a filter proved "
+                "not_strictly_scalable but the oracle found positive weights"
+            )
         return {"verdict": "strictly_scalable", "basis": "oracle"}
     return {
         "verdict": "scalable",

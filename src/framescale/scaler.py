@@ -8,22 +8,26 @@ questions: phase 1 decides feasibility, phase 2 maximizes the floor.
 Infeasibility is returned as a Farkas certificate reassembled into a
 symmetric matrix Y with <f_i, Y f_i> <= 0 for all i and trace(Y) = 1.
 
-Exact LPs are solved by fraction-free integer pivoting: a rational system
-is multiplied by one common denominator, and the tableau then holds Python
-ints over one common denominator D, so no pivot builds a Fraction or takes
-a gcd.  Weights and certificates become Fractions only when they are read
-out.  LPs over Q(sqrt d) take the same pivots with exact field division;
-float LPs use normalized pivots with a zero tolerance.
+Exact LPs are solved by fraction-free integer pivoting.  A rational frame
+hands the simplex the integer products u_i[p] * u_i[q] of its integer image
+u_i = L * f_i (see `frames`), that is L^2 * [A | b]; one factor for all of
+[A | b] leaves Bland's pivot path, the weights and the normalized
+certificate as they are.  The tableau then holds Python ints over one
+common denominator D, so no pivot builds a Fraction or takes a gcd.
+Weights and certificates become Fractions only when they are read out.
+LPs over Q(sqrt d) take the same pivots with exact field division; float
+LPs use normalized pivots with a zero tolerance.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 
-from .exactnum import QuadExt, sign
+from .exactnum import sign
 from .frames import Frame, SymmetricMatrix, Tightness, classify_operator
 
 FEASIBILITY_TOL = 1e-8
@@ -38,29 +42,52 @@ class SolverError(RuntimeError):
 @dataclass(frozen=True)
 class ScaleLP:
     """Equality system A w = b over nonnegative w, rows indexed by the upper
-    triangle (p, q) of the target identity."""
+    triangle (p, q) of the target identity.
+
+    The simplex reads c * [A | b], stored as `scaled_matrix` and
+    `scaled_rhs`: for a rational frame c = L^2 and the entries are ints;
+    otherwise c = 1.  `matrix` and `rhs` give A and b themselves."""
 
     n: int
     m: int
     row_index: tuple  # tuple of (p, q), p <= q, lexicographic
-    matrix: tuple  # rows, each a tuple of m entries f_i[p] * f_i[q]
-    rhs: tuple  # 1 on diagonal rows, 0 elsewhere
+    scaled_matrix: tuple  # rows, each a tuple of m entries c * f_i[p] * f_i[q]
+    scaled_rhs: tuple  # c on diagonal rows, 0 elsewhere
+    scale: int  # c
     exact: bool
+
+    @cached_property
+    def matrix(self) -> tuple:
+        """A: rows of m entries f_i[p] * f_i[q]."""
+        c = self.scale
+        return tuple(tuple(_quotient(a, c) for a in row)
+                     for row in self.scaled_matrix)
+
+    @cached_property
+    def rhs(self) -> tuple:
+        """b: 1 on diagonal rows, 0 elsewhere."""
+        return tuple(_quotient(b, self.scale) for b in self.scaled_rhs)
 
 
 def build_lp(frame: Frame) -> ScaleLP:
     n, m = frame.dim, frame.count
-    rows = []
-    rhs = []
-    index = []
-    one = Fraction(1) if frame.is_exact else 1.0
+    image = frame.integer_image
+    if image is None:
+        vectors, scale = frame.vectors, 1
+        one = Fraction(1) if frame.is_exact else 1.0
+    else:
+        vectors = image.vectors
+        one = scale = image.scale ** 2
+    cols = tuple(zip(*vectors))
     zero = one * 0
+    index, rows, rhs = [], [], []
     for p in range(n):
         for q in range(p, n):
             index.append((p, q))
-            rows.append(tuple(v[p] * v[q] for v in frame.vectors))
+            rows.append(tuple(map(mul, cols[p], cols[q])))
             rhs.append(one if p == q else zero)
-    return ScaleLP(n, m, tuple(index), tuple(rows), tuple(rhs), frame.is_exact)
+    return ScaleLP(n, m, tuple(index), tuple(rows), tuple(rhs), scale,
+                   frame.is_exact)
 
 
 @dataclass(frozen=True)
@@ -115,8 +142,6 @@ class _Tableau:
         self.zero_tol = 0 if exact else PIVOT_TOL
         self.obj = None
         self.d = rows[0][-1] * 0 + 1
-        self.div = (operator.floordiv if isinstance(self.d, int)
-                    else operator.truediv)
         self.ncols = len(rows[0]) - 1
         self.pivots_left = PIVOT_CAP_FACTOR * (len(rows) + self.ncols)
 
@@ -137,13 +162,19 @@ class _Tableau:
             if piv < 0:
                 t[row] = [-x for x in t[row]]
                 piv = -piv
-            prow, d, div = t[row], self.d, self.div
-
-            def update(r):
-                f = r[col]
-                if not f:
-                    return r if piv == d else [div(piv * a, d) for a in r]
-                return [div(piv * a - f * b, d) for a, b in zip(r, prow)]
+            prow, d = t[row], self.d
+            if isinstance(d, int):
+                def update(r):
+                    f = r[col]
+                    if not f:
+                        return r if piv == d else [piv * a // d for a in r]
+                    return [(piv * a - f * b) // d for a, b in zip(r, prow)]
+            else:
+                def update(r):
+                    f = r[col]
+                    if not f:
+                        return r if piv == d else [piv * a / d for a in r]
+                    return [(piv * a - f * b) / d for a, b in zip(r, prow)]
 
             self.d = piv
         else:
@@ -281,28 +312,6 @@ def _farkas_matrix(lp: ScaleLP, y) -> SymmetricMatrix:
     )
 
 
-def _prepare(lp: ScaleLP):
-    """Rows and rhs in the scalar type the simplex runs on.
-
-    A rational LP is multiplied by one common denominator L of all of
-    [A | b], which leaves ints and the same pivot path (a row-by-row scale
-    would rescale the artificials).  Q(sqrt d) LPs keep their field
-    entries, floats become floats.
-    """
-    if not lp.exact:
-        conv = float
-    elif any(isinstance(x, QuadExt) for r in lp.matrix for x in r):
-        def conv(x):
-            return x if isinstance(x, QuadExt) else Fraction(x)
-    else:
-        scale = math.lcm(*(x.denominator for r in lp.matrix for x in r),
-                         *(b.denominator for b in lp.rhs))
-
-        def conv(x):
-            return x.numerator * (scale // x.denominator)
-    return [[conv(x) for x in r] for r in lp.matrix], [conv(b) for b in lp.rhs]
-
-
 def _residual(lp: ScaleLP, w) -> float:
     worst = 0.0
     for row, b in zip(lp.matrix, lp.rhs):
@@ -332,9 +341,8 @@ def solve_strict(lp: ScaleLP, tol: float = FEASIBILITY_TOL) -> OracleResult:
     both questions: phase 1 gives the Farkas certificate, or phase 2 gives
     the max-floor weights and the margin t*.
     """
-    rows, rhs = _prepare(lp)
-    ext_rows = [[sum(r, r[0] * 0)] + list(r) for r in rows]
-    tab, y = _phase1(ext_rows, rhs, lp.exact, tol)
+    ext_rows = [[sum(r, r[0] * 0)] + list(r) for r in lp.scaled_matrix]
+    tab, y = _phase1(ext_rows, lp.scaled_rhs, lp.exact, tol)
 
     if tab is None:
         farkas = _farkas_matrix(lp, y)

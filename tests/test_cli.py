@@ -97,6 +97,64 @@ class TestFileInput:
         assert run(capsys, "analyze", str(path))[0] == 2
 
 
+class TestBadNumbers:
+    """Entries that are not finite reals exit 2 with a FrameError message."""
+
+    @pytest.mark.parametrize("name, text, exact, message", [
+        ("f.json", '{"dimension": 2, "vectors": [["1/0", "1"], ["0", "1"]]}',
+         True, "zero denominator"),
+        ("f.json", '{"dimension": 2, "vectors": [["1/0", "1"], ["0", "1"]]}',
+         False, "zero denominator"),
+        ("f.csv", "1/0,1\n0,1\n", True, "zero denominator"),
+        ("f.csv", "1/0,1\n0,1\n", False, "zero denominator"),
+        ("f.json", '{"dimension": 2, "vectors": [["nan", "1"], ["0", "1"]]}',
+         False, "non-finite"),
+        ("f.json", '{"dimension": 2, "vectors": [["1e999", "1"], ["0", "1"]]}',
+         False, "non-finite"),
+        ("f.json", '{"dimension": 2, "vectors": [[NaN, 1], [0, 1]]}',
+         False, "non-finite"),
+    ], ids=["zero_den_json_exact", "zero_den_json_float", "zero_den_csv_exact",
+            "zero_den_csv_float", "nan_float", "overflow_float",
+            "json_nan_literal_float"])
+    def test_exit_2(self, tmp_path, capsys, name, text, exact, message):
+        path = tmp_path / name
+        path.write_text(text)
+        argv = ["analyze", str(path)] + (["--exact"] if exact else [])
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert err.startswith("error: ") and message in err
+
+
+class TestExperimentalContradiction:
+    # path vectors e1, e1+e2, e2+e3, e3 plus the columns of the LDL^t
+    # factor of I - (1/10) sum f f^t over them: strictly scalable, with an
+    # induced path on 4 vertices that the experimental filter rejects
+    FRAME = {"dimension": 3, "vectors": [
+        ["1", "0", "0"], ["1", "1", "0"], ["0", "1", "1"], ["0", "0", "1"],
+        ["1", "-1/8", "0"], ["0", "1", "-8/63"], ["0", "0", "1"]]}
+
+    def test_flagged_as_internal_inconsistency(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(self.FRAME))
+        code, out, _ = run(capsys, "analyze", str(path), "--exact",
+                           "--enable-experimental-filters")
+        report = json.loads(out)
+        assert code == 0
+        assert report["oracle"]["strict"]["status"] == "strictly_feasible"
+        assert report["combined_filter_verdict"] == "not_strictly_scalable"
+        assert report["conclusion"]["verdict"] == "strictly_scalable"
+        assert any(w.startswith("internal inconsistency")
+                   for w in report["warnings"])
+
+    def test_default_battery_quiet(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(self.FRAME))
+        code, out, _ = run(capsys, "analyze", str(path), "--exact")
+        report = json.loads(out)
+        assert code == 0 and report["warnings"] == []
+        assert report["combined_filter_verdict"] == "inconclusive"
+
+
 class TestDataQualityWarning:
     """Parallel adjacent vectors with different closed neighbourhoods point
     at a misjudged zero tolerance."""

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
+from operator import truediv
 
 import pytest
 
@@ -11,6 +13,8 @@ from framescale.corpus import load, onb
 from framescale.frames import (
     Frame,
     FrameError,
+    Tightness,
+    bareiss_rank,
     classify_tightness,
     frame_operator,
     gram,
@@ -109,7 +113,156 @@ class TestIsFrame:
         assert not is_frame(Frame.from_vectors([[1.0, 0.0], [2.0, 0.0]]))
 
 
+def fraction_rank(vectors) -> int:
+    """Reference: Gaussian elimination over Fractions."""
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def fraction_tightness(frame: Frame) -> Tightness:
+    """Reference: the frame operator summed over Fractions."""
+    n = frame.dim
+    s = [[sum((v[p] * v[q] for v in frame.vectors), Fraction(0))
+          for q in range(n)] for p in range(n)]
+    a = s[0][0]
+    if any(s[p][q] != (a if p == q else 0)
+           for p in range(n) for q in range(n)):
+        return Tightness("not_tight")
+    if a == 1:
+        return Tightness("parseval", Fraction(1))
+    return Tightness("tight", a) if a > 0 else Tightness("not_tight")
+
+
+DENOMINATORS = (1, 2, 3, 5, 7, 8)
+
+
+def mixed_frame(rng, m, n, rank=None, zero_vectors=0) -> Frame:
+    """Seeded exact frame with entries k/d over mixed denominators d; with
+    `rank`, every vector is a rational combination of `rank` draws."""
+    def draw():
+        return [Fraction(rng.randint(-4, 4), rng.choice(DENOMINATORS))
+                for _ in range(n)]
+
+    if rank is None:
+        vectors = [draw() for _ in range(m)]
+    else:
+        basis = [draw() for _ in range(rank)]
+        vectors = []
+        for _ in range(m):
+            coeffs = [Fraction(rng.randint(-3, 3), rng.choice(DENOMINATORS))
+                      for _ in basis]
+            vectors.append([sum((c * b[p] for c, b in zip(coeffs, basis)),
+                                Fraction(0)) for p in range(n)])
+    for i in rng.sample(range(m), zero_vectors):
+        vectors[i] = [Fraction(0)] * n
+    return Frame.from_vectors(vectors, exact=True)
+
+
+class TestIntegerImage:
+    def test_one_common_multiple(self):
+        fr = Frame.from_vectors(
+            [[Fraction(1, 2), 0], [Fraction(1, 3), Fraction(-5, 4)]], exact=True
+        )
+        image = fr.integer_image
+        assert image.scale == 12
+        assert image.vectors == ((6, 0), (4, -15))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_uniform_scale_of_every_vector(self, seed):
+        fr = mixed_frame(random.Random(seed), 7, 4)
+        image = fr.integer_image
+        assert all(type(x) is int for u in image.vectors for x in u)
+        assert [[Fraction(x, image.scale) for x in u]
+                for u in image.vectors] == [list(v) for v in fr.vectors]
+
+    def test_built_once_per_frame(self):
+        assert M1.integer_image is M1.integer_image
+
+    def test_none_off_the_rationals(self):
+        assert MERCEDES.integer_image is None
+        assert M1.to_float().integer_image is None
+
+
+class TestBareissRank:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_fraction_elimination(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 6)
+        m = rng.randint(1, 9)  # m < n included
+        rank = rng.choice([None, rng.randint(0, min(m, n))])
+        fr = mixed_frame(rng, m, n, rank=rank,
+                         zero_vectors=rng.randint(0, m // 3))
+        want = fraction_rank(fr.vectors)
+        assert bareiss_rank(fr.integer_image.vectors) == want
+        assert bareiss_rank(fr.vectors, truediv) == want
+        if rank is not None:
+            assert want <= rank
+
+    def test_fewer_vectors_than_dimensions(self):
+        assert bareiss_rank([(0, 2, 1), (0, 4, 2)]) == 1
+        assert bareiss_rank([(3, 0, 0, 1)]) == 1
+
+    def test_zero_vectors(self):
+        assert bareiss_rank([(0, 0), (0, 0), (0, 0)]) == 0
+        assert bareiss_rank([(0, 0), (2, -1), (0, 0), (-4, 2)]) == 1
+
+    def test_quadratic_field(self):
+        assert bareiss_rank(MERCEDES.vectors, truediv) == 2
+        assert bareiss_rank(MERCEDES.vectors[:1] * 3, truediv) == 1
+        assert is_frame(MERCEDES)
+        assert not is_frame(Frame(2, MERCEDES.vectors[:1] * 3, MERCEDES.scalar_mode))
+
+
 class TestTightness:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_fraction_operator(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 4)
+        if seed % 3 == 0:  # a multiple of a repeated ONB: tight
+            c = Fraction(rng.randint(1, 5), rng.choice(DENOMINATORS))
+            fr = Frame.from_vectors(
+                [[c if i == j else 0 for j in range(n)] for i in range(n)]
+                * rng.randint(1, 3), exact=True)
+        else:
+            fr = mixed_frame(rng, rng.randint(n, 2 * n + 2), n,
+                             zero_vectors=rng.randint(0, 1))
+        assert classify_tightness(fr) == fraction_tightness(fr)
+
+    def test_rational_parseval(self):
+        fr = Frame.from_vectors(
+            [[Fraction(3, 5), Fraction(4, 5)], [Fraction(-4, 5), Fraction(3, 5)]],
+            exact=True)
+        assert classify_tightness(fr) == Tightness("parseval", Fraction(1))
+
+    def test_onb_times_two_thirds_tight(self):
+        fr = scale_frame(onb(3), [Fraction(2, 3)] * 3)
+        assert classify_tightness(fr) == Tightness("tight", Fraction(4, 9))
+
+    def test_rational_not_tight(self):
+        fr = Frame.from_vectors(
+            [[Fraction(1, 2), 0], [0, Fraction(1, 3)]], exact=True)
+        assert classify_tightness(fr) == Tightness("not_tight")
+
+    def test_equal_diagonal_with_off_diagonal_not_tight(self):
+        fr = Frame.from_vectors([[Fraction(1, 2), Fraction(1, 2)]] * 4,
+                                exact=True)
+        assert fraction_tightness(fr) == Tightness("not_tight")
+        assert classify_tightness(fr) == Tightness("not_tight")
+
+    def test_zero_frame_not_tight(self):
+        fr = Frame.from_vectors([[0, 0], [0, 0]], exact=True)
+        assert classify_tightness(fr) == Tightness("not_tight")
+
     def test_onb_parseval(self):
         assert classify_tightness(onb(5)).kind == "parseval"
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from framescale.corpus import load, onb, random_frame
 from framescale.frames import Frame, classify_tightness, random_parseval, scale_frame
 from framescale.linalg import SymmetricMatrix
+from framescale import scaler
 from framescale.scaler import (
     build_lp,
     solve_scalable,
@@ -51,6 +53,25 @@ class TestBuildLP:
     def test_single_vector_infeasible_shape(self):
         lp = build_lp(Frame.from_vectors([[1, 1]], exact=True))
         assert len(lp.matrix) == 3 and lp.m == 1
+
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_entries_are_the_fraction_products(self, seed):
+        rng = random.Random(seed)
+        n, m = rng.randint(1, 4), rng.randint(1, 8)
+        fr = Frame.from_vectors(
+            [[Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5, 7, 8)))
+              for _ in range(n)] for _ in range(m)], exact=True)
+        lp = build_lp(fr)
+        c = fr.integer_image.scale ** 2
+        assert lp.scale == c
+        for (p, q), row, scaled, b, scaled_b in zip(
+                lp.row_index, lp.matrix, lp.scaled_matrix, lp.rhs,
+                lp.scaled_rhs):
+            assert list(row) == [v[p] * v[q] for v in fr.vectors]
+            assert list(scaled) == [c * v[p] * v[q] for v in fr.vectors]
+            assert all(type(x) is int for x in scaled)
+            assert b == (1 if p == q else 0) and scaled_b == c * b
 
 
 class TestSolveScalable:
@@ -205,6 +226,34 @@ class TestScalingInvariance:
         factor = 1 / self.C ** 2
         assert scaled.weights == tuple(w * factor for w in base.weights)
         assert scaled.margin == base.margin * factor == margin
+
+    @pytest.mark.parametrize("frame", [
+        M1, MERCEDES, random_frame(4, 2, 1),
+    ], ids=["M1", "mercedes", "random_frame_boundary"])
+    def test_common_multiple_of_the_system(self, frame, monkeypatch):
+        """The simplex reads c * [A | b]; another common factor k takes the
+        same pivots to the same answer."""
+        pivots = []
+        pivot = scaler._Tableau.pivot
+
+        def recorded(tab, row, col):
+            pivots.append((row, col))
+            pivot(tab, row, col)
+
+        monkeypatch.setattr(scaler._Tableau, "pivot", recorded)
+        lp = build_lp(frame)
+        base = solve_strict(lp)
+        base_pivots, pivots[:] = pivots[:], []
+        k = 36
+        scaled = solve_strict(replace(
+            lp,
+            scaled_matrix=tuple(tuple(k * a for a in r)
+                                for r in lp.scaled_matrix),
+            scaled_rhs=tuple(k * b for b in lp.scaled_rhs),
+            scale=k * lp.scale,
+        ))
+        assert base_pivots and pivots == base_pivots
+        assert scaled == base
 
 
 class TestVerifiers:
