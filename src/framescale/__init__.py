@@ -15,7 +15,6 @@ from .filters import (
     NOT_SCALABLE,
     NOT_STRICTLY_SCALABLE,
     FilterBattery,
-    FilterConfig,
     FilterReport,
     run_all_filters,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "ExactModeError",
     "FLOAT_MODE",
     "FilterBattery",
-    "FilterConfig",
     "FilterReport",
     "Frame",
     "FrameError",

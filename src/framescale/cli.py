@@ -22,7 +22,6 @@ from . import corpus
 from .exactnum import ExactModeError, parse_exact
 from .frames import Frame, FrameError, naimark_complement
 from .graphs import (
-    DEFAULT_VERTEX_CAP,
     FrameGraph,
     GraphError,
     build_graph,
@@ -225,7 +224,6 @@ def _config(args, filters_only: bool = False) -> AnalysisConfig:
         tol_zero=args.tol_zero,
         filters_only=filters_only or getattr(args, "filters_only", False),
         enable_experimental=args.enable_experimental_filters,
-        vertex_cap=DEFAULT_VERTEX_CAP,
     )
 
 

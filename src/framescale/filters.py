@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from .exactnum import sign
 from .frames import Frame
 from .graphs import (
-    DEFAULT_VERTEX_CAP,
     FrameGraph,
     GraphStats,
     balanced_bipartition_exists,
@@ -40,13 +39,6 @@ def strongest(verdicts) -> str:
         if _SEVERITY[v] > _SEVERITY[best]:
             best = v
     return best
-
-
-@dataclass(frozen=True)
-class FilterConfig:
-    vertex_cap: int = DEFAULT_VERTEX_CAP
-    enable_experimental: bool = False
-    induced_path_offset: int = 2  # slack on top of floor(n/2), see filter doc
 
 
 @dataclass(frozen=True)
@@ -299,11 +291,11 @@ def filter_tree(g: FrameGraph, m: int, n: int,
     return FilterReport(fid, cite, applicable=True)
 
 
-def filter_induced_path(g: FrameGraph, m: int, n: int, stats: GraphStats,
-                        offset: int = 2) -> FilterReport:
+def filter_induced_path(g: FrameGraph, m: int, n: int,
+                        stats: GraphStats) -> FilterReport:
     """Long induced paths obstruct strict scalability.  The sharp threshold
     is ambiguous between edge and vertex counts, so the conservative reading
-    fires only above floor(n/2) + offset vertices; flagged experimental."""
+    fires only above floor(n/2) + 2 vertices; flagged experimental."""
     fid, cite = "induced_path", (
         "a strictly scalable frame admits no induced path longer than about "
         "floor(n/2)+1"
@@ -313,7 +305,7 @@ def filter_induced_path(g: FrameGraph, m: int, n: int, stats: GraphStats,
             fid, cite, applicable=False, experimental=True,
             warnings=("induced path search skipped: vertex cap exceeded",),
         )
-    threshold = n // 2 + offset
+    threshold = n // 2 + 2
     if stats.induced_path_vertices <= threshold:
         return FilterReport(fid, cite, applicable=True, experimental=True)
     return FilterReport(
@@ -421,17 +413,16 @@ class FilterBattery:
 
 
 def run_all_filters(g: FrameGraph, n: int, frame: Frame | None = None,
-                    config: FilterConfig | None = None,
+                    enable_experimental: bool = False,
                     stats: GraphStats | None = None) -> FilterBattery:
     """Run the battery in its fixed order and combine verdicts.
 
     Experimental filters are reported but excluded from the combined verdict
-    unless config.enable_experimental is set.
+    unless enable_experimental is set.
     """
-    config = config or FilterConfig()
     m = g.vertex_count
     if stats is None:
-        stats = compute_stats(g, config.vertex_cap)
+        stats = compute_stats(g)
 
     warnings = []
     if g.has_flagged_vertices():
@@ -455,10 +446,8 @@ def run_all_filters(g: FrameGraph, n: int, frame: Frame | None = None,
             for fn in _GRAPH_FILTERS + (filter_induced_path,)
         ]
     else:
-        reports = [fn(g, m, n, stats) for fn in _GRAPH_FILTERS]
-        reports.append(
-            filter_induced_path(g, m, n, stats, config.induced_path_offset)
-        )
+        reports = [fn(g, m, n, stats)
+                   for fn in _GRAPH_FILTERS + (filter_induced_path,)]
 
     if frame is not None:
         reports.append(filter_adjacent_dependence(frame, g))
@@ -469,6 +458,6 @@ def run_all_filters(g: FrameGraph, n: int, frame: Frame | None = None,
     combined = strongest(
         r.verdict
         for r in reports
-        if not r.experimental or config.enable_experimental
+        if not r.experimental or enable_experimental
     )
     return FilterBattery(tuple(reports), combined, tuple(warnings))

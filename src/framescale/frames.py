@@ -209,15 +209,7 @@ def classify_operator(s: SymmetricMatrix, tol: float) -> Tightness:
     """Classify an n x n frame operator as Parseval / tight / neither."""
     n = s.order
     if s.is_exact():
-        a = s.trace() / n
-        ident_scaled = SymmetricMatrix.from_function(
-            n, lambda i, j: a if i == j else a * 0
-        )
-        if s == SymmetricMatrix.identity(n, one=a * 0 + 1, zero=a * 0):
-            return Tightness("parseval", Fraction(1))
-        if sign(a) > 0 and s == ident_scaled:
-            return Tightness("tight", a)
-        return Tightness("not_tight")
+        return classify_exact_operator(s)
     a = float(s.trace()) / n
     dev_ident = max(
         abs(float(s.entry(i, j)) - (1.0 if i == j else 0.0))
@@ -236,25 +228,37 @@ def classify_operator(s: SymmetricMatrix, tol: float) -> Tightness:
     return Tightness("not_tight")
 
 
+def integer_operator(vectors, weights=None) -> SymmetricMatrix:
+    """T = sum_i N_i u_i u_i^t for integer vectors u_i and integer weights
+    N_i (all 1 when weights is None), entry by entry as column products."""
+    cols = tuple(zip(*vectors))
+    left = cols if weights is None else tuple(
+        tuple(map(mul, weights, c)) for c in cols)
+    return SymmetricMatrix.from_function(
+        len(cols), lambda p, q: sum(map(mul, left[p], cols[q])))
+
+
+def classify_exact_operator(t: SymmetricMatrix, scale: int = 1) -> Tightness:
+    """Classify S = T / scale, for an exact matrix T and an integer
+    scale > 0, on T itself: S is tight when T = a * I, and Parseval when
+    a = scale."""
+    a = t.entry(0, 0)
+    if t == SymmetricMatrix.identity(t.order, one=a, zero=0):
+        if a == scale:
+            return Tightness("parseval", Fraction(1))
+        if sign(a) > 0:
+            return Tightness("tight", a / Fraction(scale))
+    return Tightness("not_tight")
+
+
 def classify_tightness(frame: Frame, tol: float = DEFAULT_TOL) -> Tightness:
     """Parseval / tight / neither.  An exact rational frame is classified
-    on its integer image: its operator sum_i u_i u_i^t is L^2 * S, compared
-    with L^2 * I and then with a multiple of I."""
+    on its integer image: its operator sum_i u_i u_i^t is L^2 * S."""
     image = frame.integer_image
     if image is None:
         return classify_operator(frame_operator(frame), tol)
-    cols = tuple(zip(*image.vectors))
-    a = sum(map(mul, cols[0], cols[0]))
-    for p, u in enumerate(cols):
-        if sum(map(mul, u, u)) != a or any(
-                sum(map(mul, u, w)) for w in cols[p + 1:]):
-            return Tightness("not_tight")
-    scale2 = image.scale * image.scale
-    if a == scale2:
-        return Tightness("parseval", Fraction(1))
-    if a > 0:
-        return Tightness("tight", Fraction(a, scale2))
-    return Tightness("not_tight")
+    return classify_exact_operator(integer_operator(image.vectors),
+                                   image.scale ** 2)
 
 
 def normalize_tight(frame: Frame, tol: float = DEFAULT_TOL) -> Frame:

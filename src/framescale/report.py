@@ -18,7 +18,6 @@ from .filters import (
     NOT_SCALABLE,
     NOT_STRICTLY_SCALABLE,
     FilterBattery,
-    FilterConfig,
     run_all_filters,
 )
 from .frames import Frame, classify_tightness, is_frame
@@ -35,7 +34,6 @@ class AnalysisConfig:
     tol_zero: float = 1e-10  # adjacency threshold (0 in exact mode)
     filters_only: bool = False
     enable_experimental: bool = False
-    vertex_cap: int = 32
 
 
 def _scalar(x):
@@ -158,15 +156,12 @@ def analyze_frame(frame: Frame, config: AnalysisConfig | None = None,
     if not is_frame(frame, config.tol):
         warnings.append("input does not span R^n (not a frame)")
     graph = build_graph(frame, tol_zero)
-    stats = compute_stats(graph, config.vertex_cap)
+    stats = compute_stats(graph)
     battery = run_all_filters(
         graph,
         frame.dim,
         frame=frame,
-        config=FilterConfig(
-            vertex_cap=config.vertex_cap,
-            enable_experimental=config.enable_experimental,
-        ),
+        enable_experimental=config.enable_experimental,
         stats=stats,
     )
     warnings.extend(battery.warnings)
@@ -211,14 +206,11 @@ def analyze_graph(graph: FrameGraph, dim: int,
     """Filter battery on an abstract graph with a declared dimension; no
     vectors means no oracle."""
     config = config or AnalysisConfig()
-    stats = compute_stats(graph, config.vertex_cap)
+    stats = compute_stats(graph)
     battery = run_all_filters(
         graph,
         dim,
-        config=FilterConfig(
-            vertex_cap=config.vertex_cap,
-            enable_experimental=config.enable_experimental,
-        ),
+        enable_experimental=config.enable_experimental,
         stats=stats,
     )
     warnings = list(battery.warnings)

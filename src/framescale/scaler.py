@@ -17,6 +17,10 @@ common denominator D, so no pivot builds a Fraction or takes a gcd.
 Weights and certificates become Fractions only when they are read out.
 LPs over Q(sqrt d) take the same pivots with exact field division; float
 LPs use normalized pivots with a zero tolerance.
+
+The oracle checks its own answers with `verify_weights` (the residual it
+reports, computed on the integer image for a rational frame) and
+`verify_farkas` (the gate on float certificates).
 """
 
 from __future__ import annotations
@@ -24,11 +28,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
 from operator import mul
 
 from .exactnum import sign
-from .frames import Frame, SymmetricMatrix, Tightness, classify_operator
+from .frames import (
+    Frame,
+    SymmetricMatrix,
+    Tightness,
+    classify_exact_operator,
+    classify_operator,
+    integer_operator,
+)
 
 FEASIBILITY_TOL = 1e-8
 PIVOT_TOL = 1e-10
@@ -46,27 +56,13 @@ class ScaleLP:
 
     The simplex reads c * [A | b], stored as `scaled_matrix` and
     `scaled_rhs`: for a rational frame c = L^2 and the entries are ints;
-    otherwise c = 1.  `matrix` and `rhs` give A and b themselves."""
+    otherwise c = 1.  The answers are checked against `frame` itself."""
 
-    n: int
-    m: int
+    frame: Frame
     row_index: tuple  # tuple of (p, q), p <= q, lexicographic
     scaled_matrix: tuple  # rows, each a tuple of m entries c * f_i[p] * f_i[q]
     scaled_rhs: tuple  # c on diagonal rows, 0 elsewhere
     scale: int  # c
-    exact: bool
-
-    @cached_property
-    def matrix(self) -> tuple:
-        """A: rows of m entries f_i[p] * f_i[q]."""
-        c = self.scale
-        return tuple(tuple(_quotient(a, c) for a in row)
-                     for row in self.scaled_matrix)
-
-    @cached_property
-    def rhs(self) -> tuple:
-        """b: 1 on diagonal rows, 0 elsewhere."""
-        return tuple(_quotient(b, self.scale) for b in self.scaled_rhs)
 
 
 def build_lp(frame: Frame) -> ScaleLP:
@@ -86,8 +82,7 @@ def build_lp(frame: Frame) -> ScaleLP:
             index.append((p, q))
             rows.append(tuple(map(mul, cols[p], cols[q])))
             rhs.append(one if p == q else zero)
-    return ScaleLP(n, m, tuple(index), tuple(rows), tuple(rhs), scale,
-                   frame.is_exact)
+    return ScaleLP(frame, tuple(index), tuple(rows), tuple(rhs), scale)
 
 
 @dataclass(frozen=True)
@@ -301,23 +296,15 @@ def _farkas_matrix(lp: ScaleLP, y) -> SymmetricMatrix:
     for (p, q), yv in zip(lp.row_index, y):
         if p == q:
             total = total + yv
-    if (sign(total) <= 0) if lp.exact else (float(total) <= 0):
+    if (sign(total) <= 0) if lp.frame.is_exact else (float(total) <= 0):
         raise SolverError("degenerate Farkas multipliers (trace <= 0)")
     entries = {}
     for (p, q), yv in zip(lp.row_index, y):
         entries[(p, q)] = _quotient(yv, total if p == q else 2 * total)
     zero = _quotient(total * 0, total)
     return SymmetricMatrix.from_function(
-        lp.n, lambda i, j: entries.get((min(i, j), max(i, j)), zero)
+        lp.frame.dim, lambda i, j: entries.get((min(i, j), max(i, j)), zero)
     )
-
-
-def _residual(lp: ScaleLP, w) -> float:
-    worst = 0.0
-    for row, b in zip(lp.matrix, lp.rhs):
-        acc = sum(float(a) * float(x) for a, x in zip(row, w))
-        worst = max(worst, abs(acc - float(b)))
-    return worst
 
 
 def _as_weights(values, exact: bool, tol: float):
@@ -341,12 +328,14 @@ def solve_strict(lp: ScaleLP, tol: float = FEASIBILITY_TOL) -> OracleResult:
     both questions: phase 1 gives the Farkas certificate, or phase 2 gives
     the max-floor weights and the margin t*.
     """
+    frame = lp.frame
+    exact = frame.is_exact
     ext_rows = [[sum(r, r[0] * 0)] + list(r) for r in lp.scaled_matrix]
-    tab, y = _phase1(ext_rows, lp.scaled_rhs, lp.exact, tol)
+    tab, y = _phase1(ext_rows, lp.scaled_rhs, exact, tol)
 
     if tab is None:
         farkas = _farkas_matrix(lp, y)
-        if not lp.exact and not verify_farkas_frame_free(lp, farkas, tol):
+        if not exact and not verify_farkas(frame, farkas, tol):
             return OracleResult(
                 "numerically_ambiguous",
                 detail="phase-1 positive but the dual certificate does not "
@@ -355,19 +344,19 @@ def solve_strict(lp: ScaleLP, tol: float = FEASIBILITY_TOL) -> OracleResult:
         return OracleResult("infeasible", farkas=farkas)
 
     k = tab.ncols
-    tab.set_objective([-1] + [0] * lp.m)  # maximize t
+    tab.set_objective([-1] + [0] * frame.count)  # maximize t
     while tab.bland_step(range(k)):
         pass
     x = tab.solution(k)
     t_star = x[0]
-    w = _as_weights((t_star + u for u in x[1:]), lp.exact, tol)
-    residual = _residual(lp, w)
-    if not lp.exact and residual > 10 * tol:
+    w = _as_weights((t_star + u for u in x[1:]), exact, tol)
+    residual = verify_weights(frame, w, tol).residual
+    if not exact and residual > 10 * tol:
         return OracleResult(
             "numerically_ambiguous",
             detail=f"feasible basis but weight residual {residual:.3e}",
         )
-    strict = (t_star > 0) if lp.exact else (float(t_star) > tol)
+    strict = (t_star > 0) if exact else (float(t_star) > tol)
     return OracleResult(
         "strictly_feasible" if strict else "boundary",
         weights=w, scalings=_scalings(w), residual=residual, margin=min(w),
@@ -387,10 +376,23 @@ class WeightReport:
 
 
 def verify_weights(frame: Frame, weights, tol: float = FEASIBILITY_TOL) -> WeightReport:
-    """Independent recheck: rebuild sum_i w_i f_i f_i^t and compare to I."""
+    """Independent recheck: rebuild S = sum_i w_i f_i f_i^t and compare it
+    with I; the residual is the largest entry of |S - I|.  Rational weights
+    N_i / D on a rational frame are checked on the integer image, where
+    sum_i N_i u_i u_i^t = D * L^2 * S is compared with D * L^2 * I."""
     weights = list(weights)
     if len(weights) != frame.count:
         raise ValueError("weight count mismatch")
+    image = frame.integer_image
+    if image is not None and all(isinstance(w, (int, Fraction))
+                                 for w in weights):
+        d = math.lcm(*(w.denominator for w in weights))
+        t = integer_operator(image.vectors, [w.numerator * (d // w.denominator)
+                                             for w in weights])
+        scale = d * image.scale ** 2
+        worst = max(abs(t.entry(p, q) - (scale if p == q else 0))
+                    for p in range(frame.dim) for q in range(p, frame.dim))
+        return WeightReport(worst / scale, classify_exact_operator(t, scale))
     exact = frame.is_exact and all(
         not isinstance(w, float) for w in weights
     )
@@ -437,17 +439,4 @@ def verify_farkas(frame: Frame, y: SymmetricMatrix,
                 return False
     if exact and tol == 0:
         return sign(y.trace() - 1) >= 0
-    return float(y.trace()) >= 1.0 - tol
-
-
-def verify_farkas_frame_free(lp: ScaleLP, y: SymmetricMatrix,
-                             tol: float) -> bool:
-    """Farkas check straight from the LP data (float sanity gate)."""
-    for i in range(lp.m):
-        quad = 0.0
-        for (p, q), row in zip(lp.row_index, lp.matrix):
-            coeff = 1.0 if p == q else 2.0
-            quad += coeff * float(y.entry(p, q)) * float(row[i])
-        if quad > tol:
-            return False
     return float(y.trace()) >= 1.0 - tol

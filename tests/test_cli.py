@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
 from framescale import scaler
 from framescale.cli import main
+from framescale.frames import Frame
+from framescale.scaler import verify_weights
 
 
 def run(capsys, *argv):
@@ -123,6 +126,27 @@ class TestBadNumbers:
         code, out, err = run(capsys, *argv)
         assert code == 2 and not out
         assert err.startswith("error: ") and message in err
+
+
+class TestEntryBeyondFloatRange:
+    """An exact entry of 10^999 needs no float: the weights are checked on
+    the integer image, and the exact residual is 0."""
+
+    @pytest.mark.parametrize("command", ["scale", "analyze"])
+    def test_strictly_feasible(self, tmp_path, capsys, command):
+        path = tmp_path / "f.json"
+        path.write_text(
+            '{"dimension": 2, "vectors": [["1e999", "0"], ["0", "1"]]}')
+        code, out, err = run(capsys, command, str(path), "--exact")
+        assert code == 0 and not err
+        report = json.loads(out)
+        strict = (report["oracle"] if command == "analyze" else report)["strict"]
+        assert strict["status"] == "strictly_feasible"
+        assert strict["residual"] == 0.0
+        frame = Frame.from_vectors([[Fraction(10) ** 999, 0], [0, 1]],
+                                   exact=True)
+        weights = [Fraction(w) for w in strict["weights"]]
+        assert verify_weights(frame, weights).residual == 0
 
 
 class TestExperimentalContradiction:

@@ -12,7 +12,6 @@ from framescale.filters import (
     INCONCLUSIVE,
     NOT_SCALABLE,
     NOT_STRICTLY_SCALABLE,
-    FilterConfig,
     FilterReport,
     filter_adjacent_dependence,
     filter_alpha,
@@ -286,9 +285,7 @@ class TestRunAll:
         bat = run_all_filters(g, 4)
         # tree/leaf filters fire not_strictly; induced_path would too but
         # must not raise the combined verdict on its own
-        bat2 = run_all_filters(
-            g, 4, config=FilterConfig(enable_experimental=True)
-        )
+        bat2 = run_all_filters(g, 4, enable_experimental=True)
         ids_default = {r.filter_id for r in bat.reports}
         assert "induced_path" in ids_default
         assert bat.combined_verdict == bat2.combined_verdict == \
@@ -304,9 +301,7 @@ class TestRunAll:
         ])
         bat = run_all_filters(g, 4)
         assert bat.combined_verdict == INCONCLUSIVE
-        bat2 = run_all_filters(
-            g, 4, config=FilterConfig(enable_experimental=True)
-        )
+        bat2 = run_all_filters(g, 4, enable_experimental=True)
         assert bat2.combined_verdict == NOT_STRICTLY_SCALABLE
 
     def test_fixed_filter_order(self):

@@ -9,6 +9,7 @@ package verifiers as well.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -28,13 +29,15 @@ TOL = 1e-8
 
 def highs(lp):
     """(nonneg feasible, max floor t or None) from HiGHS."""
-    a = [[float(x) for x in row] for row in lp.matrix]
-    b = [float(x) for x in lp.rhs]
-    nonneg = linprog([0.0] * lp.m, A_eq=a, b_eq=b, bounds=(0, None),
+    a = [[float(Fraction(x) / lp.scale) for x in row]
+         for row in lp.scaled_matrix]
+    b = [float(Fraction(x) / lp.scale) for x in lp.scaled_rhs]
+    m = lp.frame.count
+    nonneg = linprog([0.0] * m, A_eq=a, b_eq=b, bounds=(0, None),
                      method="highs")
     assert nonneg.status in (0, 2), nonneg.message
     ext = [[sum(row)] + row for row in a]
-    strict = linprog([-1.0] + [0.0] * lp.m, A_eq=ext, b_eq=b,
+    strict = linprog([-1.0] + [0.0] * m, A_eq=ext, b_eq=b,
                      bounds=(0, None), method="highs")
     assert strict.status == nonneg.status, strict.message
     return nonneg.status == 0, (strict.x[0] if strict.status == 0 else None)

@@ -9,11 +9,20 @@ from fractions import Fraction
 
 import pytest
 
-from framescale.corpus import load, onb, random_frame
-from framescale.frames import Frame, classify_tightness, random_parseval, scale_frame
+from framescale.corpus import load, names, onb, random_frame
+from framescale.frames import (
+    Frame,
+    classify_operator,
+    classify_tightness,
+    random_parseval,
+    scale_frame,
+)
 from framescale.linalg import SymmetricMatrix
 from framescale import scaler
+from framescale.report import oracle_json
 from framescale.scaler import (
+    FEASIBILITY_TOL,
+    WeightReport,
     build_lp,
     solve_scalable,
     solve_strict,
@@ -27,32 +36,41 @@ M = load("paper/M").frame
 MERCEDES = load("canonical/mercedes").frame
 
 
+def _system(lp):
+    """A and b of a rational LP, from the scaled system the simplex reads."""
+    a = tuple(tuple(Fraction(x, lp.scale) for x in row)
+              for row in lp.scaled_matrix)
+    return a, tuple(Fraction(x, lp.scale) for x in lp.scaled_rhs)
+
+
 class TestBuildLP:
     def test_row_count_and_rhs(self):
         lp = build_lp(M1)
-        assert lp.n == 4 and lp.m == 4
-        assert len(lp.matrix) == len(lp.rhs) == 10
+        a, b = _system(lp)
+        assert lp.frame is M1
+        assert len(a) == len(b) == 10 and all(len(row) == 4 for row in a)
         # rhs is vec of the identity over the upper triangle
-        for (p, q), b in zip(lp.row_index, lp.rhs):
-            assert b == (1 if p == q else 0)
+        for (p, q), bv in zip(lp.row_index, b):
+            assert bv == (1 if p == q else 0)
 
     def test_m1_rows(self):
         lp = build_lp(M1)
-        rows = dict(zip(lp.row_index, lp.matrix))
+        rows = dict(zip(lp.row_index, _system(lp)[0]))
         assert list(rows[(0, 0)]) == [1, 1, 0, 0]
         assert list(rows[(0, 1)]) == [2, -2, 0, 0]
         assert list(rows[(1, 1)]) == [4, 4, 0, 0]
 
     def test_two_basis_vectors_in_r2(self):
         lp = build_lp(Frame.from_vectors([[1, 0], [0, 1]], exact=True))
-        rows = dict(zip(lp.row_index, lp.matrix))
+        rows = dict(zip(lp.row_index, _system(lp)[0]))
         assert list(rows[(0, 0)]) == [1, 0]
         assert list(rows[(0, 1)]) == [0, 0]
         assert list(rows[(1, 1)]) == [0, 1]
 
     def test_single_vector_infeasible_shape(self):
         lp = build_lp(Frame.from_vectors([[1, 1]], exact=True))
-        assert len(lp.matrix) == 3 and lp.m == 1
+        a = _system(lp)[0]
+        assert len(a) == 3 and all(len(row) == 1 for row in a)
 
 
     @pytest.mark.parametrize("seed", range(20))
@@ -64,14 +82,14 @@ class TestBuildLP:
               for _ in range(n)] for _ in range(m)], exact=True)
         lp = build_lp(fr)
         c = fr.integer_image.scale ** 2
-        assert lp.scale == c
-        for (p, q), row, scaled, b, scaled_b in zip(
-                lp.row_index, lp.matrix, lp.scaled_matrix, lp.rhs,
-                lp.scaled_rhs):
+        assert lp.scale == c and lp.frame is fr
+        a, b = _system(lp)
+        for (p, q), row, scaled, bv, scaled_b in zip(
+                lp.row_index, a, lp.scaled_matrix, b, lp.scaled_rhs):
             assert list(row) == [v[p] * v[q] for v in fr.vectors]
             assert list(scaled) == [c * v[p] * v[q] for v in fr.vectors]
             assert all(type(x) is int for x in scaled)
-            assert b == (1 if p == q else 0) and scaled_b == c * b
+            assert bv == (1 if p == q else 0) and scaled_b == c * bv
 
 
 class TestSolveScalable:
@@ -351,3 +369,140 @@ class TestRandomized:
             assert st.status in ("strictly_feasible", "boundary")
             if st.status == "strictly_feasible":
                 assert min(st.weights) > 0
+
+
+DENOMINATORS = (1, 2, 3, 5, 7, 8)
+
+
+def mixed_frame(seed: int) -> Frame:
+    """Seeded exact frame whose entries have denominators in DENOMINATORS.
+    By seed % 4: fewer vectors than dimensions, rank-deficient, m >= n
+    random, or random vectors plus scaled coordinate vectors (scalable)."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 4)
+
+    def entry():
+        return Fraction(rng.randint(-4, 4), rng.choice(DENOMINATORS))
+
+    kind = seed % 4
+    if kind == 0:
+        vecs = [[entry() for _ in range(n)] for _ in range(rng.randint(1, n - 1))]
+    elif kind == 1:
+        vecs = [[entry() for _ in range(n - 1)] + [0]
+                for _ in range(rng.randint(n, 7))]
+    elif kind == 2:
+        vecs = [[entry() for _ in range(n)] for _ in range(rng.randint(n, 7))]
+    else:
+        vecs = [[entry() for _ in range(n)] for _ in range(rng.randint(1, 4))]
+        vecs += [[Fraction(rng.randint(1, 4), rng.choice(DENOMINATORS))
+                  if j == i else 0 for j in range(n)] for i in range(n)]
+    return Frame.from_vectors(vecs, exact=True)
+
+
+EXACT_FRAMES = (
+    [pytest.param(load(name).frame, id=name)
+     for name in names() if load(name).frame is not None]
+    + [pytest.param(mixed_frame(seed), id=f"mixed{seed}") for seed in range(40)]
+)
+
+
+@pytest.mark.parametrize("frame", EXACT_FRAMES)
+def test_exact_feasible_residual_is_zero(frame):
+    """Exact weights solve the system exactly; the report says so."""
+    for answer in oracle_json(solve_strict(build_lp(frame))).values():
+        if "weights" in answer:
+            assert answer["residual"] == 0.0
+
+
+def reference_verify_weights(frame, weights, tol=FEASIBILITY_TOL):
+    """The Fraction-arithmetic weight check, kept as the reference for
+    the integer-image path of verify_weights."""
+    weights = list(weights)
+    if len(weights) != frame.count:
+        raise ValueError("weight count mismatch")
+    exact = frame.is_exact and all(
+        not isinstance(w, float) for w in weights
+    )
+    zero = Fraction(0) if exact else 0.0
+
+    def entry(p, q):
+        total = zero
+        for w, v in zip(weights, frame.vectors):
+            total = total + w * (v[p] * v[q])
+        return total
+
+    s = SymmetricMatrix.from_function(frame.dim, entry)
+    residual = max(
+        abs(float(s.entry(i, j)) - (1.0 if i == j else 0.0))
+        for i in range(frame.dim)
+        for j in range(i, frame.dim)
+    )
+    return WeightReport(residual, classify_operator(s, tol))
+
+
+def _quad(v, y):
+    n = len(v)
+    return sum(v[p] * y.entry(p, q) * v[q] for p in range(n) for q in range(n))
+
+
+def _moved(frame, y, target):
+    """y with one diagonal entry moved until <f_i, y f_i> = target for the
+    first nonzero f_i."""
+    v = next(v for v in frame.vectors if any(v))
+    p = next(p for p, x in enumerate(v) if x)
+    rows = y.rows()
+    rows[p][p] += (target - _quad(v, y)) / (v[p] * v[p])
+    return SymmetricMatrix.from_rows(rows)
+
+
+def _farkas_holds(frame, y, tol):
+    """The Farkas conditions in exact arithmetic, tol taken at its exact
+    binary value."""
+    t = Fraction(tol)
+    return (all(_quad(v, y) <= t for v in frame.vectors)
+            and y.trace() >= 1 - t)
+
+
+class TestVerifiersOnMixedDenominators:
+    """verify_weights (on the integer image) gives the Fraction reference's
+    answers, and verify_farkas the exact Farkas conditions, on the
+    oracle's own answers and on tampered ones."""
+
+    @staticmethod
+    def _same_weights(frame, w, tol):
+        new = verify_weights(frame, w, tol)
+        ref = reference_verify_weights(frame, w, tol)
+        assert new.tightness == ref.tightness
+        assert (new.residual == 0) == (ref.residual == 0)
+        assert new.residual == pytest.approx(ref.residual, rel=1e-12)
+        return new
+
+    @pytest.mark.parametrize("tol", [0, 1e-8])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded_mixed_denominators(self, seed, tol):
+        fr = mixed_frame(seed)
+        res = solve_strict(build_lp(fr))
+        if res.weights is not None:
+            assert self._same_weights(fr, res.weights, tol).residual == 0
+            w = list(res.weights)
+            w[seed % len(w)] += Fraction(1, 7)
+            assert self._same_weights(fr, w, tol).residual > 0
+            # I/n is no certificate for a frame with a nonzero vector
+            y = SymmetricMatrix.identity(fr.dim, one=Fraction(1, fr.dim),
+                                         zero=Fraction(0))
+            assert not verify_farkas(fr, y, tol)
+        else:
+            assert res.status == "infeasible"
+            assert verify_farkas(fr, res.farkas, tol)
+            assert not verify_farkas(fr, _moved(fr, res.farkas, 1), tol)
+            # one quadratic form at tol / 2 and at 2 * tol
+            for target in (Fraction(tol) / 2, 2 * Fraction(tol)):
+                y = _moved(fr, res.farkas, target)
+                assert verify_farkas(fr, y, tol) == _farkas_holds(fr, y, tol)
+            shrunk = SymmetricMatrix.from_rows(
+                [[Fraction(6, 7) * x for x in row]
+                 for row in res.farkas.rows()])
+            assert not verify_farkas(fr, shrunk, tol)
+        # weights that solve nothing in particular
+        self._same_weights(fr, [Fraction(1, 2 + i % 3)
+                                for i in range(fr.count)], tol)
