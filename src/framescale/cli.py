@@ -223,7 +223,6 @@ def _config(args, filters_only: bool = False) -> AnalysisConfig:
         tol=args.tol,
         tol_zero=args.tol_zero,
         filters_only=filters_only or getattr(args, "filters_only", False),
-        enable_experimental=args.enable_experimental_filters,
     )
 
 
@@ -315,8 +314,6 @@ def _add_common(sub, with_input=True, input_optional=False):
                      help="exact rational arithmetic (tol-zero becomes 0)")
     sub.add_argument("--seed", type=int, default=0,
                      help="seed for generator inputs")
-    sub.add_argument("--enable-experimental-filters", action="store_true",
-                     help="let experimental filters contribute verdicts")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,6 +4,8 @@ Each filter looks at the frame graph (plus the vector count m and ambient
 dimension n) and can only ever prove NOT scalable or NOT strictly scalable;
 none of them can certify scalability.  Every firing filter carries a
 machine-checkable certificate (vertex/edge/set indices, 1-based in reports).
+Every filter is a proved necessary condition and the combined verdict counts
+them all; adjacent_dependence, flagged experimental, never gives a verdict.
 
 All the underlying graph conditions assume every vector is nonzero and has at
 least one non-orthogonal partner (no zero-vector or isolated-vertex flags);
@@ -293,24 +295,33 @@ def filter_tree(g: FrameGraph, m: int, n: int,
 
 def filter_induced_path(g: FrameGraph, m: int, n: int,
                         stats: GraphStats) -> FilterReport:
-    """Long induced paths obstruct strict scalability.  The sharp threshold
-    is ambiguous between edge and vertex counts, so the conservative reading
-    fires only above floor(n/2) + 2 vertices; flagged experimental."""
+    """More than min(n, m - n) + 1 vertices on an induced path rule out
+    strict scalability.  Proof: positive weights keep the graph, so scale to
+    a Parseval frame.  Its Gram matrix P is a rank-n projection in R^(m x m)
+    and I - P has rank m - n; off the diagonal both have the graph's
+    pattern.  On the k path vertices, in path order, either is tridiagonal
+    with k - 1 nonzero superdiagonal entries; without its first row and
+    last column it is triangular with those entries on the diagonal, so
+    k - 1 <= rank (minimum rank of a path; AIM Minimum Rank - Special Graphs
+    Work Group, LAA 428 (2008) 1628-1648).  With m < n no Parseval frame
+    exists and the filter does not apply."""
     fid, cite = "induced_path", (
-        "a strictly scalable frame admits no induced path longer than about "
-        "floor(n/2)+1"
+        "the Gram matrix P of a Parseval frame and I - P have ranks n and "
+        "m - n and the graph's off-diagonal pattern; an induced path on k "
+        "vertices forces rank >= k - 1, so k <= min(n, m - n) + 1"
     )
     if stats.induced_path_vertices is None:
         return FilterReport(
-            fid, cite, applicable=False, experimental=True,
+            fid, cite, applicable=False,
             warnings=("induced path search skipped: vertex cap exceeded",),
         )
-    threshold = n // 2 + 2
+    if m < n:
+        return FilterReport(fid, cite, applicable=False)
+    threshold = min(n, m - n) + 1
     if stats.induced_path_vertices <= threshold:
-        return FilterReport(fid, cite, applicable=True, experimental=True)
+        return FilterReport(fid, cite, applicable=True)
     return FilterReport(
         fid, cite, applicable=True, verdict=NOT_STRICTLY_SCALABLE,
-        experimental=True,
         certificate={
             "witness_path": [_v(v) for v in stats.induced_path_witness],
             "vertices": stats.induced_path_vertices,
@@ -402,6 +413,7 @@ _GRAPH_FILTERS = (
     filter_leaf_bridge,
     filter_tree,
     filter_cycle,
+    filter_induced_path,
 )
 
 
@@ -413,24 +425,17 @@ class FilterBattery:
 
 
 def run_all_filters(g: FrameGraph, n: int, frame: Frame | None = None,
-                    enable_experimental: bool = False,
                     stats: GraphStats | None = None) -> FilterBattery:
-    """Run the battery in its fixed order and combine verdicts.
-
-    Experimental filters are reported but excluded from the combined verdict
-    unless enable_experimental is set.
-    """
+    """Run the battery in its fixed order and combine verdicts."""
     m = g.vertex_count
     if stats is None:
         stats = compute_stats(g)
 
     warnings = []
     if g.has_flagged_vertices():
-        flagged = sorted(
-            v for v in range(m) if g.vertex_flags[v]
-        )
         detail = ", ".join(
-            f"v{_v(v)}({'/'.join(sorted(g.vertex_flags[v]))})" for v in flagged
+            f"v{_v(v)}({'/'.join(sorted(g.vertex_flags[v]))})"
+            for v in range(m) if g.vertex_flags[v]
         )
         warnings.append(
             "standing assumption violated (zero or isolated vectors: "
@@ -441,13 +446,11 @@ def run_all_filters(g: FrameGraph, n: int, frame: Frame | None = None,
                 fn.__name__.removeprefix("filter_"),
                 "disabled: graph has zero-vector or isolated-vertex flags",
                 applicable=False,
-                experimental=(fn is filter_induced_path),
             )
-            for fn in _GRAPH_FILTERS + (filter_induced_path,)
+            for fn in _GRAPH_FILTERS
         ]
     else:
-        reports = [fn(g, m, n, stats)
-                   for fn in _GRAPH_FILTERS + (filter_induced_path,)]
+        reports = [fn(g, m, n, stats) for fn in _GRAPH_FILTERS]
 
     if frame is not None:
         reports.append(filter_adjacent_dependence(frame, g))
@@ -455,9 +458,5 @@ def run_all_filters(g: FrameGraph, n: int, frame: Frame | None = None,
     for r in reports:
         warnings.extend(r.warnings)
 
-    combined = strongest(
-        r.verdict
-        for r in reports
-        if not r.experimental or enable_experimental
-    )
+    combined = strongest(r.verdict for r in reports)
     return FilterBattery(tuple(reports), combined, tuple(warnings))

@@ -33,7 +33,6 @@ class AnalysisConfig:
     tol: float = 1e-8  # solver / Parseval tolerance
     tol_zero: float = 1e-10  # adjacency threshold (0 in exact mode)
     filters_only: bool = False
-    enable_experimental: bool = False
 
 
 def _scalar(x):
@@ -157,13 +156,7 @@ def analyze_frame(frame: Frame, config: AnalysisConfig | None = None,
         warnings.append("input does not span R^n (not a frame)")
     graph = build_graph(frame, tol_zero)
     stats = compute_stats(graph)
-    battery = run_all_filters(
-        graph,
-        frame.dim,
-        frame=frame,
-        enable_experimental=config.enable_experimental,
-        stats=stats,
-    )
+    battery = run_all_filters(graph, frame.dim, frame=frame, stats=stats)
     warnings.extend(battery.warnings)
 
     strict = None
@@ -207,12 +200,7 @@ def analyze_graph(graph: FrameGraph, dim: int,
     vectors means no oracle."""
     config = config or AnalysisConfig()
     stats = compute_stats(graph)
-    battery = run_all_filters(
-        graph,
-        dim,
-        enable_experimental=config.enable_experimental,
-        stats=stats,
-    )
+    battery = run_all_filters(graph, dim, stats=stats)
     warnings = list(battery.warnings)
     conclusion = _conclusion(battery, None, warnings)
     return {

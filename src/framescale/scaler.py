@@ -25,7 +25,9 @@ reports, computed on the integer image for a rational frame) and
 
 from __future__ import annotations
 
+import contextlib
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import mul
@@ -316,8 +318,19 @@ def _as_weights(values, exact: bool, tol: float):
     return tuple(out)
 
 
-def _scalings(weights):
-    return tuple(math.sqrt(max(float(w), 0.0)) for w in weights)
+def _scaling(w) -> float:
+    """sqrt(w) as a float, within 1 ulp.  A positive rational weight whose
+    float overflows or is not normal is not rounded first: the integer
+    square root of w * 4^s, of 55 bits or more, is scaled back by 2^-s."""
+    with contextlib.suppress(OverflowError):
+        x = float(w)
+        if x >= sys.float_info.min or not isinstance(w, Fraction) or w <= 0:
+            return math.sqrt(max(x, 0.0))
+    s = (113 - w.numerator.bit_length() + w.denominator.bit_length()) // 2
+    try:
+        return math.ldexp(math.isqrt(math.floor(w * Fraction(4) ** s)), -s)
+    except OverflowError:
+        raise SolverError("a scaling sqrt(w) is beyond the float range")
 
 
 def solve_strict(lp: ScaleLP, tol: float = FEASIBILITY_TOL) -> OracleResult:
@@ -359,7 +372,8 @@ def solve_strict(lp: ScaleLP, tol: float = FEASIBILITY_TOL) -> OracleResult:
     strict = (t_star > 0) if exact else (float(t_star) > tol)
     return OracleResult(
         "strictly_feasible" if strict else "boundary",
-        weights=w, scalings=_scalings(w), residual=residual, margin=min(w),
+        weights=w, scalings=tuple(map(_scaling, w)), residual=residual,
+        margin=min(w),
     )
 
 

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from framescale import scaler
-from framescale.cli import main
+from framescale.cli import _add_common, build_parser, main
 from framescale.frames import Frame
 from framescale.scaler import verify_weights
 
@@ -149,26 +152,52 @@ class TestEntryBeyondFloatRange:
         assert verify_weights(frame, weights).residual == 0
 
 
+class TestEntryBelowFloatRange:
+    """An exact entry of 10^-170 has weight 10^340, beyond the float range,
+    and scaling 10^170, inside it; at 10^-999 the scaling is beyond it too,
+    which is a solver error."""
+
+    @staticmethod
+    def write(tmp_path, entry):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(
+            {"dimension": 2, "vectors": [[entry, "0"], ["0", "1"]]}))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["scale", "analyze"])
+    def test_scaling_inside_float_range(self, tmp_path, capsys, command):
+        code, out, err = run(capsys, command, self.write(tmp_path, "1e-170"),
+                             "--exact")
+        assert code == 0 and not err
+        report = json.loads(out)
+        strict = (report["oracle"] if command == "analyze" else report)["strict"]
+        assert strict["status"] == "strictly_feasible"
+        assert strict["scalings"][0] == pytest.approx(1e170, rel=1e-15)
+        assert strict["scalings"][1] == 1
+        frame = Frame.from_vectors([[Fraction(1, 10 ** 170), 0], [0, 1]],
+                                   exact=True)
+        weights = [Fraction(w) for w in strict["weights"]]
+        assert weights[0] == 10 ** 340
+        assert verify_weights(frame, weights).residual == 0
+
+    @pytest.mark.parametrize("command", ["scale", "analyze"])
+    def test_scaling_beyond_float_range_exit_3(self, tmp_path, capsys,
+                                               command):
+        code, out, err = run(capsys, command, self.write(tmp_path, "1e-999"),
+                             "--exact")
+        assert code == 3 and not out
+        assert err.startswith("solver error:")
+
+
 class TestExperimentalContradiction:
     # path vectors e1, e1+e2, e2+e3, e3 plus the columns of the LDL^t
     # factor of I - (1/10) sum f f^t over them: strictly scalable, with an
-    # induced path on 4 vertices that the experimental filter rejects
+    # induced path on 4 = min(3, 7 - 3) + 1 vertices, where the bound is
+    # tight.  The experimental induced-path filter, with its threshold
+    # n // 2 + 2 and its opt-in flag, contradicted the oracle here.
     FRAME = {"dimension": 3, "vectors": [
         ["1", "0", "0"], ["1", "1", "0"], ["0", "1", "1"], ["0", "0", "1"],
         ["1", "-1/8", "0"], ["0", "1", "-8/63"], ["0", "0", "1"]]}
-
-    def test_flagged_as_internal_inconsistency(self, tmp_path, capsys):
-        path = tmp_path / "f.json"
-        path.write_text(json.dumps(self.FRAME))
-        code, out, _ = run(capsys, "analyze", str(path), "--exact",
-                           "--enable-experimental-filters")
-        report = json.loads(out)
-        assert code == 0
-        assert report["oracle"]["strict"]["status"] == "strictly_feasible"
-        assert report["combined_filter_verdict"] == "not_strictly_scalable"
-        assert report["conclusion"]["verdict"] == "strictly_scalable"
-        assert any(w.startswith("internal inconsistency")
-                   for w in report["warnings"])
 
     def test_default_battery_quiet(self, tmp_path, capsys):
         path = tmp_path / "f.json"
@@ -176,7 +205,45 @@ class TestExperimentalContradiction:
         code, out, _ = run(capsys, "analyze", str(path), "--exact")
         report = json.loads(out)
         assert code == 0 and report["warnings"] == []
+        assert report["graph"]["stats"]["induced_path_vertices"] == 4
+        assert {f["verdict"] for f in report["filters"]} == {"inconclusive"}
         assert report["combined_filter_verdict"] == "inconclusive"
+        assert report["oracle"]["strict"]["status"] == "strictly_feasible"
+        assert report["conclusion"]["verdict"] == "strictly_scalable"
+
+    def test_experimental_flag_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(self.FRAME))
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "analyze", str(path), "--exact",
+                "--enable-experimental-filters")
+        assert exc.value.code == 2
+        assert "--enable-experimental-filters" in capsys.readouterr().err
+
+
+def _cli_section_flags():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("\n## CLI\n")[1].split("\n## ")[0]
+    return set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+
+
+class TestReadmeFlags:
+    """The CLI section of README.md names only options that exist, and
+    every option shared by all commands."""
+
+    def test_named_flags_exist(self):
+        (commands,) = [a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        options = {opt for sub in commands.choices.values()
+                   for action in sub._actions for opt in action.option_strings}
+        assert _cli_section_flags() <= options
+
+    def test_common_flags_named(self):
+        probe = argparse.ArgumentParser()
+        _add_common(probe)
+        common = {opt for action in probe._actions
+                  for opt in action.option_strings} - {"-h", "--help"}
+        assert common <= _cli_section_flags()
 
 
 class TestDataQualityWarning:

@@ -39,6 +39,7 @@ from framescale.graphs import (
     graph_union,
     path_graph,
 )
+from framescale.scaler import build_lp, solve_strict
 
 M1 = load("paper/M1").frame
 M2 = load("paper/M2").frame
@@ -217,18 +218,37 @@ class TestTree:
 
 
 class TestInducedPath:
+    """Fires when the longest induced path has more than min(n, m - n) + 1
+    vertices; inapplicable when m < n."""
+
     def test_long_path_fires(self):
         rep = run_one(filter_induced_path, path_graph(6), 4)
-        assert rep.experimental
+        assert not rep.experimental
         assert rep.verdict == NOT_STRICTLY_SCALABLE
+        assert rep.certificate == {"witness_path": [1, 2, 3, 4, 5, 6],
+                                   "vertices": 6,
+                                   "threshold_vertices": min(4, 6 - 4) + 1}
 
     def test_short_path_inconclusive(self):
         rep = run_one(filter_induced_path, path_graph(3), 4)
+        assert not rep.experimental and not rep.applicable
         assert rep.verdict == INCONCLUSIVE
 
     def test_complete_inconclusive(self):
         rep = run_one(filter_induced_path, complete_graph(6), 2)
+        assert not rep.experimental and rep.applicable
         assert rep.verdict == INCONCLUSIVE
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_threshold_on_paths(self, m):
+        for n in range(1, m + 1):
+            rep = run_one(filter_induced_path, path_graph(m), n)
+            fires = m > min(n, m - n) + 1
+            assert rep.verdict == (NOT_STRICTLY_SCALABLE if fires
+                                   else INCONCLUSIVE)
+            if fires:
+                assert rep.certificate["threshold_vertices"] == \
+                    min(n, m - n) + 1
 
 
 class TestCycle:
@@ -280,29 +300,20 @@ class TestRunAll:
         bat = run_all_filters(g, 3, frame=fr)
         assert bat.combined_verdict == INCONCLUSIVE
 
-    def test_experimental_excluded_by_default(self):
-        g = path_graph(6)
-        bat = run_all_filters(g, 4)
-        # tree/leaf filters fire not_strictly; induced_path would too but
-        # must not raise the combined verdict on its own
-        bat2 = run_all_filters(g, 4, enable_experimental=True)
-        ids_default = {r.filter_id for r in bat.reports}
-        assert "induced_path" in ids_default
-        assert bat.combined_verdict == bat2.combined_verdict == \
-            NOT_STRICTLY_SCALABLE
-
-    def test_experimental_only_verdict_needs_flag(self):
-        # cube graph Q3 in R^4: induced path of 5 vertices > 4 while every
-        # non-experimental filter stays quiet (balanced bipartite, no
-        # bridges, distance-2 pairs share two neighbors, alpha = 4 = m - n)
+    def test_combined_counts_every_filter(self):
+        # cube graph Q3: balanced bipartite, no bridges, distance-2 pairs
+        # share two neighbors, alpha = 4; its longest induced path has 5
+        # vertices.  In R^4 that equals min(4, 4) + 1 and nothing fires; in
+        # R^3 it exceeds min(3, 5) + 1 and induced_path alone decides.
         g = FrameGraph(8, [
             (0, 1), (0, 2), (0, 4), (1, 3), (1, 5), (2, 3), (2, 6),
             (3, 7), (4, 5), (4, 6), (5, 7), (6, 7),
         ])
-        bat = run_all_filters(g, 4)
-        assert bat.combined_verdict == INCONCLUSIVE
-        bat2 = run_all_filters(g, 4, enable_experimental=True)
-        assert bat2.combined_verdict == NOT_STRICTLY_SCALABLE
+        assert run_all_filters(g, 4).combined_verdict == INCONCLUSIVE
+        bat = run_all_filters(g, 3)
+        fired = [r.filter_id for r in bat.reports if r.verdict != INCONCLUSIVE]
+        assert fired == ["induced_path"]
+        assert bat.combined_verdict == NOT_STRICTLY_SCALABLE
 
     def test_fixed_filter_order(self):
         ids = [r.filter_id for r in run_all_filters(cycle_graph(4), 3).reports]
@@ -312,6 +323,49 @@ class TestRunAll:
             "unique_common_neighbor", "leaf_bridge", "tree", "cycle",
             "induced_path",
         ]
+
+
+def ldl_frame(rng: random.Random):
+    """A strictly scalable exact frame in R^n with a prescribed sub-pattern:
+    k <= n sparse integer core vectors f, then the n columns of L from the
+    rational LDL^t factorisation of I - c*S, where S = sum f f^t and
+    c = 1/(tr S + 1).  I - c*S is positive definite, so every D_jj > 0, and
+    the weights c on the core and D_jj on the columns give the identity."""
+    n = rng.randint(2, 7)
+    core = [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n)]
+            for _ in range(rng.randint(1, n))]
+    c = Fraction(1, sum(x * x for f in core for x in f) + 1)
+    a = [[(i == j) - c * sum(f[i] * f[j] for f in core) for j in range(n)]
+         for i in range(n)]
+    low = [[Fraction(i == j) for j in range(n)] for i in range(n)]
+    d = []
+    for j in range(n):
+        d.append(a[j][j] - sum(low[j][t] ** 2 * d[t] for t in range(j)))
+        for i in range(j + 1, n):
+            low[i][j] = (a[i][j] - sum(low[i][t] * low[j][t] * d[t]
+                                       for t in range(j))) / d[j]
+    columns = [[low[i][j] for i in range(n)] for j in range(n)]
+    return Frame.from_vectors(core + columns, exact=True)
+
+
+def test_battery_quiet_on_strictly_scalable_ldl_frames():
+    """No filter fires on a frame the oracle proves strictly scalable, and
+    the induced-path bound min(n, m - n) + 1 is reached."""
+    rng = random.Random("ldl-frames")
+    ran = tight = 0
+    for _ in range(300):
+        fr = ldl_frame(rng)
+        m, n = fr.count, fr.dim
+        assert solve_strict(build_lp(fr)).status == "strictly_feasible"
+        g = build_graph(fr, 0)
+        stats = compute_stats(g)
+        bat = run_all_filters(g, n, frame=fr, stats=stats)
+        assert [r.filter_id for r in bat.reports
+                if r.verdict != INCONCLUSIVE] == []
+        if not g.has_flagged_vertices():
+            ran += 1
+            tight += stats.induced_path_vertices == min(n, m - n) + 1
+    assert ran >= 100 and tight >= 1
 
 
 def reference_parallel(frame: Frame, i: int, j: int) -> bool:

@@ -11,7 +11,14 @@ import pytest
 
 from framescale import cli
 from framescale.corpus import names
-from framescale.report import stable_dumps
+from framescale.filters import (
+    INCONCLUSIVE,
+    NOT_SCALABLE,
+    NOT_STRICTLY_SCALABLE,
+    FilterBattery,
+)
+from framescale.report import _conclusion, stable_dumps
+from framescale.scaler import OracleResult
 
 _FLOAT_TOKEN = re.compile(r'"\\u0001F(\d+)\\u0001"')
 
@@ -89,3 +96,20 @@ def test_hand_built_object():
 def test_unserializable_raises():
     with pytest.raises(TypeError):
         stable_dumps({"x": object()})
+
+
+@pytest.mark.parametrize("verdict", [NOT_STRICTLY_SCALABLE, NOT_SCALABLE])
+def test_conclusion_flags_filter_oracle_contradiction(verdict):
+    """A filter verdict against positive oracle weights is reported as an
+    internal inconsistency; the oracle's answer stands."""
+    strict = OracleResult("strictly_feasible", weights=(1, 1),
+                          scalings=(1.0, 1.0), residual=0.0, margin=1)
+    warnings = []
+    conclusion = _conclusion(FilterBattery((), verdict, ()), strict, warnings)
+    assert conclusion == {"verdict": "strictly_scalable", "basis": "oracle"}
+    assert len(warnings) == 1
+    assert warnings[0].startswith(f"internal inconsistency: a filter proved "
+                                  f"{verdict} but the oracle found ")
+    warnings = []
+    _conclusion(FilterBattery((), INCONCLUSIVE, ()), strict, warnings)
+    assert warnings == []
