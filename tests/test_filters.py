@@ -300,11 +300,26 @@ class TestRunAll:
         bat = run_all_filters(g, 3, frame=fr)
         assert bat.combined_verdict == INCONCLUSIVE
 
-    def test_combined_counts_every_filter(self):
+    def test_experimental_excluded_by_default(self):
+        # no filter that decides a verdict is experimental any more, so the
+        # default battery is the whole battery: induced_path runs, counts,
+        # and there is no flag left to switch a tier on
+        g = path_graph(6)
+        bat = run_all_filters(g, 4)
+        by_id = {r.filter_id: r for r in bat.reports}
+        assert "induced_path" in by_id
+        assert not by_id["induced_path"].experimental
+        assert by_id["induced_path"].verdict == NOT_STRICTLY_SCALABLE
+        assert bat.combined_verdict == NOT_STRICTLY_SCALABLE
+        with pytest.raises(TypeError):
+            run_all_filters(g, 4, enable_experimental=True)
+
+    def test_experimental_only_verdict_needs_flag(self):
         # cube graph Q3: balanced bipartite, no bridges, distance-2 pairs
         # share two neighbors, alpha = 4; its longest induced path has 5
         # vertices.  In R^4 that equals min(4, 4) + 1 and nothing fires; in
-        # R^3 it exceeds min(3, 5) + 1 and induced_path alone decides.
+        # R^3 it exceeds min(3, 5) + 1 and induced_path alone decides the
+        # combined verdict, with no flag needed.
         g = FrameGraph(8, [
             (0, 1), (0, 2), (0, 4), (1, 3), (1, 5), (2, 3), (2, 6),
             (3, 7), (4, 5), (4, 6), (5, 7), (6, 7),
