@@ -3,8 +3,9 @@
 Scalability is nonnegative linear feasibility in the squared weights
 w_i = a_i^2: stacking the upper triangle of sum_i w_i f_i f_i^t = I gives an
 equality system A w = b.  Strict scalability maximizes the floor t with
-w_i >= t.  One dense two-phase simplex with Bland's rule answers both
-questions: phase 1 decides feasibility, phase 2 maximizes the floor.
+w_i >= t.  One two-phase simplex with Bland's rule, on a tableau that
+stores only the nonbasic columns, answers both questions: phase 1 decides
+feasibility, phase 2 maximizes the floor.
 Infeasibility is returned as a Farkas certificate reassembled into a
 symmetric matrix Y with <f_i, Y f_i> <= 0 for all i and trace(Y) = 1.
 
@@ -108,98 +109,108 @@ class OracleResult:
 
 
 class _Tableau:
-    """Dense simplex tableau over the columns of [A | b], with Bland's rule.
+    """Condensed simplex tableau over [A | b] with Bland's rule (Avis, lrs,
+    2000): row i belongs to basic column basis[i], slot s of every row holds
+    nonbasic column cols[s], and the rhs comes last.  Basic columns are not
+    stored.
 
-    Exact mode is fraction-free (Bareiss 1968, Edmonds 1967).  The tableau
-    is T = D * B^-1 [A | b] for the current basis B, with one common
-    denominator D > 0.  A pivot on p = T[r][c] sets, for every row i != r,
-    objective row included,
+    Exact mode is fraction-free (Bareiss 1968, Edmonds 1967).  The rows are
+    T = D * B^-1 [A | b] for the basis B and one common denominator D > 0,
+    so basic column basis[i] is D * e_i.  A pivot on p = T[r][c] sets, for
+    every row i != r, objective row included,
 
-        T_i <- (p * T_i - T_i[c] * T_r) / D,    then D <- p.
+        T_i <- (p * T_i - T_i[c] * T_r) / D,    then D <- p,
 
-    By Cramer's rule every entry is a minor of the integer input, so each
-    division is exact: integer LPs stay on Python ints (floor division,
-    no gcd), and Q(sqrt d) LPs take the same steps with the field's exact
-    `/`.  A negative pivot (driving artificials out) first negates its row,
-    which keeps D > 0.  Since D > 0 scales every row alike, Bland's rule
-    picks the same pivots as on B^-1 [A | b].
+    and the leaving column moves into slot c: the old D in row r and
+    -T_i[c] in row i.  A negative pivot (driving artificials out) first
+    negates row r, which keeps D > 0 and flips both signs.  By Cramer's rule
+    every entry is a minor of the integer input, so each division is exact:
+    integer LPs stay on Python ints (floor division, no gcd), and Q(sqrt d)
+    LPs take the same steps with the field's exact `/`.  Since D > 0 scales
+    every row alike, Bland's rule picks the same pivots as on B^-1 [A | b].
 
-    Float mode keeps D = 1: it divides the pivot row by the pivot and treats
-    entries within PIVOT_TOL of zero as zero.
+    Float mode keeps D = 1 and divides row r by p, so the leaving column is
+    1/p in row r and -T_i[c] / p in row i; entries within PIVOT_TOL of zero
+    count as zero.
 
     The objective row holds D times the reduced costs and is updated by
     every pivot.  Exact Bland pivoting cannot cycle; the pivot cap stops a
     float run that drift sends round in circles.
     """
 
-    def __init__(self, rows, basis, exact: bool):
-        self.t = rows  # each row: one entry per column, then the rhs
+    def __init__(self, rows, cols, basis, exact: bool):
+        self.t = rows  # each row: one entry per slot, then the rhs
+        self.cols = cols  # original column of each slot
         self.basis = basis
         self.exact = exact
         self.zero_tol = 0 if exact else PIVOT_TOL
         self.obj = None
         self.d = rows[0][-1] * 0 + 1
-        self.ncols = len(rows[0]) - 1
-        self.pivots_left = PIVOT_CAP_FACTOR * (len(rows) + self.ncols)
+        # rows plus all columns, basic ones included
+        self.pivots_left = PIVOT_CAP_FACTOR * (2 * len(rows) + len(cols))
 
     def set_objective(self, cost):
         """Objective row D*c - sum_i c_B(i) T_i for integer costs c, one per
-        column; its rhs entry is not read."""
-        obj = [self.d * c for c in cost] + [self.d * 0]
+        original column; its rhs entry is not read."""
+        obj = [self.d * cost[j] for j in self.cols] + [self.d * 0]
         for row, j in zip(self.t, self.basis):
             cb = cost[j]
             if cb:
                 obj = [a - cb * b for a, b in zip(obj, row)]
         self.obj = obj
 
-    def pivot(self, row: int, col: int):
-        t = self.t
-        piv = t[row][col]
+    def pivot(self, row: int, slot: int):
+        t, c, d = self.t, slot, self.d
+        piv = t[row][c]
         if self.exact:
+            g = -1  # leaving column: -g * D in row r, g * T_i[c] in row i
             if piv < 0:
                 t[row] = [-x for x in t[row]]
-                piv = -piv
-            prow, d = t[row], self.d
+                piv, g = -piv, 1
+            prow = t[row]
             if isinstance(d, int):
                 def update(r):
-                    f = r[col]
+                    f = r[c]
                     if not f:
                         return r if piv == d else [piv * a // d for a in r]
-                    return [(piv * a - f * b) // d for a, b in zip(r, prow)]
+                    r = [(piv * a - f * b) // d for a, b in zip(r, prow)]
+                    r[c] = g * f
+                    return r
             else:
                 def update(r):
-                    f = r[col]
+                    f = r[c]
                     if not f:
                         return r if piv == d else [piv * a / d for a in r]
-                    return [(piv * a - f * b) / d for a, b in zip(r, prow)]
+                    r = [(piv * a - f * b) / d for a, b in zip(r, prow)]
+                    r[c] = g * f
+                    return r
 
-            self.d = piv
+            leave, self.d = -g * d, piv
         else:
-            inv = 1.0 / piv
-            prow = t[row] = [x * inv for x in t[row]]
+            leave = 1.0 / piv
+            prow = t[row] = [x * leave for x in t[row]]
 
             def update(r):
-                f = r[col]
+                f = r[c]
                 if abs(f) <= PIVOT_TOL:
+                    r[c] = 0.0
                     return r
-                return [a - f * b for a, b in zip(r, prow)]
+                r = [a - f * b for a, b in zip(r, prow)]
+                r[c] = -f * leave
+                return r
 
-        for i in range(len(t)):
-            if i != row:
-                t[i] = update(t[i])
+        t[:] = [r if i == row else update(r) for i, r in enumerate(t)]
         if self.obj is not None:
             self.obj = update(self.obj)
-        self.basis[row] = col
+        prow[c] = leave
+        self.basis[row], self.cols[c] = self.cols[c], self.basis[row]
 
-    def bland_step(self, allowed_cols) -> bool:
+    def bland_step(self) -> bool:
         """One Bland pivot on the objective row; returns False at
         optimality.  Raises on an unbounded direction."""
         obj, tol = self.obj, self.zero_tol
-        basic = set(self.basis)  # float drift can leave a basic column at -eps
-        enter = next(
-            (j for j in allowed_cols if j not in basic and obj[j] < -tol),
-            None,
-        )
+        enter = min((c for c, x in enumerate(obj[:-1]) if x < -tol),
+                    key=self.cols.__getitem__, default=None)
         if enter is None:
             return False
         # min ratio T_i[-1] / T_i[enter] over T_i[enter] > 0, smallest basic
@@ -239,55 +250,47 @@ def _quotient(x, d):
 
 
 def _phase1(rows, rhs, exact: bool, tol: float):
-    """Phase-1 simplex on {Ax = b, x >= 0}.
-
-    Returns (None, y) when the artificial optimum exceeds tol (0 in exact
-    mode): y are row multipliers with y^t A <= 0 < y^t b, a Farkas
-    certificate, up to a positive factor.  Otherwise returns (tableau, None)
-    with the artificials driven out and redundant rows deleted, ready for
-    phase 2 over the original columns.
+    """Phase-1 simplex on {Ax = b, x >= 0}; artificial k + i starts basic
+    in row i.  Returns (None, y) when the artificial optimum exceeds tol
+    (0 in exact mode): y are row multipliers with y^t A <= 0 < y^t b, a
+    Farkas certificate, up to a positive factor.  Otherwise returns
+    (tableau, None) with the artificials driven out and dropped and
+    redundant rows deleted, ready for phase 2 over the real columns.
     """
-    s = len(rows)
-    k = len(rows[0])
-    one = rhs[0] * 0 + 1
-    zero = one * 0
+    s, k = len(rows), len(rows[0])
     flips = [-1 if b < 0 else 1 for b in rhs]
-    aug = [
-        [f * x for x in r] + [one if i == j else zero for j in range(s)]
-        + [f * b]
-        for i, (r, b, f) in enumerate(zip(rows, rhs, flips))
-    ]
-    tab = _Tableau(aug, [k + i for i in range(s)], exact)
+    tab = _Tableau([[f * x for x in r] + [f * b]
+                    for r, b, f in zip(rows, rhs, flips)],
+                   list(range(k)), [k + i for i in range(s)], exact)
     tab.set_objective([0] * k + [1] * s)
-    allowed = range(k + s)
-    while tab.bland_step(allowed):
+    while tab.bland_step():
         pass
 
-    opt = sum((row[-1] for row, j in zip(tab.t, tab.basis) if j >= k), zero)
+    opt = sum(row[-1] for row, j in zip(tab.t, tab.basis) if j >= k)
     if opt > (0 if exact else tol):
-        # y_i = D - obj[k+i]: D times (1 - reduced cost of artificial i)
-        return None, [f * (tab.d - tab.obj[k + i])
+        # y_i = D - obj[k+i]: D times (1 - reduced cost of artificial i),
+        # whose reduced cost is 0 while it is basic
+        obj = dict(zip(tab.cols, tab.obj))
+        return None, [f * (tab.d - obj.get(k + i, 0))
                       for i, f in enumerate(flips)]
 
-    # drive artificial variables out of the basis
+    # drive artificial variables out of the basis, each for the lowest
+    # real column with a nonzero entry in its row
     tab.obj = None
     for i in range(len(tab.basis) - 1, -1, -1):
         if tab.basis[i] < k:
             continue
         row = tab.t[i]
-        # only a nonbasic column may take the artificial's place; float drift
-        # can leave entries above the tolerance in basic columns
-        basic = set(tab.basis)
-        col = next((j for j in range(k)
-                    if j not in basic and abs(row[j]) > tab.zero_tol), None)
-        if col is not None:
-            tab.pivot(i, col)
+        slot = min((c for c, j in enumerate(tab.cols)
+                    if j < k and abs(row[c]) > tab.zero_tol),
+                   key=tab.cols.__getitem__, default=None)
+        if slot is not None:
+            tab.pivot(i, slot)
         else:
-            del tab.t[i]
-            del tab.basis[i]
-    for row in tab.t:
-        del row[k:-1]
-    tab.ncols = k
+            del tab.t[i], tab.basis[i]
+    keep = [c for c, j in enumerate(tab.cols) if j < k]
+    tab.t = [[row[c] for c in keep] + [row[-1]] for row in tab.t]
+    tab.cols = [tab.cols[c] for c in keep]
     return tab, None
 
 
@@ -309,28 +312,22 @@ def _farkas_matrix(lp: ScaleLP, y) -> SymmetricMatrix:
     )
 
 
-def _as_weights(values, exact: bool, tol: float):
-    out = []
-    for v in values:
-        if not exact and -tol < v < 0:
-            v = 0.0
-        out.append(v)
-    return tuple(out)
-
-
 def _scaling(w) -> float:
     """sqrt(w) as a float, within 1 ulp.  A positive rational weight whose
     float overflows or is not normal is not rounded first: the integer
-    square root of w * 4^s, of 55 bits or more, is scaled back by 2^-s."""
+    square root of w * 4^s, of 55 bits or more, is scaled back by 2^-s.
+    A positive weight whose root is not a normal float is a SolverError,
+    so no positive weight is reported with scaling 0 or infinity."""
     with contextlib.suppress(OverflowError):
         x = float(w)
         if x >= sys.float_info.min or not isinstance(w, Fraction) or w <= 0:
             return math.sqrt(max(x, 0.0))
     s = (113 - w.numerator.bit_length() + w.denominator.bit_length()) // 2
-    try:
-        return math.ldexp(math.isqrt(math.floor(w * Fraction(4) ** s)), -s)
-    except OverflowError:
-        raise SolverError("a scaling sqrt(w) is beyond the float range")
+    with contextlib.suppress(OverflowError):
+        x = math.ldexp(math.isqrt(math.floor(w * Fraction(4) ** s)), -s)
+        if x >= sys.float_info.min:
+            return x
+    raise SolverError("a scaling sqrt(w) is outside the normal float range")
 
 
 def solve_strict(lp: ScaleLP, tol: float = FEASIBILITY_TOL) -> OracleResult:
@@ -356,13 +353,14 @@ def solve_strict(lp: ScaleLP, tol: float = FEASIBILITY_TOL) -> OracleResult:
             )
         return OracleResult("infeasible", farkas=farkas)
 
-    k = tab.ncols
     tab.set_objective([-1] + [0] * frame.count)  # maximize t
-    while tab.bland_step(range(k)):
+    while tab.bland_step():
         pass
-    x = tab.solution(k)
+    x = tab.solution(frame.count + 1)
     t_star = x[0]
-    w = _as_weights((t_star + u for u in x[1:]), exact, tol)
+    w = tuple(t_star + u for u in x[1:])
+    if not exact:  # float drift leaves zero weights at -eps
+        w = tuple(0.0 if -tol < v < 0 else v for v in w)
     residual = verify_weights(frame, w, tol).residual
     if not exact and residual > 10 * tol:
         return OracleResult(

@@ -133,29 +133,35 @@ class TestBadNumbers:
 
 class TestEntryBeyondFloatRange:
     """An exact entry of 10^999 needs no float: the weights are checked on
-    the integer image, and the exact residual is 0."""
+    the integer image, and the exact residual is 0.  The vector holding it
+    takes weight 0 here; a positive weight on it has a scaling below
+    10^-999, which TestEntryBelowFloatRange answers with exit 3."""
 
     @pytest.mark.parametrize("command", ["scale", "analyze"])
-    def test_strictly_feasible(self, tmp_path, capsys, command):
+    def test_boundary(self, tmp_path, capsys, command):
         path = tmp_path / "f.json"
-        path.write_text(
-            '{"dimension": 2, "vectors": [["1e999", "0"], ["0", "1"]]}')
+        path.write_text('{"dimension": 2, "vectors": '
+                        '[["1", "0"], ["0", "1"], ["3e999", "4e999"]]}')
         code, out, err = run(capsys, command, str(path), "--exact")
         assert code == 0 and not err
         report = json.loads(out)
         strict = (report["oracle"] if command == "analyze" else report)["strict"]
-        assert strict["status"] == "strictly_feasible"
-        assert strict["residual"] == 0.0
-        frame = Frame.from_vectors([[Fraction(10) ** 999, 0], [0, 1]],
+        assert strict["status"] == "boundary"
+        assert strict["residual"] == 0.0 and strict["scalings"] == [1, 1, 0]
+        big = 10 ** 999
+        frame = Frame.from_vectors([[1, 0], [0, 1], [3 * big, 4 * big]],
                                    exact=True)
         weights = [Fraction(w) for w in strict["weights"]]
+        assert weights == [1, 1, 0]
         assert verify_weights(frame, weights).residual == 0
 
 
 class TestEntryBelowFloatRange:
     """An exact entry of 10^-170 has weight 10^340, beyond the float range,
     and scaling 10^170, inside it; at 10^-999 the scaling is beyond it too,
-    which is a solver error."""
+    which is a solver error.  So is an entry of 10^999, whose scaling
+    10^-999 lies below the normal floats: rounded, it would read 0 for a
+    positive weight."""
 
     @staticmethod
     def write(tmp_path, entry):
@@ -184,6 +190,14 @@ class TestEntryBelowFloatRange:
     def test_scaling_beyond_float_range_exit_3(self, tmp_path, capsys,
                                                command):
         code, out, err = run(capsys, command, self.write(tmp_path, "1e-999"),
+                             "--exact")
+        assert code == 3 and not out
+        assert err.startswith("solver error:")
+
+    @pytest.mark.parametrize("command", ["scale", "analyze"])
+    def test_scaling_below_normal_floats_exit_3(self, tmp_path, capsys,
+                                                command):
+        code, out, err = run(capsys, command, self.write(tmp_path, "1e999"),
                              "--exact")
         assert code == 3 and not out
         assert err.startswith("solver error:")

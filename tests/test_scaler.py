@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from framescale.corpus import load, names, onb, random_frame
+from framescale.exactnum import QuadExt
 from framescale.frames import (
     Frame,
     classify_operator,
@@ -176,8 +177,9 @@ class TestSolveStrict:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_float_drift_does_not_loop(self, seed):
-        # float drift leaves a basic column at reduced cost -1e-10 here;
-        # entering it pivots in place, so the run would never end
+        # a dense tableau let float drift leave a basic column at reduced
+        # cost -1e-10 here, and entering it pivoted in place forever; the
+        # condensed tableau stores no basic column, so none can drift
         fr = random_parseval(32, 10, seed)
         res = solve_strict(build_lp(fr))
         assert res.status == "strictly_feasible"
@@ -185,9 +187,11 @@ class TestSolveStrict:
 
     @pytest.mark.parametrize("m, n, seed", [(52, 12, 120), (56, 12, 8)])
     def test_artificials_leave_for_nonbasic_columns(self, m, n, seed):
-        # float drift leaves entries above PIVOT_TOL in basic columns of an
-        # artificial's row; pivoting one in listed a column twice in the
-        # basis, and (52, 12, 120) answered numerically_ambiguous
+        # a dense tableau let float drift leave entries above PIVOT_TOL in
+        # basic columns of an artificial's row; pivoting one in listed a
+        # column twice in the basis, and (52, 12, 120) answered
+        # numerically_ambiguous.  The condensed tableau offers only
+        # nonbasic columns to drive an artificial out
         fr = random_parseval(m, n, seed)
         res = solve_strict(build_lp(fr))
         assert res.status == "strictly_feasible"
@@ -506,3 +510,172 @@ class TestVerifiersOnMixedDenominators:
         # weights that solve nothing in particular
         self._same_weights(fr, [Fraction(1, 2 + i % 3)
                                 for i in range(fr.count)], tol)
+
+
+def reference_strict(lp):
+    """Textbook two-phase simplex with Bland's rule for solve_strict's LP,
+    the reference for the condensed tableau.  The dense tableau holds every
+    column, the s x s artificial identity block included, and every pivot
+    divides its row by the pivot over Fractions (or the quadratic field).
+    Returns the pivots as (entering column, leaving basic column) and the
+    answer: ("infeasible", y) with Farkas row multipliers y, or (status,
+    weights)."""
+    def exact(x):
+        return Fraction(x) if isinstance(x, int) else x
+
+    a = [[exact(x) for x in [sum(r, r[0] * 0)] + list(r)]
+         for r in lp.scaled_matrix]
+    b = [exact(x) for x in lp.scaled_rhs]
+    s, k = len(a), len(a[0])
+    flips = [-1 if v < 0 else 1 for v in b]
+    t = [[f * x for x in row] + [Fraction(int(i == j)) for j in range(s)]
+         + [f * v] for i, (row, v, f) in enumerate(zip(a, b, flips))]
+    basis = list(range(k, k + s))
+    pivots = []
+
+    def pivot(i, j):
+        pivots.append((j, basis[i]))
+        p = t[i][j]
+        t[i] = [x / p for x in t[i]]
+        for r, row in enumerate(t):
+            if r != i and row[j] != 0:
+                t[r] = [x - row[j] * y for x, y in zip(row, t[i])]
+        basis[i] = j
+
+    def reduced(cost, j):
+        return cost[j] - sum((cost[bi] * row[j] for bi, row in zip(basis, t)),
+                             Fraction(0))
+
+    def run(cost, ncols):
+        while True:
+            enter = next((j for j in range(ncols)
+                          if j not in basis and reduced(cost, j) < 0), None)
+            if enter is None:
+                return
+            rows = [i for i, row in enumerate(t) if row[enter] > 0]
+            assert rows, "unbounded"
+            pivot(min(rows, key=lambda i: (t[i][-1] / t[i][enter],
+                                           basis[i])), enter)
+
+    cost = [0] * k + [1] * s
+    run(cost, k + s)
+    if sum((row[-1] for bi, row in zip(basis, t) if bi >= k), Fraction(0)) > 0:
+        return pivots, ("infeasible", [f * (1 - reduced(cost, k + i))
+                                       for i, f in enumerate(flips)])
+    for i in range(s - 1, -1, -1):
+        if basis[i] >= k:
+            j = next((j for j in range(k)
+                      if j not in basis and t[i][j] != 0), None)
+            if j is None:
+                del t[i], basis[i]
+            else:
+                pivot(i, j)
+    run([-1] + [0] * (k - 1), k)
+    x = [Fraction(0)] * k
+    for bi, row in zip(basis, t):
+        x[bi] = row[-1]
+    w = tuple(x[0] + u for u in x[1:])
+    return pivots, ("strictly_feasible" if x[0] > 0 else "boundary", w)
+
+
+def _coordinates_plus(n, seed):
+    """n random integer vectors plus the n coordinate vectors: scalable."""
+    rng = random.Random(seed)
+    vecs = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+    vecs = [v for v in vecs if any(v)]
+    return Frame.from_vectors(
+        vecs + [[int(i == j) for j in range(n)] for i in range(n)], exact=True)
+
+
+SQRT2 = QuadExt(2, 0, 1)
+REFERENCE_DRAWS = {
+    "random_frame": [random_frame(m, n, seed)
+                     for m, n, count in ((4, 2, 15), (6, 3, 25), (7, 4, 20),
+                                         (8, 4, 20), (10, 5, 12), (12, 6, 8))
+                     for seed in range(count)],
+    "scalable": [_coordinates_plus(n, seed)
+                 for n in (2, 3, 4) for seed in range(17)],
+    "mixed": [mixed_frame(seed) for seed in range(40)],
+    "boundary_and_quadratic": [
+        Frame.from_vectors([[1, 0], [0, 1], [Fraction(3, 5), Fraction(4, 5)]],
+                           exact=True),
+        random_frame(4, 2, 1), MERCEDES,
+        Frame.from_vectors([[1, 0], [SQRT2, 1], [1, SQRT2], [0, 1]],
+                           exact=True),
+        M1, M2, onb(3),
+    ],
+}
+
+
+@pytest.mark.parametrize("group", sorted(REFERENCE_DRAWS))
+def test_condensed_tableau_follows_the_reference(group, monkeypatch):
+    """The condensed tableau takes the reference's pivots, entering and
+    leaving column by column, and gives the answer they imply."""
+    pivots = []
+    pivot = scaler._Tableau.pivot
+
+    def recorded(tab, row, slot):
+        pivots.append((tab.cols[slot], tab.basis[row]))
+        pivot(tab, row, slot)
+
+    monkeypatch.setattr(scaler._Tableau, "pivot", recorded)
+    reentries = 0
+    for frame in REFERENCE_DRAWS[group]:
+        lp = build_lp(frame)
+        pivots.clear()
+        got = solve_strict(lp)
+        want_pivots, (status, answer) = reference_strict(lp)
+        assert pivots == want_pivots
+        if status == "infeasible":
+            want = scaler.OracleResult(
+                status, farkas=scaler._farkas_matrix(lp, answer))
+        else:
+            want = scaler.OracleResult(
+                status, weights=answer,
+                scalings=tuple(map(scaler._scaling, answer)),
+                residual=verify_weights(frame, answer).residual,
+                margin=min(answer))
+        assert got == want
+        # an artificial column entering again (phase 1 only)
+        reentries += sum(enter > frame.count for enter, _ in pivots)
+    if group == "random_frame":
+        assert reentries > 0
+
+
+@pytest.mark.parametrize("frame", [
+    M1, MERCEDES, random_frame(12, 6, 3), _coordinates_plus(4, 2),
+    random_parseval(8, 3, 4),
+], ids=["M1", "mercedes", "random_frame", "scalable", "float"])
+def test_stored_slots_and_basis_partition_the_columns(frame, monkeypatch):
+    """After every pivot the stored slots and the basis are disjoint and
+    together cover every column: the k real ones and the s artificials in
+    phase 1 (less the artificials of deleted redundant rows while they are
+    driven out; "scalable" deletes two), the k real ones in phase 2.  Every
+    row, objective row included, holds one entry per slot plus the rhs."""
+    lp = build_lp(frame)
+    k, s = frame.count + 1, len(lp.scaled_matrix)
+    phases, checked = [], []
+    set_objective, pivot = scaler._Tableau.set_objective, scaler._Tableau.pivot
+
+    def recorded_objective(tab, cost):
+        phases.append(len(cost))
+        set_objective(tab, cost)
+
+    def recorded_pivot(tab, row, slot):
+        pivot(tab, row, slot)
+        cols, basis = set(tab.cols), set(tab.basis)
+        assert len(cols) == len(tab.cols) and len(basis) == len(tab.basis)
+        assert not cols & basis
+        both = cols | basis
+        if tab.obj is None:  # driving artificials out
+            assert set(range(k)) <= both <= set(range(k + s))
+        else:
+            assert both == set(range(phases[-1]))
+            assert len(tab.obj) == len(tab.cols) + 1
+        assert all(len(r) == len(tab.cols) + 1 for r in tab.t)
+        checked.append((row, slot))
+
+    monkeypatch.setattr(scaler._Tableau, "set_objective", recorded_objective)
+    monkeypatch.setattr(scaler._Tableau, "pivot", recorded_pivot)
+    solve_strict(lp)
+    assert checked and phases[0] == k + s and phases[1:] in ([], [k])
