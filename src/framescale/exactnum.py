@@ -151,6 +151,13 @@ class QuadExt:
             return NotImplemented
         return (self - o).sign() >= 0
 
+    def __floor__(self):
+        # floor(a) + floor(b*sqrt(d)), plus one if the fractional parts
+        # carry; b*sqrt(d) is irrational unless b = 0
+        r = math.isqrt(math.floor(self.b * self.b * self.d))
+        n = math.floor(self.a) + (r if self.b >= 0 else -r - 1)
+        return n + 1 if self >= n + 1 else n
+
     def __float__(self):
         return float(self.a) + float(self.b) * math.sqrt(self.d)
 

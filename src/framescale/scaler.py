@@ -15,6 +15,10 @@ u_i = L * f_i (see `frames`), that is L^2 * [A | b]; one factor for all of
 [A | b] leaves Bland's pivot path, the weights and the normalized
 certificate as they are.  The tableau then holds Python ints over one
 common denominator D, so no pivot builds a Fraction or takes a gcd.
+Each integer row is packed into one Python int, in fields of W bits that
+a Hadamard bound on the minors of the system keeps every entry inside, so
+a pivot updates a row with a few big-int operations instead of one per
+entry; LPs whose W exceeds PACKED_WIDTH_MAX keep their rows as lists.
 Weights and certificates become Fractions only when they are read out.
 LPs over Q(sqrt d) take the same pivots with exact field division; float
 LPs use normalized pivots with a zero tolerance.
@@ -31,9 +35,9 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, lshift, mul
 
-from .exactnum import sign
+from .exactnum import QuadExt, sign
 from .frames import (
     Frame,
     SymmetricMatrix,
@@ -46,6 +50,10 @@ from .frames import (
 FEASIBILITY_TOL = 1e-8
 PIVOT_TOL = 1e-10
 PIVOT_CAP_FACTOR = 50  # pivots per tableau row plus column
+# Widest packed field, in bits.  A packed row costs its full width from the
+# first pivot on, while list entries cost what they hold; on random integer
+# LPs the packed rows stop paying off near 300 bits.
+PACKED_WIDTH_MAX = 256
 
 
 class SolverError(RuntimeError):
@@ -129,9 +137,41 @@ class _Tableau:
     LPs take the same steps with the field's exact `/`.  Since D > 0 scales
     every row alike, Bland's rule picks the same pivots as on B^-1 [A | b].
 
+    Integer rows are packed, one Python int per row (Kronecker
+    substitution; Harvey, J. Symb. Comput. 2009), when W below is at most
+    PACKED_WIDTH_MAX; wider LPs keep list rows.  Field j, bits W*j to
+    W*(j+1) - 1, holds entry + 2^(W-1), with the rhs in field 0 and slot s
+    in field s + 1.  With E_i the signed packing, sum over the fields j of
+    the entry of field j times 2^(W*j), and Bias the packing of zeros, row
+    i is R_i = E_i + Bias, and the pivot above is, on whole rows,
+
+        R_i <- (p * R_i - f * R_r - (p - f - D) * Bias) / D
+               + g * f * 2^(W*(c+1)),
+
+    f = T_i[c], g = -1 (+1 after negating row r, R_r <- 2*Bias - R_r).
+    The numerator is p * E_i - f * E_r + D * Bias, and p * E_i - f * E_r is
+    D times the packing of the new row (field c + 1 of it is p*f - f*p =
+    0), so the division is exact on the packed int.  Only the new entries
+    have to fit their fields, not the products on the way.
+
+    W = bits(isqrt(H)) + 2, H = prod_j max(1, |col_j|^2) over the columns
+    of [A | b] as the tableau is built (D = 1, artificial basis).  Every
+    stored value, D included, is up to sign a minor of [A | I | b]
+    (Cramer's rule; the flips at the start and the negation of a pivot
+    row negate whole rows or columns of it), and by Hadamard's inequality
+    a minor is at most the product of the norms of its columns, at most
+    sqrt(H), as unit columns have norm 1.  So |T_i[j]| < 2^(W-2) and every
+    field lies in (2^(W-2), 3 * 2^(W-2)) inside [0, 2^W).  Deleting a
+    redundant row keeps the other rows as they are and removes a basic
+    artificial column, so the rows pivoted after it are still the rows of a
+    tableau of the whole system.  The objective row is not a minor and
+    stays a list; `row` and `column` read the packed rows as lists.  The
+    ratio test reads the entering column once, and the pivot takes its row
+    multipliers f from it.
+
     Float mode keeps D = 1 and divides row r by p, so the leaving column is
     1/p in row r and -T_i[c] / p in row i; entries within PIVOT_TOL of zero
-    count as zero.
+    count as zero.  Float and Q(sqrt d) rows are lists.
 
     The objective row holds D times the reduced costs and is updated by
     every pivot.  Exact Bland pivoting cannot cycle; the pivot cap stops a
@@ -139,35 +179,83 @@ class _Tableau:
     """
 
     def __init__(self, rows, cols, basis, exact: bool):
-        self.t = rows  # each row: one entry per slot, then the rhs
         self.cols = cols  # original column of each slot
         self.basis = basis
         self.exact = exact
         self.zero_tol = 0 if exact else PIVOT_TOL
         self.obj = None
+        # (slot, column) of the last ratio test: the next pivot's row
+        # multipliers, read from packed rows once
+        self.entering = None
         self.d = rows[0][-1] * 0 + 1
         # rows plus all columns, basic ones included
         self.pivots_left = PIVOT_CAP_FACTOR * (2 * len(rows) + len(cols))
+        self.width = None
+        if exact and isinstance(self.d, int):
+            h = 1
+            for col in zip(*rows):
+                h *= max(1, sum(map(mul, col, col)))
+            width = math.isqrt(h).bit_length() + 2
+            if width <= PACKED_WIDTH_MAX:
+                self.width, self.mask = width, (1 << width) - 1
+                self.half = 1 << (width - 1)
+        self.set_rows(rows)
+
+    def set_rows(self, rows):
+        """Store rows given as lists, one entry per slot of cols, then the
+        rhs; packed if the tableau packs (width is set)."""
+        self.t = rows
+        if self.width is None:
+            return
+        w, half = self.width, self.half
+        # field of each slot, then of the rhs: row[-1] sits at shift 0
+        self.shifts = [w * s for s in range(1, len(self.cols) + 1)] + [0]
+        self.bias = sum(half << s for s in self.shifts)
+        self.t = [sum(map(lshift, row, self.shifts)) + self.bias
+                  for row in rows]
+
+    def row(self, i: int) -> list:
+        """Row i as a list: one entry per slot, then the rhs."""
+        r = self.t[i]
+        if self.width is None:
+            return r
+        mask, half = self.mask, self.half
+        return [((r >> s) & mask) - half for s in self.shifts]
+
+    def column(self, slot: int):
+        """The entries of one slot in every row, slot -1 the rhs: a list
+        for packed rows, an iterator over list rows."""
+        if self.width is None:
+            return map(itemgetter(slot), self.t)
+        s, mask, half = self.shifts[slot], self.mask, self.half
+        return [((r >> s) & mask) - half for r in self.t]
 
     def set_objective(self, cost):
         """Objective row D*c - sum_i c_B(i) T_i for integer costs c, one per
         original column; its rhs entry is not read."""
         obj = [self.d * cost[j] for j in self.cols] + [self.d * 0]
-        for row, j in zip(self.t, self.basis):
+        for i, j in enumerate(self.basis):
             cb = cost[j]
             if cb:
-                obj = [a - cb * b for a, b in zip(obj, row)]
+                obj = [a - cb * b for a, b in zip(obj, self.row(i))]
         self.obj = obj
 
     def pivot(self, row: int, slot: int):
         t, c, d = self.t, slot, self.d
-        piv = t[row][c]
+        entering, self.entering = self.entering, None
+        if self.width is None:
+            piv = t[row][c]
+        else:  # the row multipliers f: the entering column
+            col = (entering[1] if entering and entering[0] == c
+                   else self.column(c))
+            piv = col[row]
         if self.exact:
             g = -1  # leaving column: -g * D in row r, g * T_i[c] in row i
             if piv < 0:
-                t[row] = [-x for x in t[row]]
+                t[row] = ([-x for x in t[row]] if self.width is None
+                          else 2 * self.bias - t[row])
                 piv, g = -piv, 1
-            prow = t[row]
+            prow = self.row(row)
             if isinstance(d, int):
                 def update(r):
                     f = r[c]
@@ -199,28 +287,42 @@ class _Tableau:
                 r[c] = -f * leave
                 return r
 
-        t[:] = [r if i == row else update(r) for i, r in enumerate(t)]
+        if self.width is None:
+            t[:] = [r if i == row else update(r) for i, r in enumerate(t)]
+            prow[c] = leave
+        else:
+            # the packed update of the docstring as (p R_i - f q - k) / D,
+            # q = R_r - Bias - g D 2^(W(c+1)), k = (p - D) Bias; row r is
+            # updated along with the others and then put back
+            sh, packed = self.shifts[c], t[row]
+            q = packed - self.bias - (g * d << sh)
+            k = (piv - d) * self.bias
+            t[:] = [(piv * r - f * q - k) // d for r, f in zip(t, col)]
+            t[row] = packed + ((leave - piv) << sh)
         if self.obj is not None:
             self.obj = update(self.obj)
-        prow[c] = leave
         self.basis[row], self.cols[c] = self.cols[c], self.basis[row]
 
     def bland_step(self) -> bool:
         """One Bland pivot on the objective row; returns False at
         optimality.  Raises on an unbounded direction."""
         obj, tol = self.obj, self.zero_tol
-        enter = min((c for c, x in enumerate(obj[:-1]) if x < -tol),
-                    key=self.cols.__getitem__, default=None)
-        if enter is None:
+        # zip stops before the rhs entry
+        candidates = [j for j, x in zip(self.cols, obj) if x < -tol]
+        if not candidates:
             return False
+        enter = self.cols.index(min(candidates))
         # min ratio T_i[-1] / T_i[enter] over T_i[enter] > 0, smallest basic
         # index on ties; exact ratios are compared by cross-multiplying
+        col, t = self.column(enter), self.t
+        self.entering = enter, col
         leave = None
-        for i, row in enumerate(self.t):
-            a = row[enter]
+        for i, a in enumerate(col):
             if not a > tol:
                 continue
-            num, den = (row[-1], a) if self.exact else (row[-1] / a, 1.0)
+            num = (t[i][-1] if self.width is None
+                   else (t[i] & self.mask) - self.half)
+            num, den = (num, a) if self.exact else (num / a, 1.0)
             if leave is not None:
                 lhs, rhs = num * best_den, best_num * den
                 if lhs > rhs or (lhs == rhs
@@ -238,9 +340,9 @@ class _Tableau:
     def solution(self, nvars: int):
         """Values T_i[-1] / D of the first nvars variables."""
         x = [_quotient(self.d * 0, self.d)] * nvars
-        for row, j in zip(self.t, self.basis):
+        for v, j in zip(self.column(-1), self.basis):
             if j < nvars:
-                x[j] = _quotient(row[-1], self.d)
+                x[j] = _quotient(v, self.d)
         return x
 
 
@@ -266,7 +368,7 @@ def _phase1(rows, rhs, exact: bool, tol: float):
     while tab.bland_step():
         pass
 
-    opt = sum(row[-1] for row, j in zip(tab.t, tab.basis) if j >= k)
+    opt = sum(x for x, j in zip(tab.column(-1), tab.basis) if j >= k)
     if opt > (0 if exact else tol):
         # y_i = D - obj[k+i]: D times (1 - reduced cost of artificial i),
         # whose reduced cost is 0 while it is basic
@@ -280,7 +382,7 @@ def _phase1(rows, rhs, exact: bool, tol: float):
     for i in range(len(tab.basis) - 1, -1, -1):
         if tab.basis[i] < k:
             continue
-        row = tab.t[i]
+        row = tab.row(i)
         slot = min((c for c, j in enumerate(tab.cols)
                     if j < k and abs(row[c]) > tab.zero_tol),
                    key=tab.cols.__getitem__, default=None)
@@ -289,8 +391,9 @@ def _phase1(rows, rhs, exact: bool, tol: float):
         else:
             del tab.t[i], tab.basis[i]
     keep = [c for c, j in enumerate(tab.cols) if j < k]
-    tab.t = [[row[c] for c in keep] + [row[-1]] for row in tab.t]
+    rows = [tab.row(i) for i in range(len(tab.t))]
     tab.cols = [tab.cols[c] for c in keep]
+    tab.set_rows([[row[c] for c in keep] + [row[-1]] for row in rows])
     return tab, None
 
 
@@ -313,21 +416,38 @@ def _farkas_matrix(lp: ScaleLP, y) -> SymmetricMatrix:
 
 
 def _scaling(w) -> float:
-    """sqrt(w) as a float, within 1 ulp.  A positive rational weight whose
+    """sqrt(w) as a float, within 1 ulp.  A positive exact weight whose
     float overflows or is not normal is not rounded first: the integer
-    square root of w * 4^s, of 55 bits or more, is scaled back by 2^-s.
-    A positive weight whose root is not a normal float is a SolverError,
-    so no positive weight is reported with scaling 0 or infinity."""
+    square root of floor(w * 4^s), of 55 bits or more, is scaled back by
+    2^-s.  So is every irrational weight a + b*sqrt(d), whose float can
+    lose all its digits to cancellation.  A positive weight whose root is
+    not a normal float is a SolverError, so no positive weight is reported
+    with scaling 0 or infinity."""
+    irrational = isinstance(w, QuadExt) and w.b != 0
     with contextlib.suppress(OverflowError):
         x = float(w)
-        if x >= sys.float_info.min or not isinstance(w, Fraction) or w <= 0:
+        if ((x >= sys.float_info.min and not irrational) or w <= 0
+                or not isinstance(w, (Fraction, QuadExt))):
             return math.sqrt(max(x, 0.0))
-    s = (113 - w.numerator.bit_length() + w.denominator.bit_length()) // 2
+    p = _magnitude(w)
+    s = (113 - p.numerator.bit_length() + p.denominator.bit_length()) // 2
     with contextlib.suppress(OverflowError):
         x = math.ldexp(math.isqrt(math.floor(w * Fraction(4) ** s)), -s)
         if x >= sys.float_info.min:
             return x
     raise SolverError("a scaling sqrt(w) is outside the normal float range")
+
+
+def _magnitude(w) -> Fraction:
+    """A rational p with p/2 < w < 2p, for w > 0: w itself if rational.
+    For w = a + b*sqrt(d), q = |a| + |b|*isqrt(d) has q <= |a| + |b|*sqrt(d)
+    < 2q.  If a and b agree in sign, w is |a| + |b|*sqrt(d) and p = q;
+    otherwise w = |a^2 - d*b^2| / (|a| + |b|*sqrt(d)), and p puts q in the
+    denominator."""
+    if not isinstance(w, QuadExt):
+        return w
+    p = abs(w.a) + abs(w.b) * math.isqrt(w.d)
+    return p if w.a * w.b >= 0 else abs(w.a ** 2 - w.d * w.b ** 2) / p
 
 
 def solve_strict(lp: ScaleLP, tol: float = FEASIBILITY_TOL) -> OracleResult:

@@ -13,6 +13,7 @@ import pytest
 
 from framescale import scaler
 from framescale.cli import _add_common, build_parser, main
+from framescale.exactnum import QuadExt
 from framescale.frames import Frame
 from framescale.scaler import verify_weights
 
@@ -201,6 +202,19 @@ class TestEntryBelowFloatRange:
                              "--exact")
         assert code == 3 and not out
         assert err.startswith("solver error:")
+
+    def test_quadratic_weight_below_float_range(self):
+        """Library only: over Q(sqrt 3) the entry 10^200 + sqrt 3 has a
+        weight near 10^-400, below the floats, and a scaling near 10^-200,
+        inside them."""
+        frame = Frame.from_vectors([[QuadExt(3, 10 ** 200, 1), 0], [0, 1]],
+                                   exact=True)
+        answer = scaler.solve_strict(scaler.build_lp(frame))
+        assert answer.status == "strictly_feasible"
+        assert answer.scalings[0] == pytest.approx(
+            1 / (1e200 + math.sqrt(3)), rel=1e-15, abs=0)
+        assert answer.scalings[1] == 1
+        assert verify_weights(frame, answer.weights).residual == 0
 
 
 class TestExperimentalContradiction:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -198,6 +199,21 @@ class TestSolveStrict:
         report = verify_weights(fr, res.weights)
         assert report.residual < 1e-7
         assert report.tightness.kind == "parseval"
+
+
+@pytest.mark.parametrize("k", [1, 10, 40, 200, 900])
+def test_scaling_of_irrational_weights(k):
+    """(sqrt 2 - 1)^k = a + b*sqrt 2 with a and b of opposite signs: the
+    float of a + b*sqrt 2 loses all its digits to cancellation from k = 40
+    on, and at k = 900 a and b lie above the float range and the weight
+    below it.  The scaling (sqrt 2 - 1)^(k/2) comes out within 1 ulp."""
+    w = QuadExt(2, 1)
+    for _ in range(k):
+        w = w * QuadExt(2, -1, 1)
+    with localcontext() as ctx:
+        ctx.prec = 400
+        want = float(((Decimal(2).sqrt() - 1) ** k).sqrt())
+    assert abs(scaler._scaling(w) - want) <= math.ulp(want)
 
 
 class TestOneSolve:
@@ -587,6 +603,28 @@ def _coordinates_plus(n, seed):
         vecs + [[int(i == j) for j in range(n)] for i in range(n)], exact=True)
 
 
+def _wide_integer(m, n, bits, seed, coordinates=False):
+    """m random integer vectors with entries up to 2^bits in absolute
+    value, plus n coordinate vectors of length about 2^bits when asked
+    (scalable)."""
+    rng = random.Random(seed)
+    vecs = [[rng.randint(-2 ** bits, 2 ** bits) for _ in range(n)]
+            for _ in range(m)]
+    if coordinates:
+        vecs += [[(2 ** bits - seed) * int(i == j) for j in range(n)]
+                 for i in range(n)]
+    return Frame.from_vectors(vecs, exact=True)
+
+
+def _wide_denominators():
+    """Denominators products of the primes 1021-1039: the integer image
+    multiplies by L = 1021 * 1031 * 1033 * 1039 > 2^40."""
+    p = (1021, 1031, 1033, 1039)
+    return Frame.from_vectors(
+        [[Fraction(3, p[0] * p[1]), Fraction(1, p[2] * p[3])],
+         [Fraction(1, p[0]), Fraction(-1, p[2])]], exact=True)
+
+
 SQRT2 = QuadExt(2, 0, 1)
 REFERENCE_DRAWS = {
     "random_frame": [random_frame(m, n, seed)
@@ -596,6 +634,13 @@ REFERENCE_DRAWS = {
     "scalable": [_coordinates_plus(n, seed)
                  for n in (2, 3, 4) for seed in range(17)],
     "mixed": [mixed_frame(seed) for seed in range(40)],
+    # packed fields of 140-250 bits holding entries past 128 bits, and
+    # integer LPs too wide to pack (entries up to 2^40)
+    "wide": [_wide_integer(m, n, bits, seed, coordinates=m == n)
+             for m, n, bits in ((4, 2, 24), (5, 3, 14), (6, 3, 12),
+                                (2, 2, 24), (3, 3, 12), (4, 2, 40), (6, 3, 40))
+             for seed in range(4)]
+            + [_wide_denominators()],
     "boundary_and_quadratic": [
         Frame.from_vectors([[1, 0], [0, 1], [Fraction(3, 5), Fraction(4, 5)]],
                            exact=True),
@@ -672,7 +717,8 @@ def test_stored_slots_and_basis_partition_the_columns(frame, monkeypatch):
         else:
             assert both == set(range(phases[-1]))
             assert len(tab.obj) == len(tab.cols) + 1
-        assert all(len(r) == len(tab.cols) + 1 for r in tab.t)
+        assert all(len(tab.row(i)) == len(tab.cols) + 1
+                   for i in range(len(tab.t)))
         checked.append((row, slot))
 
     monkeypatch.setattr(scaler._Tableau, "set_objective", recorded_objective)
