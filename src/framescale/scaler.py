@@ -51,9 +51,11 @@ FEASIBILITY_TOL = 1e-8
 PIVOT_TOL = 1e-10
 PIVOT_CAP_FACTOR = 50  # pivots per tableau row plus column
 # Widest packed field, in bits.  A packed row costs its full width from the
-# first pivot on, while list entries cost what they hold; on random integer
-# LPs the packed rows stop paying off near 300 bits.
-PACKED_WIDTH_MAX = 256
+# first pivot on, while list entries cost what they hold.  Solving the same
+# random integer LPs with packed and with list rows, packing breaks even at
+# about 300 bits on (8, 4) frames and at 370-410 bits on (12, 6) to (20, 7)
+# frames; the cap is the lowest of these break-even widths.
+PACKED_WIDTH_MAX = 300
 
 
 class SolverError(RuntimeError):
@@ -184,8 +186,9 @@ class _Tableau:
         self.exact = exact
         self.zero_tol = 0 if exact else PIVOT_TOL
         self.obj = None
-        # (slot, column) of the last ratio test: the next pivot's row
-        # multipliers, read from packed rows once
+        # (slot, column) read by the last ratio test; pivot() takes its row
+        # multipliers from it instead of unpacking the column again, which
+        # costs 5-9% of an integer (12, 6) solve
         self.entering = None
         self.d = rows[0][-1] * 0 + 1
         # rows plus all columns, basic ones included
@@ -245,7 +248,8 @@ class _Tableau:
         entering, self.entering = self.entering, None
         if self.width is None:
             piv = t[row][c]
-        else:  # the row multipliers f: the entering column
+        else:  # the row multipliers f: the entering column, as the ratio
+            # test of bland_step read it, or read here for a drive-out pivot
             col = (entering[1] if entering and entering[0] == c
                    else self.column(c))
             piv = col[row]
