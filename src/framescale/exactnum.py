@@ -159,7 +159,15 @@ class QuadExt:
         return n + 1 if self >= n + 1 else n
 
     def __float__(self):
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
+        # within 1 ulp: the exact floor of x * 2^s, an integer of 62 bits
+        # or more, scaled back; float(a) + float(b)*sqrt(d) would lose every
+        # digit when a and b cancel, and overflow when they lie beyond the
+        # float range
+        if not self.b:
+            return float(self.a)
+        p = magnitude(self)
+        s = 64 - p.numerator.bit_length() + p.denominator.bit_length()
+        return math.ldexp(math.floor(self * Fraction(2) ** s), -s)
 
     def __repr__(self):
         return f"QuadExt({self.d}, {self.a!r}, {self.b!r})"
@@ -173,6 +181,18 @@ class QuadExt:
 
 
 EXACT_TYPES = (int, Fraction, QuadExt)
+
+
+def magnitude(w) -> Fraction:
+    """A rational p with p/2 < |w| < 2p, for w != 0: |w| itself if
+    rational.  For w = a + b*sqrt(d), q = |a| + |b|*isqrt(d) has
+    q <= |a| + |b|*sqrt(d) < 2q.  If a and b agree in sign, |w| is
+    |a| + |b|*sqrt(d) and p = q; otherwise |w| = |a^2 - d*b^2| /
+    (|a| + |b|*sqrt(d)), and p puts q in the denominator."""
+    if not isinstance(w, QuadExt):
+        return abs(w)
+    p = abs(w.a) + abs(w.b) * math.isqrt(w.d)
+    return p if w.a * w.b >= 0 else abs(w.a ** 2 - w.d * w.b ** 2) / p
 
 
 def is_exact_scalar(x) -> bool:

@@ -10,14 +10,19 @@ configurable vertex cap as branch and bound over bitmasks:
 - maximum independent set: a subtree is cut when its candidates, counted
   one by one or as the cliques of a greedy clique cover (an independent
   set meets each clique at most once), cannot beat the best size so far;
-- longest induced path: from an endpoint whose free neighbours are C and
-  whose other free vertices are R, the path adds at most 1 + |R| more
-  vertices, since the step to one vertex of C blocks the rest of C.
+- longest induced path: each path is met once, rooted at its smallest
+  vertex v with two arms leaving v; a node whose arms can still take their
+  own free neighbours C_A and C_B and the shared free vertices R bounds
+  its paths by 1 + |A| + |B| + [C_A] + [C_B] + |R|, since the step to one
+  vertex of C_A blocks the rest of C_A.
 
-Both keep the witness of the plain DFS in the same branching order: a best
-is replaced only by a strictly larger one, so the witness is the first
-maximum in DFS order, and every ancestor of that maximum has a bound above
-the best found before it, so no cut removes it.
+Both keep the witness of the plain DFS in its branching order.  The
+independent set search replaces a best only by a strictly larger one, so
+its witness is the first maximum in DFS order, and every ancestor of that
+maximum has a bound above the best found before it, so no cut removes it.
+The path search also finds the smallest endpoint of a longest path, which
+is where the plain DFS over starts in ascending order finds its first
+longest path, and replays the witness from there.
 """
 
 from __future__ import annotations
@@ -236,7 +241,9 @@ def _components(g: FrameGraph):
 
 
 def _diameter(g: FrameGraph) -> int:
-    """Diameter of a connected graph: the most BFS layers from any vertex."""
+    """Diameter of a connected graph: the most BFS layers from any vertex.
+    A layer stops reading its frontier once it has reached every vertex,
+    which on dense graphs is after a vertex or two."""
     masks = g.masks
     full = (1 << g.vertex_count) - 1
     best = 0
@@ -244,11 +251,15 @@ def _diameter(g: FrameGraph) -> int:
         seen = frontier = 1 << src
         d = 0
         while seen != full:
-            reach = 0
-            for v in mask_vertices(frontier):
-                reach |= masks[v]
+            reach = seen
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                reach |= masks[low.bit_length() - 1]
+                if reach == full:
+                    break
             frontier = reach & ~seen
-            seen |= frontier
+            seen = reach
             d += 1
         if d > best:
             best = d
@@ -340,8 +351,30 @@ def _longest_induced_path(g: FrameGraph):
     """Longest induced path as (vertex count, witness tuple), exact.
 
     The witness is the first longest path of a DFS over starts in ascending
-    order, then neighbours in ascending order.  The search computes lengths
-    only; the witness is replayed afterwards, one vertex at a time.
+    order, then neighbours in ascending order.  That DFS finds no longest
+    path from a start below the smallest endpoint s of any longest path, so
+    the witness starts at s.  The length and s come from one search that
+    meets every path once, from its smallest vertex v (the root):
+
+    - arm A leaves v at a neighbour a > v;
+    - arm B, possibly empty, leaves v at a neighbour b > a adjacent to no
+      vertex of A;
+    - both arms grow through the free vertices: those above v adjacent to
+      neither v nor an arm vertex, except that a neighbour of an arm's
+      endpoint may extend that arm.
+
+    A path of 1 + |A| + |B| vertices whose arm endpoints still have the
+    free neighbours C_A and C_B (the possible heads of B while B is empty),
+    with R the other free vertices, extends to at most
+    1 + |A| + |B| + [C_A] + [C_B] + |R| vertices, since an arm that steps
+    to one vertex of its C blocks the rest of it.  A subtree is cut when
+    this bound cannot beat the best length found so far.  A path that only
+    ties it lowers the best s so far if an end of the path lies below s.
+    Every vertex of a path lies at or above its root, so under a root below
+    s a subtree is also searched when it can tie with an end below s, and
+    under later roots never.  The witness is then replayed from s: at each
+    step, the first neighbour in ascending order from which the rest of a
+    longest path still fits.
     """
     n = g.vertex_count
     full = (1 << n) - 1
@@ -370,17 +403,119 @@ def _longest_induced_path(g: FrameGraph):
                     break
         return best
 
-    length, start = 1, 0
-    for s in range(n):
-        r = ext(adj[s], full & ~(1 << s) & ~adj[s], length)
-        if r >= length:
-            length, start = 1 + r, s
+    # length and start: the most vertices on a path found so far, and the
+    # smallest endpoint of a path of that length found so far; below holds
+    # the vertices below start while root < start, and nothing after.  A
+    # subtree is searched if its bound beats length, or ties it while a
+    # possible end of its paths lies in below.
+    length, start, below, root = 1, 0, 0, 0
+
+    def found(size, end):
+        nonlocal length, start, below
+        if size > length or end < start:
+            length, start = size, end
+            below = (1 << start) - 1 if root < start else 0
+
+    def arm_b(cand, rest, size, end_a):
+        """Grow B from an endpoint whose free neighbours are cand, on a
+        path of size vertices whose A arm ends at end_a."""
+        size += 1
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            x = low.bit_length() - 1
+            if size >= length:
+                found(size, x if x < end_a else end_a)
+            nxt = adj[x] & rest
+            if nxt:
+                rest2 = rest & ~nxt
+                bound = size + 1 + rest2.bit_count()
+                if bound > length or (bound == length
+                                      and below & (rest | 1 << end_a)):
+                    arm_b(nxt, rest2, size, end_a)
+
+    def arm_a(cand, rest, heads, size, end_a):
+        """Close A at end_a, on a path of size vertices, and try every B
+        head; then grow A through cand."""
+        if size >= length:
+            found(size, root)
+        b_heads = heads
+        bound = size + 1 + rest.bit_count()
+        if bound < length or (bound == length
+                              and not below & (heads | rest | 1 << end_a)):
+            b_heads = 0
+        while b_heads:
+            low = b_heads & -b_heads
+            b_heads ^= low
+            b = low.bit_length() - 1
+            if size + 1 >= length:
+                found(size + 1, b if b < end_a else end_a)
+            nxt = adj[b] & rest
+            if nxt:
+                rest2 = rest & ~nxt
+                bound = size + 2 + rest2.bit_count()
+                if bound > length or (bound == length
+                                      and below & (rest | 1 << end_a)):
+                    arm_b(nxt, rest2, size + 1, end_a)
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            x = adj[low.bit_length() - 1]
+            nxt = x & rest
+            rest2 = rest & ~nxt
+            hb = heads & ~x
+            # without B heads, only a path that ends at the root, which
+            # lies in below, meets the bound
+            bound = size + 1 + (nxt != 0) + (hb != 0) + rest2.bit_count()
+            if bound > length or (bound == length and below and (
+                    not hb or below & (low | rest | hb))):
+                arm_a(nxt, rest2, hb, size + 1, low.bit_length() - 1)
+
+    # G[{c, ..., n-1}] is a clique, so no path rooted at v >= c beats the
+    # edge (v, v + 1); this keeps complete graphs at O(n)
+    c = n - 1
+    while c and not (full >> c << c) & ~adj[c - 1]:
+        c -= 1
+    for root in range(n):
+        below = (1 << start) - 1 if root < start else 0
+        cut = length - 1 if below else length
+        if n - root <= cut:
+            break
+        if root >= c:
+            size = min(2, n - root)
+            if size > cut:
+                length, start = size, root
+            break
+        above = full >> (root + 1) << (root + 1)
+        heads = adj[root] & above
+        free = above & ~heads
+        # a path rooted here holds at most 2 + |free| vertices with one arm,
+        # which ends at the root, and one more with two
+        one_arm = 2 + free.bit_count()
+        while heads:
+            most = one_arm + (heads & (heads - 1) != 0)
+            if most < length or most == length and not (
+                    below and (one_arm == length or below & (heads | free))):
+                break
+            low = heads & -heads
+            heads ^= low
+            x = adj[low.bit_length() - 1]
+            hb = heads & ~x
+            nxt = x & free
+            rest = free & ~nxt
+            bound = 2 + (nxt != 0) + (hb != 0) + rest.bit_count()
+            if bound > length or (bound == length and below and (
+                    not hb or below & (low | free | hb))):
+                arm_a(nxt, rest, hb, 2, low.bit_length() - 1)
 
     path = [start]
     cand, rest = adj[start], full & ~(1 << start) & ~adj[start]
     for need in range(length - 2, -1, -1):
         # the first neighbour, in ascending order, that still reaches length
         while True:
+            if not cand:
+                raise AssertionError("induced path replay ran out of "
+                                     "neighbours")
             low = cand & -cand
             cand ^= low
             nxt = adj[low.bit_length() - 1] & rest

@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import itemgetter, lshift, mul
 
-from .exactnum import QuadExt, sign
+from .exactnum import QuadExt, magnitude, sign
 from .frames import (
     Frame,
     SymmetricMatrix,
@@ -423,35 +423,23 @@ def _scaling(w) -> float:
     """sqrt(w) as a float, within 1 ulp.  A positive exact weight whose
     float overflows or is not normal is not rounded first: the integer
     square root of floor(w * 4^s), of 55 bits or more, is scaled back by
-    2^-s.  So is every irrational weight a + b*sqrt(d), whose float can
-    lose all its digits to cancellation.  A positive weight whose root is
-    not a normal float is a SolverError, so no positive weight is reported
-    with scaling 0 or infinity."""
+    2^-s.  So is every irrational weight a + b*sqrt(d), whose root then
+    comes from one rounding of exact arithmetic.  A positive weight whose
+    root is not a normal float is a SolverError, so no positive weight is
+    reported with scaling 0 or infinity."""
     irrational = isinstance(w, QuadExt) and w.b != 0
     with contextlib.suppress(OverflowError):
         x = float(w)
         if ((x >= sys.float_info.min and not irrational) or w <= 0
                 or not isinstance(w, (Fraction, QuadExt))):
             return math.sqrt(max(x, 0.0))
-    p = _magnitude(w)
+    p = magnitude(w)
     s = (113 - p.numerator.bit_length() + p.denominator.bit_length()) // 2
     with contextlib.suppress(OverflowError):
         x = math.ldexp(math.isqrt(math.floor(w * Fraction(4) ** s)), -s)
         if x >= sys.float_info.min:
             return x
     raise SolverError("a scaling sqrt(w) is outside the normal float range")
-
-
-def _magnitude(w) -> Fraction:
-    """A rational p with p/2 < w < 2p, for w > 0: w itself if rational.
-    For w = a + b*sqrt(d), q = |a| + |b|*isqrt(d) has q <= |a| + |b|*sqrt(d)
-    < 2q.  If a and b agree in sign, w is |a| + |b|*sqrt(d) and p = q;
-    otherwise w = |a^2 - d*b^2| / (|a| + |b|*sqrt(d)), and p puts q in the
-    denominator."""
-    if not isinstance(w, QuadExt):
-        return w
-    p = abs(w.a) + abs(w.b) * math.isqrt(w.d)
-    return p if w.a * w.b >= 0 else abs(w.a ** 2 - w.d * w.b ** 2) / p
 
 
 def solve_strict(lp: ScaleLP, tol: float = FEASIBILITY_TOL) -> OracleResult:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -61,6 +62,33 @@ class TestQuadExt:
         s = QuadExt(3, Fraction(1), Fraction(1))  # 1 + sqrt(3)
         inv = 1 / s
         assert s * inv == 1
+
+    @pytest.mark.parametrize("d, a, b, k", [
+        (2, -1, 1, 1), (2, -1, 1, 40), (2, -1, 1, 400), (2, -1, 1, 800),
+        (2, -1, 1, 1000), (2, 1, 1, 800), (2, 1, -1, 41), (3, -2, 1, 60),
+        (5, 2, -1, 90), (7, Fraction(-8, 3), 1, 30), (3, Fraction(1, 9), 0, 5),
+    ])
+    def test_float_within_one_ulp(self, d, a, b, k):
+        # for large k the coefficients of the power lie far beyond the
+        # float range, and cancel to a small value unless a and b agree in
+        # sign
+        x = QuadExt(d, 1)
+        for _ in range(k):
+            x *= QuadExt(d, a, b)
+        with localcontext() as ctx:
+            ctx.prec = 400
+            a = Fraction(a)
+            base = (Decimal(a.numerator) / Decimal(a.denominator)
+                    + Decimal(b) * Decimal(d).sqrt())
+            ref = float(base ** k)
+        assert abs(float(x) - ref) <= math.ulp(ref)
+
+    def test_float_beyond_range_overflows(self):
+        x = QuadExt(2, 1)
+        for _ in range(900):  # (1 + sqrt(2))^900 is about 1e344
+            x *= QuadExt(2, 1, 1)
+        with pytest.raises(OverflowError):
+            float(x)
 
     def test_str_roundtrip_readable(self):
         s = QuadExt(3, Fraction(1, 2), Fraction(-1, 3))

@@ -443,6 +443,56 @@ class TestSearchesMatchReference:
     def test_large(self, m, p):
         self.check(gnp(random.Random(f"reference:{m}:{p}"), m, p))
 
+    @pytest.mark.parametrize("p, seed", [(0.1, 0), (0.1, 1), (0.2, 0),
+                                         (0.3, 0), (0.5, 0), (0.5, 1)])
+    def test_graph_cap_shaped(self, p, seed):
+        self.check(gnp(random.Random(f"reference:cap:{seed}:{p}"), 32, p))
+
+    def test_named_and_disconnected(self):
+        rng = random.Random("reference:unions")
+        graphs = [complete_graph(m) for m in (1, 2, 3, 12, 24)]
+        graphs += [empty_graph(m) for m in (1, 2, 24)]
+        graphs += [path_graph(m) for m in (2, 3, 24)]
+        graphs += [cycle_graph(m) for m in (3, 4, 5, 24)]
+        graphs += [complete_bipartite_graph(a, b)
+                   for a, b in ((1, 1), (1, 5), (3, 3), (7, 12))]
+        graphs += [
+            graph_union(cycle_graph(9), complete_graph(4)),
+            graph_union(complete_graph(4), cycle_graph(9)),
+            graph_union(empty_graph(3), path_graph(7)),
+            graph_union(path_graph(5), empty_graph(3)),
+            graph_union(complete_bipartite_graph(2, 3), cycle_graph(6)),
+            graph_union(gnp(rng, 12, 0.3), gnp(rng, 12, 0.5)),
+            graph_join(cycle_graph(5), empty_graph(3)),
+            graph_join(path_graph(6), complete_graph(2)),
+            graph_join(gnp(rng, 10, 0.2), gnp(rng, 10, 0.2)),
+        ]
+        for g in graphs:
+            self.check(g)
+
+    @pytest.mark.parametrize("edges, m, start", [
+        # a clique on the low labels, the longest path above it
+        ([(i, j) for i in range(4) for j in range(i + 1, 4)]
+         + [(i, i + 1) for i in range(4, 12)], 13, 4),
+        # vertex 0 inside every longest path: 7-5-3-1-0-2-4-6
+        ([(0, 1), (1, 3), (3, 5), (5, 7), (0, 2), (2, 4), (4, 6)], 8, 6),
+        # two longest paths tie; the smaller endpoint lies on the odd one
+        ([(8, 6), (6, 4), (4, 2), (1, 3), (3, 5), (5, 7)], 9, 1),
+        # a triangle with tails: the longest paths avoid vertex 0
+        ([(0, 1), (0, 2), (1, 2), (1, 3), (3, 5), (2, 4), (4, 6)], 7, 5),
+    ])
+    def test_witness_start_above_zero(self, edges, m, start):
+        g = FrameGraph(m, edges)
+        self.check(g)
+        assert compute_stats(g).induced_path_witness[0] == start
+
+    def test_replay_fails_loudly(self):
+        # asymmetric masks break the from_masks contract: the rooted search
+        # then claims a path the replay cannot rebuild, which must raise
+        # rather than loop
+        with pytest.raises(AssertionError):
+            compute_stats(FrameGraph.from_masks([6, 0, 9, 7]))
+
     @staticmethod
     def check_stats(g: FrameGraph):
         m = g.vertex_count
