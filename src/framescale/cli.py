@@ -33,6 +33,7 @@ from .report import (
     AnalysisConfig,
     analyze_frame,
     analyze_graph,
+    edge_rows,
     oracle_json,
     stable_dumps,
 )
@@ -62,10 +63,19 @@ def _exact_number(x):
         raise FrameError(f"zero denominator in entry {x!r}") from None
 
 
+_FLOAT_ENTRY_TYPES = frozenset((str, int, float))
+
+
 def _float_number(x):
-    if isinstance(x, str) and "/" in x:
-        return float(_exact_number(x))
-    return float(x)
+    if type(x) not in _FLOAT_ENTRY_TYPES:  # bool, null, list, object
+        raise FrameError(
+            f"float mode needs number or string entries, got {x!r}")
+    try:
+        if isinstance(x, str) and "/" in x:
+            return float(_exact_number(x))
+        return float(x)
+    except OverflowError:
+        raise FrameError(f"entry beyond the float range: {x!r}") from None
 
 
 def _entry_parser(exact: bool):
@@ -105,6 +115,14 @@ def _frame_from_json(data, exact: bool) -> Frame:
             raise FrameError(
                 f"every vector must have {n} entries, got {vec!r}"
             )
+        if not exact and _FLOAT_ENTRY_TYPES.issuperset(map(type, vec)):
+            # one float() per entry; a "p/q" string or an int beyond the
+            # float range takes the entry parser
+            try:
+                parsed.append(list(map(float, vec)))
+                continue
+            except (ValueError, OverflowError):
+                pass
         parsed.append(list(map(parse, vec)))
     return Frame.from_vectors(parsed, exact=exact)
 
@@ -288,7 +306,7 @@ def cmd_graph(args) -> int:
     else:
         out = {
             "vertex_count": graph.vertex_count,
-            "edges": [[i + 1, j + 1] for (i, j) in graph.sorted_edges()],
+            "edges": edge_rows(graph),
             "flags": {
                 f"v{v + 1}": sorted(flags)
                 for v, flags in sorted(graph.vertex_flags.items())

@@ -237,6 +237,6 @@ def rational_sqrt(x: Fraction):
 
 def exact_str(x) -> str:
     """Canonical string for an exact scalar ('p/q' for rationals)."""
-    if isinstance(x, QuadExt):
+    if isinstance(x, (Fraction, QuadExt)):
         return str(x)
     return str(Fraction(x))

@@ -105,6 +105,24 @@ class Frame:
             tuple(x.numerator * (scale // x.denominator) for x in v)
             for v in self.vectors))
 
+    @cached_property
+    def operator(self) -> SymmetricMatrix:
+        """The frame operator S = sum_i f_i f_i^t, built once per frame:
+        `is_frame` and `classify_tightness` both read it.  Each entry adds
+        its products left to right over the vectors in a plain loop, which
+        keeps the bits of float entries and printed tight bounds on every
+        interpreter: the float `sum` of Python 3.12 compensates."""
+        vectors = self.vectors
+        zero = Fraction(0) if self.is_exact else 0.0
+
+        def entry(p, q):
+            total = zero
+            for v in vectors:
+                total = total + v[p] * v[q]
+            return total
+
+        return SymmetricMatrix.from_function(self.dim, entry)
+
     @property
     def count(self) -> int:
         return len(self.vectors)
@@ -142,16 +160,9 @@ def gram(frame: Frame) -> SymmetricMatrix:
 
 
 def frame_operator(frame: Frame) -> SymmetricMatrix:
-    """n x n sum of outer products of the frame vectors."""
-    zero = Fraction(0) if frame.is_exact else 0.0
-
-    def entry(p, q):
-        total = zero
-        for v in frame.vectors:
-            total = total + v[p] * v[q]
-        return total
-
-    return SymmetricMatrix.from_function(frame.dim, entry)
+    """n x n sum of outer products of the frame vectors (built once per
+    frame, see `Frame.operator`)."""
+    return frame.operator
 
 
 def bareiss_rank(vectors, div=floordiv) -> int:
@@ -190,8 +201,7 @@ def is_frame(frame: Frame, tol: float = DEFAULT_TOL) -> bool:
         if image is None:
             return bareiss_rank(frame.vectors, truediv) == frame.dim
         return bareiss_rank(image.vectors) == frame.dim
-    s = frame_operator(frame)
-    values, _, _ = jacobi_eigensystem(s, min(tol, 1e-12))
+    values, _, _ = jacobi_eigensystem(frame.operator, min(tol, 1e-12))
     return min(values) > tol
 
 
@@ -256,7 +266,7 @@ def classify_tightness(frame: Frame, tol: float = DEFAULT_TOL) -> Tightness:
     on its integer image: its operator sum_i u_i u_i^t is L^2 * S."""
     image = frame.integer_image
     if image is None:
-        return classify_operator(frame_operator(frame), tol)
+        return classify_operator(frame.operator, tol)
     return classify_exact_operator(integer_operator(image.vectors),
                                    image.scale ** 2)
 

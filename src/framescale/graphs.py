@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from operator import mul
 
-from .exactnum import sign
 from .frames import Frame
 
 DEFAULT_VERTEX_CAP = 32
@@ -167,26 +166,20 @@ def build_graph(frame: Frame, tol_zero: float = 1e-10) -> FrameGraph:
     m = frame.count
     image = frame.integer_image
     vs = frame.vectors if image is None else image.vectors
-    if image is not None:
-        nonzero = bool
-    elif frame.is_exact:
-        def nonzero(x) -> bool:
-            return sign(x) != 0
-    else:
-        def nonzero(x) -> bool:
-            return abs(x) > tol_zero
-
+    # x > hi or x < -hi is |x| > hi; the exact zero is the int 0, since a
+    # QuadExt cannot be compared with a float
+    hi = 0 if frame.is_exact else tol_zero
     masks = [0] * m
+    flags = {}
     for i, u in enumerate(vs):
         bit, row = 1 << i, 0
         for j in range(i + 1, m):
-            if nonzero(sum(map(mul, u, vs[j]))):
+            x = sum(map(mul, u, vs[j]))
+            if x > hi or x < -hi:
                 row |= 1 << j
                 masks[j] |= bit
         masks[i] |= row
-    flags = {}
-    for i in range(m):
-        if not nonzero(sum(map(mul, vs[i], vs[i]))):
+        if not sum(map(mul, u, u)) > hi:  # a sum of squares is never < 0
             flags[i] = {"zero_vector"}
     return FrameGraph.from_masks(masks, flags)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, starmap
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .exactnum import QuadExt, exact_str
@@ -46,6 +46,15 @@ def _matrix_json(s: SymmetricMatrix):
         "order": s.order,
         "rows": [[_scalar(x) for x in row] for row in s.rows()],
     }
+
+
+def edge_rows(graph: FrameGraph) -> list:
+    """The edges as 1-based rows [i, j], i < j, in ascending order, read off
+    the adjacency masks: digit k of the reversed binary string of
+    ``masks[i - 1] >> i`` is vertex i + k + 1."""
+    return [[i, j] for i, mask in enumerate(graph.masks, 1)
+            for j, bit in enumerate(bin(mask >> i)[:1:-1], i + 1)
+            if bit == "1"]
 
 
 def _stats_json(stats: GraphStats):
@@ -182,7 +191,7 @@ def analyze_frame(frame: Frame, config: AnalysisConfig | None = None,
             },
         },
         "graph": {
-            "edges": [[i + 1, j + 1] for (i, j) in graph.sorted_edges()],
+            "edges": edge_rows(graph),
             "stats": _stats_json(stats),
         },
         "filters": _battery_json(battery),
@@ -213,7 +222,7 @@ def analyze_graph(graph: FrameGraph, dim: int,
             "tol_zero": config.tol_zero,
         },
         "graph": {
-            "edges": [[i + 1, j + 1] for (i, j) in graph.sorted_edges()],
+            "edges": edge_rows(graph),
             "stats": _stats_json(stats),
         },
         "filters": _battery_json(battery),
@@ -264,10 +273,13 @@ def _text(o, nl: str) -> str:
             items = map(int.__repr__, o)
         elif (types == {list} and len(set(map(len, o))) == 1
               and set(map(type, chain.from_iterable(o))) == _INT and o[0]):
-            # rows of ints of one length, such as edge lists: one template
+            # rows of ints of one length, such as edge lists: one %d
+            # template for the whole list, filled in one call
             deeper = inner + "  "
-            row = ("," + deeper).join(["{}"] * len(o[0]))
-            items = starmap(("[" + deeper + row + inner + "]").format, o)
+            row = ("[" + deeper + ("," + deeper).join(["%d"] * len(o[0]))
+                   + inner + "]")
+            text = "[" + inner + sep.join([row] * len(o)) + nl + "]"
+            return text % tuple(chain.from_iterable(o))
         else:
             items = [_text(x, inner) for x in o]
         return "[" + inner + sep.join(items) + nl + "]"

@@ -296,12 +296,15 @@ class _Tableau:
             prow[c] = leave
         else:
             # the packed update of the docstring as (p R_i - f q - k) / D,
-            # q = R_r - Bias - g D 2^(W(c+1)), k = (p - D) Bias; row r is
-            # updated along with the others and then put back
+            # q = R_r - Bias - g D 2^(W(c+1)), k = (p - D) Bias; a row
+            # with f = 0 is unchanged when p = D, as in the list path; row
+            # r is updated along with the others and then put back
             sh, packed = self.shifts[c], t[row]
             q = packed - self.bias - (g * d << sh)
             k = (piv - d) * self.bias
-            t[:] = [(piv * r - f * q - k) // d for r, f in zip(t, col)]
+            same = piv == d
+            t[:] = [r if same and not f else (piv * r - f * q - k) // d
+                    for r, f in zip(t, col)]
             t[row] = packed + ((leave - piv) << sh)
         if self.obj is not None:
             self.obj = update(self.obj)
@@ -427,12 +430,15 @@ def _scaling(w) -> float:
     comes from one rounding of exact arithmetic.  A positive weight whose
     root is not a normal float is a SolverError, so no positive weight is
     reported with scaling 0 or infinity."""
-    irrational = isinstance(w, QuadExt) and w.b != 0
-    with contextlib.suppress(OverflowError):
-        x = float(w)
-        if ((x >= sys.float_info.min and not irrational) or w <= 0
-                or not isinstance(w, (Fraction, QuadExt))):
-            return math.sqrt(max(x, 0.0))
+    if isinstance(w, QuadExt) and w.b != 0:  # irrational: no float(w)
+        if w < 0:
+            return 0.0
+    else:
+        with contextlib.suppress(OverflowError):
+            x = float(w)
+            if (x >= sys.float_info.min or w <= 0
+                    or not isinstance(w, (Fraction, QuadExt))):
+                return math.sqrt(max(x, 0.0))
     p = magnitude(w)
     s = (113 - p.numerator.bit_length() + p.denominator.bit_length()) // 2
     with contextlib.suppress(OverflowError):

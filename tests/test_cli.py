@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from framescale import scaler
-from framescale.cli import _add_common, build_parser, main
+from framescale.cli import _add_common, build_parser, load_frame_file, main
 from framescale.exactnum import QuadExt
 from framescale.frames import Frame
 from framescale.scaler import verify_weights
@@ -130,6 +130,50 @@ class TestBadNumbers:
         code, out, err = run(capsys, *argv)
         assert code == 2 and not out
         assert err.startswith("error: ") and message in err
+
+
+class TestMalformedEntries:
+    """An entry that is not a number, a decimal string or a "p/q" string
+    exits 2 with an error line in both modes; booleans are not numbers."""
+
+    ENTRIES = ["null", "[1]", "{}", "true", '"abc"', '"1/0"']
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    @pytest.mark.parametrize("command", ["analyze", "scale", "filters"])
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_exit_2(self, tmp_path, capsys, entry, command, exact):
+        path = tmp_path / "f.json"
+        path.write_text('{"dimension": 2, "vectors": [[1, %s], [0, 1]]}'
+                        % entry)
+        argv = [command, str(path)] + (["--exact"] if exact else [])
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("entry", ["1" * 400, '"%s/3"' % ("1" * 400)])
+    def test_beyond_the_float_range(self, tmp_path, capsys, entry):
+        """Exact mode reads such an entry; float mode cannot hold it."""
+        path = tmp_path / "f.json"
+        path.write_text('{"dimension": 2, "vectors": [[%s, 0], [0, 1]]}'
+                        % entry)
+        code, out, err = run(capsys, "analyze", str(path), "--filters-only")
+        assert code == 2 and not out
+        assert err.startswith("error: entry beyond the float range")
+        code, out, err = run(capsys, "analyze", str(path), "--filters-only",
+                             "--exact")
+        assert code == 0 and not err
+
+    def test_mixed_vector_takes_the_entry_parser(self, tmp_path, capsys):
+        """A "p/q" string next to plain entries is read exactly, then
+        rounded once."""
+        path = tmp_path / "f.json"
+        path.write_text('{"dimension": 2, "vectors": '
+                        '[["1/3", 0.5], [" 2.5 ", 1], [0, "1e-3"]]}')
+        code, out, _ = run(capsys, "graph", str(path), "--format", "json")
+        assert code == 0
+        frame = load_frame_file(str(path), exact=False)
+        assert frame.vectors == ((1 / 3, 0.5), (2.5, 1.0), (0.0, 1e-3))
 
 
 class TestEntryBeyondFloatRange:

@@ -90,6 +90,12 @@ class TestQuadExt:
         with pytest.raises(OverflowError):
             float(x)
 
+    def test_str_of_rationals(self):
+        assert exact_str(Fraction(-6, 4)) == "-3/2"
+        assert exact_str(Fraction(5)) == "5"
+        assert [exact_str(x) for x in (7, -2, True, False)] \
+            == ["7", "-2", "1", "0"]
+
     def test_str_roundtrip_readable(self):
         s = QuadExt(3, Fraction(1, 2), Fraction(-1, 3))
         text = exact_str(s)

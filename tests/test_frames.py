@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import cached_property
 from operator import truediv
 
 import pytest
@@ -26,6 +27,7 @@ from framescale.frames import (
 )
 from framescale.graphs import build_graph, zero_pattern_equal
 from framescale.linalg import symmetric_eigs
+from framescale.report import AnalysisConfig, analyze_frame
 
 M1 = load("paper/M1").frame
 M2 = load("paper/M2").frame
@@ -94,6 +96,45 @@ class TestFrameOperator:
         assert frame_operator(onb(3)).rows() == [
             [1, 0, 0], [0, 1, 0], [0, 0, 1]
         ]
+
+    @pytest.mark.parametrize("m, n, seed", [(16, 6, 0), (24, 8, 1),
+                                            (48, 10, 2), (64, 12, 3)])
+    def test_float_entries_keep_every_bit(self, m, n, seed):
+        """Each entry adds the products left to right over the vectors,
+        as the per-entry loop does, on Parseval and on Gaussian frames."""
+        rng = random.Random(seed)
+        gauss = Frame.from_vectors([[rng.gauss(0, 1) for _ in range(n)]
+                                    for _ in range(m)])
+        for fr in (random_parseval(m, n, seed), gauss):
+            want = []
+            for p in range(n):
+                for q in range(p, n):
+                    total = 0.0
+                    for v in fr.vectors:
+                        total = total + v[p] * v[q]
+                    want.append(total.hex())
+            s = frame_operator(fr)
+            assert [s.entry(p, q).hex() for p in range(n)
+                    for q in range(p, n)] == want
+
+    def test_built_once_per_analysis(self, monkeypatch):
+        """is_frame and classify_tightness read one operator."""
+        built = []
+        entries = Frame.__dict__["operator"].func
+
+        def counted(frame):
+            built.append(frame)
+            return entries(frame)
+
+        prop = cached_property(counted)
+        prop.__set_name__(Frame, "operator")
+        monkeypatch.setattr(Frame, "operator", prop)
+        fr = random_parseval(24, 8, seed=5)
+        report = analyze_frame(fr, AnalysisConfig(filters_only=True))
+        assert built == [fr]
+        assert report["input"]["tightness"]["kind"] == "parseval"
+        assert frame_operator(fr) is frame_operator(fr)
+        assert built == [fr]
 
 
 class TestIsFrame:

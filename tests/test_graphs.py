@@ -349,6 +349,26 @@ class TestBuildGraph:
         g = build_graph(fr, 1e-14)
         assert g.sorted_edges() == [(0, 1)]
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_float_edges_are_products_above_tol(self, seed):
+        # tol_zero set to one of the products' magnitudes, so some products
+        # sit exactly on it (no edge) and some just above it (an edge)
+        rng = random.Random(seed)
+        n = rng.randint(1, 4)
+        vectors = [[rng.choice([0.0, 0.5, -0.5, 1.0, -2.0, 1e-3])
+                    for _ in range(n)] for _ in range(rng.randint(2, 12))]
+        fr = Frame.from_vectors(vectors)
+        vs, m = fr.vectors, len(vectors)
+        dot = [[sum(a * b for a, b in zip(u, v)) for v in vs] for u in vs]
+        tol = rng.choice([0.0] + [abs(dot[i][j]) for i in range(m)
+                                  for j in range(i + 1, m)])
+        g = build_graph(fr, tol)
+        assert g.sorted_edges() == [(i, j) for i in range(m)
+                                    for j in range(i + 1, m)
+                                    if abs(dot[i][j]) > tol]
+        assert [v for v in range(m) if "zero_vector" in g.vertex_flags[v]] \
+            == [v for v in range(m) if not dot[v][v] > tol]
+
 
 class TestStats:
     def test_k2_union_k2(self):

@@ -4,20 +4,22 @@ from __future__ import annotations
 
 import io
 import json
+import random
 import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from framescale import cli
-from framescale.corpus import names
+from framescale.corpus import named_graph, names
 from framescale.filters import (
     INCONCLUSIVE,
     NOT_SCALABLE,
     NOT_STRICTLY_SCALABLE,
     FilterBattery,
 )
-from framescale.report import _conclusion, stable_dumps
+from framescale.graphs import FrameGraph
+from framescale.report import _conclusion, edge_rows, stable_dumps
 from framescale.scaler import OracleResult
 
 _FLOAT_TOKEN = re.compile(r'"\\u0001F(\d+)\\u0001"')
@@ -51,7 +53,14 @@ COMMANDS = [
     ["graph", name, "--format", "json"] + mode
     for name in names()
     for mode in ([], ["--exact"])
-]
+] + [
+    # edge lists of up to 2016 rows
+    [command, generator] + extra
+    for generator in ("random_parseval(64,12)", "random_parseval(48,10)",
+                      "random_frame(12,6)")
+    for command, extra in (("analyze", ["--filters-only"]), ("filters", []),
+                           ("graph", ["--format", "json"]))
+] + [["analyze", "random_frame(12,6)", "--exact"]]
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
@@ -113,3 +122,25 @@ def test_conclusion_flags_filter_oracle_contradiction(verdict):
     warnings = []
     _conclusion(FilterBattery((), INCONCLUSIVE, ()), strict, warnings)
     assert warnings == []
+
+
+def sorted_edge_rows(g: FrameGraph) -> list:
+    return [[i + 1, j + 1] for (i, j) in g.sorted_edges()]
+
+
+@pytest.mark.parametrize("name", ["K1", "K2", "K7", "K40", "K64", "K70",
+                                  "C3", "C9", "P2", "P33", "E1", "E65",
+                                  "K_{1,3}", "K_{2,5}", "K_{31,33}"])
+def test_edge_rows_of_named_graphs(name):
+    g = named_graph(name)
+    assert edge_rows(g) == sorted_edge_rows(g)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_edge_rows_of_random_masks(seed):
+    rng = random.Random(seed)
+    m = rng.randint(1, 80)
+    p = rng.choice([0.0, 0.05, 0.3, 0.5, 0.9, 1.0])
+    g = FrameGraph(m, [(i, j) for i in range(m) for j in range(i + 1, m)
+                       if rng.random() < p])
+    assert edge_rows(g) == sorted_edge_rows(g)

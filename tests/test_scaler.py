@@ -216,6 +216,17 @@ def test_scaling_of_irrational_weights(k):
     assert abs(scaler._scaling(w) - want) <= math.ulp(want)
 
 
+def test_irrational_weights_take_no_float(monkeypatch):
+    """The scaling of a + b*sqrt(d), b != 0, comes from exact arithmetic
+    alone; a rational weight in a QuadExt still reads its float."""
+    w = QuadExt(2, 3, 2)  # (1 + sqrt 2)^2
+    monkeypatch.setattr(QuadExt, "__float__", lambda self: 1 / 0)
+    assert abs(scaler._scaling(w) - (1 + math.sqrt(2))) <= 4e-16
+    assert scaler._scaling(QuadExt(2, -1, Fraction(1, 2))) == 0.0
+    monkeypatch.undo()
+    assert scaler._scaling(QuadExt(2, Fraction(9, 4), 0)) == 1.5
+
+
 class TestOneSolve:
     def test_feasible_projection_keeps_weights(self):
         fr = Frame.from_vectors([[1, 0], [0, 1], [1, 0], [0, 1]], exact=True)
