@@ -15,6 +15,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import re
 import sys
 
@@ -103,7 +104,7 @@ def _frame_from_json(data, exact: bool) -> Frame:
     if not isinstance(data, dict) or "dimension" not in data or "vectors" not in data:
         raise FrameError('frame file needs "dimension" and "vectors" keys')
     n = data["dimension"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # JSON true is an int to isinstance
         raise FrameError(f"dimension must be a positive integer, got {n!r}")
     vectors = data["vectors"]
     if not isinstance(vectors, list) or not vectors:
@@ -316,6 +317,28 @@ def cmd_graph(args) -> int:
     return EXIT_OK
 
 
+def _checked(convert, accept, requirement: str):
+    """An argparse type: convert the option's text, then check the value;
+    a rejected value exits 2 with argparse's error line."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"{requirement}, got {text!r}")
+        return value
+
+    return parse
+
+
+_TOL = _checked(float, lambda x: math.isfinite(x) and x > 0,
+                "must be a finite number > 0")
+_TOL_ZERO = _checked(float, lambda x: math.isfinite(x) and x >= 0,
+                     "must be a finite number >= 0")
+_DIM = _checked(int, lambda n: n >= 1, "must be a positive integer")
+
+
 def _add_common(sub, with_input=True, input_optional=False):
     if with_input:
         if input_optional:
@@ -324,9 +347,9 @@ def _add_common(sub, with_input=True, input_optional=False):
         else:
             sub.add_argument("input",
                              help="frame file, corpus name, or generator call")
-    sub.add_argument("--tol", type=float, default=1e-8,
+    sub.add_argument("--tol", type=_TOL, default=1e-8,
                      help="solver / Parseval tolerance (default 1e-8)")
-    sub.add_argument("--tol-zero", type=float, default=1e-10,
+    sub.add_argument("--tol-zero", type=_TOL_ZERO, default=1e-10,
                      help="adjacency zero threshold (default 1e-10)")
     sub.add_argument("--exact", action="store_true",
                      help="exact rational arithmetic (tol-zero becomes 0)")
@@ -353,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", default=None,
                    help="abstract graph: corpus name, Kn/Cn/Pn/En/K_{a,b}, "
                         "or adjacency-matrix JSON file")
-    p.add_argument("--dim", type=int, default=None,
+    p.add_argument("--dim", type=_DIM, default=None,
                    help="ambient dimension for --graph mode")
     p.set_defaults(func=cmd_filters)
 

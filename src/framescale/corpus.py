@@ -11,6 +11,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .exactnum import QuadExt
 from .frames import Frame, FrameError, is_frame
@@ -24,6 +25,7 @@ from .graphs import (
     cycle_graph,
     empty_graph,
 )
+from .linalg import ordered_sum
 
 
 class CorpusError(KeyError):
@@ -212,20 +214,21 @@ def cycle_pattern_frame(m: int, n: int, seed: int,
 
 
 def _draw_in_complement(rng, n, others):
+    # float sums left to right (ordered_sum), the same on every interpreter
     basis = []
     for u in others:
         w = list(u)
         for b in basis:
-            proj = sum(a * c for a, c in zip(w, b))
+            proj = ordered_sum(map(mul, w, b))
             w = [a - proj * c for a, c in zip(w, b)]
-        norm = math.sqrt(sum(a * a for a in w))
+        norm = math.sqrt(ordered_sum(map(mul, w, w)))
         if norm > 1e-10:
             basis.append([a / norm for a in w])
     v = [rng.gauss(0.0, 1.0) for _ in range(n)]
     for b in basis:
-        proj = sum(a * c for a, c in zip(v, b))
+        proj = ordered_sum(map(mul, v, b))
         v = [a - proj * c for a, c in zip(v, b)]
-    norm = math.sqrt(sum(a * a for a in v))
+    norm = math.sqrt(ordered_sum(map(mul, v, v)))
     if norm < 1e-6:
         return None
     return tuple(a / norm for a in v)
@@ -235,7 +238,7 @@ def _cycle_pattern_ok(frame: Frame, m: int, margin: float = 1e-4) -> bool:
     vs = frame.vectors
     for i in range(m):
         for j in range(i + 1, m):
-            ip = abs(sum(a * b for a, b in zip(vs[i], vs[j])))
+            ip = abs(ordered_sum(map(mul, vs[i], vs[j])))
             adjacent = j == i + 1 or (i == 0 and j == m - 1)
             if adjacent and ip < margin:
                 return False

@@ -15,6 +15,7 @@ inapplicable rather than risking an unsound verdict.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .exactnum import sign
@@ -372,11 +373,20 @@ def filter_adjacent_dependence(frame: Frame, g: FrameGraph) -> FilterReport:
     for v, c in enumerate(closed):
         same[c] = same.get(c, 0) | 1 << v
     image = frame.integer_image
-    vectors = frame.vectors if image is None else image.vectors
+    if image is None:
+        vectors, exact = frame.vectors, frame.is_exact
+
+        def parallel(i, j):
+            return _parallel(vectors[i], vectors[j], exact)
+    else:  # parallel integer vectors have one primitive form
+        primitive = [_primitive(u) for u in image.vectors]
+
+        def parallel(i, j):
+            return primitive[i] == primitive[j]
     warnings = []
     for i, mask in enumerate(g.masks):
         for j in mask_vertices(mask & ~same[closed[i]] & -(2 << i)):
-            if _parallel(vectors[i], vectors[j], frame.is_exact):
+            if parallel(i, j):
                 warnings.append(
                     f"parallel adjacent vectors v{_v(i)}, v{_v(j)} have "
                     f"different closed neighborhoods; check tol_zero"
@@ -384,6 +394,19 @@ def filter_adjacent_dependence(frame: Frame, g: FrameGraph) -> FilterReport:
     return FilterReport(
         fid, cite, applicable=True, experimental=True, warnings=tuple(warnings)
     )
+
+
+def _primitive(u) -> tuple:
+    """The integer vector u divided by the gcd of its entries, with its
+    first nonzero entry made positive: two nonzero integer vectors are
+    parallel iff their primitive forms are equal.  A zero vector stays
+    zero (it has no edges, so it is never tested)."""
+    g = math.gcd(*u)
+    if not g:
+        return tuple(u)
+    if next(x for x in u if x) < 0:
+        g = -g
+    return tuple(x // g for x in u)
 
 
 def _parallel(u, v, exact: bool) -> bool:

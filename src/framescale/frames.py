@@ -31,7 +31,7 @@ from .exactnum import (
     rational_sqrt,
     sign,
 )
-from .linalg import SymmetricMatrix, jacobi_eigensystem
+from .linalg import SymmetricMatrix, jacobi_eigensystem, ordered_sum
 
 FLOAT_MODE = "float64"
 EXACT_MODE = "exact_rational"
@@ -193,14 +193,16 @@ def bareiss_rank(vectors, div=floordiv) -> int:
 
 
 def is_frame(frame: Frame, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the vectors span R^n."""
+    """True iff the vectors span R^n.  An exact frame is ranked on the
+    n x m transpose of its vectors (of its integer image when rational):
+    n rows take fewer row updates than m >= n rows."""
     if frame.count < frame.dim:
         return False
     if frame.is_exact:
         image = frame.integer_image
         if image is None:
-            return bareiss_rank(frame.vectors, truediv) == frame.dim
-        return bareiss_rank(image.vectors) == frame.dim
+            return bareiss_rank(zip(*frame.vectors), truediv) == frame.dim
+        return bareiss_rank(zip(*image.vectors)) == frame.dim
     values, _, _ = jacobi_eigensystem(frame.operator, min(tol, 1e-12))
     return min(values) > tol
 
@@ -334,10 +336,10 @@ def random_parseval(m: int, n: int, seed: int, max_retries: int = 16) -> Frame:
         degenerate = False
         for col in cols:
             w = list(col)
-            for u in ortho:
-                proj = sum(a * b for a, b in zip(w, u))
+            for u in ortho:  # float sums left to right, see ordered_sum
+                proj = ordered_sum(map(mul, w, u))
                 w = [a - proj * b for a, b in zip(w, u)]
-            norm = math.sqrt(sum(a * a for a in w))
+            norm = math.sqrt(ordered_sum(map(mul, w, w)))
             if norm < 1e-8:
                 degenerate = True
                 break

@@ -28,6 +28,17 @@ class JacobiConvergenceError(RuntimeError):
         self.sweeps = sweeps
 
 
+def ordered_sum(values, start=0):
+    """start + values[0] + values[1] + ..., added left to right in a plain
+    loop.  From Python 3.12 on the built-in float sum compensates, which
+    changes the last bits of a float total from one interpreter to the
+    next; this loop gives the bits of the uncompensated sum everywhere."""
+    total = start
+    for x in values:
+        total = total + x
+    return total
+
+
 class SymmetricMatrix:
     """Dense symmetric matrix storing only the upper triangle."""
 

@@ -120,9 +120,15 @@ def _answer_json(res: OracleResult):
 
 def oracle_json(strict: OracleResult) -> dict:
     """Both answers of one solve_strict run: the nonneg block is its
-    projection, with the same weights or the same certificate."""
-    return {"nonneg": _answer_json(strict.nonneg()),
-            "strict": _answer_json(strict)}
+    projection, with the same weights or the same certificate.  The answer
+    is rendered once; the nonneg block copies its top level, takes the
+    projected status and drops the margin, and shares the rest."""
+    answer = _answer_json(strict)
+    nonneg = strict.nonneg()
+    block = dict(answer, status=nonneg.status)
+    if nonneg.margin is None:
+        block.pop("margin", None)
+    return {"nonneg": block, "strict": answer}
 
 
 def _conclusion(battery: FilterBattery, strict: OracleResult | None,
@@ -245,34 +251,50 @@ def stable_dumps(obj) -> str:
     return _text(obj, "\n")
 
 
-_INT = {int}
+def _float_text(x: float) -> str:
+    return format(x, ".17g")
+
+
+# the text of a leaf, by its exact type; subclasses take the isinstance
+# chain of _text
+_LEAF = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda o: "null",
+}
 
 
 def _text(o, nl: str) -> str:
     """The text of ``o``; ``nl`` is a newline followed by the indent of the
-    line ``o`` starts on."""
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return format(o, ".17g")
+    line ``o`` starts on.  Containers write their leaf items inline, by
+    type, and call this function only for the other items."""
+    leaf = _LEAF.get(type(o))
+    if leaf is not None:
+        return leaf(o)
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = nl + "  "
+        items = []
+        for k in sorted(o):
+            v = o[k]
+            leaf = _LEAF.get(type(v))
+            items.append(encode_basestring_ascii(k) + ": "
+                         + (leaf(v) if leaf is not None else _text(v, inner)))
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
         inner = nl + "  "
         sep = "," + inner
         types = set(map(type, o))
-        if types == _INT:
-            items = map(int.__repr__, o)
+        leaf = _LEAF.get(next(iter(types))) if len(types) == 1 else None
+        if leaf is not None:
+            items = map(leaf, o)
         elif (types == {list} and len(set(map(len, o))) == 1
-              and set(map(type, chain.from_iterable(o))) == _INT and o[0]):
+              and set(map(type, chain.from_iterable(o))) == {int} and o[0]):
             # rows of ints of one length, such as edge lists: one %d
             # template for the whole list, filled in one call
             deeper = inner + "  "
@@ -281,14 +303,15 @@ def _text(o, nl: str) -> str:
             text = "[" + inner + sep.join([row] * len(o)) + nl + "]"
             return text % tuple(chain.from_iterable(o))
         else:
-            items = [_text(x, inner) for x in o]
+            items = [leaf(x) if (leaf := _LEAF.get(type(x))) is not None
+                     else _text(x, inner) for x in o]
         return "[" + inner + sep.join(items) + nl + "]"
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        inner = nl + "  "
-        return "{" + inner + ("," + inner).join(
-            [encode_basestring_ascii(k) + ": " + _text(o[k], inner)
-             for k in sorted(o)]) + nl + "}"
+    # subclasses of the leaf types
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float_text(o)
     raise TypeError(
         f"Object of type {type(o).__name__} is not JSON serializable")

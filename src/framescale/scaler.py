@@ -46,6 +46,7 @@ from .frames import (
     classify_operator,
     integer_operator,
 )
+from .linalg import ordered_sum
 
 FEASIBILITY_TOL = 1e-8
 PIVOT_TOL = 1e-10
@@ -159,17 +160,18 @@ class _Tableau:
     W = bits(isqrt(H)) + 2, H = prod_j max(1, |col_j|^2) over the columns
     of [A | b] as the tableau is built (D = 1, artificial basis).  Every
     stored value, D included, is up to sign a minor of [A | I | b]
-    (Cramer's rule; the flips at the start and the negation of a pivot
-    row negate whole rows or columns of it), and by Hadamard's inequality
-    a minor is at most the product of the norms of its columns, at most
-    sqrt(H), as unit columns have norm 1.  So |T_i[j]| < 2^(W-2) and every
-    field lies in (2^(W-2), 3 * 2^(W-2)) inside [0, 2^W).  Deleting a
-    redundant row keeps the other rows as they are and removes a basic
-    artificial column, so the rows pivoted after it are still the rows of a
-    tableau of the whole system.  The objective row is not a minor and
-    stays a list; `row` and `column` read the packed rows as lists.  The
-    ratio test reads the entering column once, and the pivot takes its row
-    multipliers f from it.
+    (Cramer's rule; the negation of a pivot row negates a whole row of
+    it), and by Hadamard's inequality a minor is at most the product of the
+    norms of its columns, at most sqrt(H), as unit columns have norm 1.  So
+    |T_i[j]| < 2^(W-2) and every field lies in (2^(W-2), 3 * 2^(W-2))
+    inside [0, 2^W).  Deleting a redundant row keeps the other rows as they
+    are and removes a basic artificial column, so the rows pivoted after it
+    are still the rows of a tableau of the whole system.  The objective
+    row is not a minor and stays a list, built before the rows are packed;
+    `row` and `column` read the packed rows as lists.  The ratio test
+    reads the entering column once, the rhs field only of the rows with a
+    positive entry in it, and the pivot takes its row multipliers f from
+    that column.
 
     Float mode keeps D = 1 and divides row r by p, so the leaving column is
     1/p in row r and -T_i[c] / p in row i; entries within PIVOT_TOL of zero
@@ -180,12 +182,11 @@ class _Tableau:
     float run that drift sends round in circles.
     """
 
-    def __init__(self, rows, cols, basis, exact: bool):
+    def __init__(self, rows, cols, basis, exact: bool, cost):
         self.cols = cols  # original column of each slot
         self.basis = basis
         self.exact = exact
         self.zero_tol = 0 if exact else PIVOT_TOL
-        self.obj = None
         # (slot, column) read by the last ratio test; pivot() takes its row
         # multipliers from it instead of unpacking the column again, which
         # costs 5-9% of an integer (12, 6) solve
@@ -194,6 +195,8 @@ class _Tableau:
         # rows plus all columns, basic ones included
         self.pivots_left = PIVOT_CAP_FACTOR * (2 * len(rows) + len(cols))
         self.width = None
+        self.t = rows
+        self.set_objective(cost)  # from the list rows, before they are packed
         if exact and isinstance(self.d, int):
             h = 1
             for col in zip(*rows):
@@ -202,20 +205,16 @@ class _Tableau:
             if width <= PACKED_WIDTH_MAX:
                 self.width, self.mask = width, (1 << width) - 1
                 self.half = 1 << (width - 1)
-        self.set_rows(rows)
+                self._layout()
+                self.t = [sum(map(lshift, row, self.shifts)) + self.bias
+                          for row in rows]
 
-    def set_rows(self, rows):
-        """Store rows given as lists, one entry per slot of cols, then the
-        rhs; packed if the tableau packs (width is set)."""
-        self.t = rows
-        if self.width is None:
-            return
+    def _layout(self):
+        """The shift of the field of each slot, then of the rhs (row[-1]
+        sits at shift 0), and the packing of zeros."""
         w, half = self.width, self.half
-        # field of each slot, then of the rhs: row[-1] sits at shift 0
         self.shifts = [w * s for s in range(1, len(self.cols) + 1)] + [0]
         self.bias = sum(half << s for s in self.shifts)
-        self.t = [sum(map(lshift, row, self.shifts)) + self.bias
-                  for row in rows]
 
     def row(self, i: int) -> list:
         """Row i as a list: one entry per slot, then the rhs."""
@@ -234,9 +233,19 @@ class _Tableau:
         return [((r >> s) & mask) - half for r in self.t]
 
     def set_objective(self, cost):
-        """Objective row D*c - sum_i c_B(i) T_i for integer costs c, one per
-        original column; its rhs entry is not read."""
-        obj = [self.d * cost[j] for j in self.cols] + [self.d * 0]
+        """Objective row D*c - sum_i c_B(i) T_i for costs c, one per original
+        column; its rhs entry is not read.  When every costed column is basic
+        at cost 1, as in phase 1 on the artificial basis, this is minus the
+        column sums of T; the tableau takes them from its list rows before
+        packing them, with floats added left to right, which gives the bits
+        of the subtraction loop."""
+        zero = self.d * 0
+        if (self.width is None and not any(cost[j] for j in self.cols)
+                and all(cost[j] == 1 for j in self.basis)):
+            add = sum if self.exact else ordered_sum
+            self.obj = [zero - add(col, zero) for col in zip(*self.t)]
+            return
+        obj = [self.d * cost[j] for j in self.cols] + [zero]
         for i, j in enumerate(self.basis):
             cb = cost[j]
             if cb:
@@ -321,21 +330,31 @@ class _Tableau:
         enter = self.cols.index(min(candidates))
         # min ratio T_i[-1] / T_i[enter] over T_i[enter] > 0, smallest basic
         # index on ties; exact ratios are compared by cross-multiplying
-        col, t = self.column(enter), self.t
+        col, t, basis = self.column(enter), self.t, self.basis
         self.entering = enter, col
         leave = None
-        for i, a in enumerate(col):
-            if not a > tol:
-                continue
-            num = (t[i][-1] if self.width is None
-                   else (t[i] & self.mask) - self.half)
-            num, den = (num, a) if self.exact else (num / a, 1.0)
-            if leave is not None:
-                lhs, rhs = num * best_den, best_num * den
-                if lhs > rhs or (lhs == rhs
-                                 and self.basis[i] > self.basis[leave]):
-                    continue
-            leave, best_num, best_den = i, num, den
+        if self.width is not None:
+            mask, half = self.mask, self.half
+            for i, a in enumerate(col):
+                if a > 0:
+                    num = (t[i] & mask) - half
+                    if leave is not None:
+                        lhs, rhs = num * best_den, best_num * a
+                        if lhs > rhs or (lhs == rhs
+                                         and basis[i] > basis[leave]):
+                            continue
+                    leave, best_num, best_den = i, num, a
+        else:
+            exact = self.exact
+            for i, a in enumerate(col):
+                if a > tol:
+                    num, den = (t[i][-1], a) if exact else (t[i][-1] / a, 1.0)
+                    if leave is not None:
+                        lhs, rhs = num * best_den, best_num * den
+                        if lhs > rhs or (lhs == rhs
+                                         and basis[i] > basis[leave]):
+                            continue
+                    leave, best_num, best_den = i, num, den
         if leave is None:
             raise SolverError("unbounded direction in simplex")
         if self.pivots_left == 0:
@@ -343,6 +362,55 @@ class _Tableau:
         self.pivots_left -= 1
         self.pivot(leave, enter)
         return True
+
+    def drive_out(self, k: int):
+        """Drive the basic columns k and above (the artificials) out of the
+        basis, each on the lowest real column with a nonzero entry in its
+        row, or delete its row when there is none (a redundant equation);
+        then drop the slots of the columns k and above.  A packed row is
+        zero on the real slots when (R ^ Bias) & real = 0, real the mask of
+        their fields, so only the rows that pivot are unpacked; the dropped
+        fields are cut out of each packed row one run of kept fields at a
+        time."""
+        self.obj = None
+        cols, packed = self.cols, self.width is not None
+        if packed:
+            real = sum(self.mask << self.shifts[c]
+                       for c, j in enumerate(cols) if j < k)
+        for i in range(len(self.basis) - 1, -1, -1):
+            if self.basis[i] < k:
+                continue
+            slot = None
+            if not packed or (self.t[i] ^ self.bias) & real:
+                row = self.row(i)
+                slot = min((c for c, j in enumerate(cols)
+                            if j < k and abs(row[c]) > self.zero_tol),
+                           key=cols.__getitem__, default=None)
+            if slot is None:
+                del self.t[i], self.basis[i]
+                continue
+            self.pivot(i, slot)
+            if packed:  # the artificial that left now sits in this slot
+                real &= ~(self.mask << self.shifts[slot])
+        keep = [c for c, j in enumerate(cols) if j < k]
+        self.cols = [cols[c] for c in keep]
+        if not packed:
+            self.t = [[r[c] for c in keep] + [r[-1]] for r in self.t]
+            return
+        # the kept fields, 0 (the rhs) and 1 + c for c in keep, move down
+        # in runs of consecutive fields: [first old, first new, count]
+        runs = []
+        for new, old in enumerate([0] + [c + 1 for c in keep]):
+            if runs and old == runs[-1][0] + runs[-1][2]:
+                runs[-1][2] += 1
+            else:
+                runs.append([old, new, 1])
+        w = self.width
+        cuts = [(w * old, w * new, (1 << w * count) - 1)
+                for old, new, count in runs]
+        self.t = [sum((r >> old & mask) << new for old, new, mask in cuts)
+                  for r in self.t]
+        self._layout()
 
     def solution(self, nvars: int):
         """Values T_i[-1] / D of the first nvars variables."""
@@ -359,48 +427,30 @@ def _quotient(x, d):
 
 
 def _phase1(rows, rhs, exact: bool, tol: float):
-    """Phase-1 simplex on {Ax = b, x >= 0}; artificial k + i starts basic
-    in row i.  Returns (None, y) when the artificial optimum exceeds tol
-    (0 in exact mode): y are row multipliers with y^t A <= 0 < y^t b, a
-    Farkas certificate, up to a positive factor.  Otherwise returns
-    (tableau, None) with the artificials driven out and dropped and
-    redundant rows deleted, ready for phase 2 over the real columns.
+    """Phase-1 simplex on {Ax = b, x >= 0} for b >= 0 (the rhs of a ScaleLP
+    is c * delta_pq), so that the artificial k + i starts basic in row i
+    with no row negated.  Returns (None, y) when the artificial optimum
+    exceeds tol (0 in exact mode): y are row multipliers with
+    y^t A <= 0 < y^t b, a Farkas certificate, up to a positive factor.
+    Otherwise returns (tableau, None) with the artificials driven out and
+    dropped and redundant rows deleted, ready for phase 2 over the real
+    columns.
     """
     s, k = len(rows), len(rows[0])
-    flips = [-1 if b < 0 else 1 for b in rhs]
-    tab = _Tableau([[f * x for x in r] + [f * b]
-                    for r, b, f in zip(rows, rhs, flips)],
-                   list(range(k)), [k + i for i in range(s)], exact)
-    tab.set_objective([0] * k + [1] * s)
+    tab = _Tableau([r + [b] for r, b in zip(rows, rhs)],
+                   list(range(k)), [k + i for i in range(s)], exact,
+                   [0] * k + [1] * s)
     while tab.bland_step():
         pass
 
-    opt = sum(x for x, j in zip(tab.column(-1), tab.basis) if j >= k)
+    add = sum if exact else ordered_sum
+    opt = add(x for x, j in zip(tab.column(-1), tab.basis) if j >= k)
     if opt > (0 if exact else tol):
         # y_i = D - obj[k+i]: D times (1 - reduced cost of artificial i),
         # whose reduced cost is 0 while it is basic
         obj = dict(zip(tab.cols, tab.obj))
-        return None, [f * (tab.d - obj.get(k + i, 0))
-                      for i, f in enumerate(flips)]
-
-    # drive artificial variables out of the basis, each for the lowest
-    # real column with a nonzero entry in its row
-    tab.obj = None
-    for i in range(len(tab.basis) - 1, -1, -1):
-        if tab.basis[i] < k:
-            continue
-        row = tab.row(i)
-        slot = min((c for c, j in enumerate(tab.cols)
-                    if j < k and abs(row[c]) > tab.zero_tol),
-                   key=tab.cols.__getitem__, default=None)
-        if slot is not None:
-            tab.pivot(i, slot)
-        else:
-            del tab.t[i], tab.basis[i]
-    keep = [c for c, j in enumerate(tab.cols) if j < k]
-    rows = [tab.row(i) for i in range(len(tab.t))]
-    tab.cols = [tab.cols[c] for c in keep]
-    tab.set_rows([[row[c] for c in keep] + [row[-1]] for row in rows])
+        return None, [tab.d - obj.get(k + i, 0) for i in range(s)]
+    tab.drive_out(k)
     return tab, None
 
 
@@ -458,7 +508,8 @@ def solve_strict(lp: ScaleLP, tol: float = FEASIBILITY_TOL) -> OracleResult:
     """
     frame = lp.frame
     exact = frame.is_exact
-    ext_rows = [[sum(r, r[0] * 0)] + list(r) for r in lp.scaled_matrix]
+    add = sum if exact else ordered_sum
+    ext_rows = [[add(r, r[0] * 0)] + list(r) for r in lp.scaled_matrix]
     tab, y = _phase1(ext_rows, lp.scaled_rhs, exact, tol)
 
     if tab is None:
@@ -560,7 +611,7 @@ def verify_farkas(frame: Frame, y: SymmetricMatrix,
             if violated:
                 return False
         else:
-            quad = sum(
+            quad = ordered_sum(
                 float(v[p]) * float(y.entry(p, q)) * float(v[q])
                 for p in range(frame.dim)
                 for q in range(frame.dim)

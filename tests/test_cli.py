@@ -535,3 +535,57 @@ class TestExactFlag:
         code, _, err = run(capsys, "analyze", "random_parseval(4,2)",
                            "--exact")
         assert code == 2 and err
+
+
+class TestRejectedOptions:
+    """Tolerances must be finite, --tol above 0 and --tol-zero at least 0,
+    and --dim a positive integer; anything else exits 2 with argparse's
+    error line, before any analysis."""
+
+    COMMANDS = [["analyze", "random_frame(6,3)"], ["filters", "paper/M1"],
+                ["scale", "paper/M1"], ["complement", "random_parseval(5,2)"],
+                ["graph", "paper/M1"]]
+
+    @staticmethod
+    def rejected(capsys, argv, option):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and not out
+        assert f"error: argument {option}: must be " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "x"])
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_tol(self, capsys, command, value):
+        self.rejected(capsys, command + [f"--tol={value}"], "--tol")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1e-10", "x"])
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_tol_zero(self, capsys, command, value):
+        self.rejected(capsys, command + [f"--tol-zero={value}"], "--tol-zero")
+
+    def test_tolerances_in_range_accepted(self, capsys):
+        code, out, _ = run(capsys, "analyze", "random_frame(6,3)", "--seed",
+                           "2", "--tol", "1e-6", "--tol-zero", "0")
+        assert code == 0
+        report = json.loads(out)
+        assert report["input"]["tol"] == 1e-6
+        assert report["conclusion"]["verdict"] == "not_scalable"
+
+    @pytest.mark.parametrize("value", ["0", "-1", "1.5", "x"])
+    def test_dim(self, tmp_path, capsys, value):
+        path = tmp_path / "g.json"
+        path.write_text('{"adjacency": [[0, 1], [1, 0]]}')
+        self.rejected(capsys, ["filters", "--graph", str(path),
+                               f"--dim={value}"], "--dim")
+
+    @pytest.mark.parametrize("dimension", ["true", "false", "2.0"])
+    def test_dimension_not_an_int(self, tmp_path, capsys, dimension):
+        path = tmp_path / "f.json"
+        path.write_text('{"dimension": %s, "vectors": [["1"], ["2"]]}'
+                        % dimension)
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 2 and not out
+        assert err.startswith("error: dimension must be a positive integer")
+        assert "Traceback" not in err

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from framescale.corpus import load, named_graph, onb
+from framescale import filters
 from framescale.filters import (
     INCONCLUSIVE,
     NOT_SCALABLE,
@@ -451,6 +452,46 @@ class TestAdjacentDependence:
         g = build_graph(fr, 1e-10)
         assert g.has_edge(0, 1) and reference_parallel(fr, 0, 1)
         assert not filter_adjacent_dependence(fr, g).warnings
+
+
+class TestPrimitiveParallel:
+    """Integer vectors are parallel iff their primitive forms (divided by
+    the gcd, first nonzero entry positive) are equal."""
+
+    @staticmethod
+    def same(u, v):
+        return filters._primitive(u) == filters._primitive(v)
+
+    def test_gcd_and_opposite_signs(self):
+        assert filters._primitive((2, -4, 0)) == (1, -2, 0)
+        assert filters._primitive((-1, 2, 0)) == (1, -2, 0)
+        assert filters._primitive((0, -6, 9)) == (0, 2, -3)
+        assert self.same((2, -4, 0), (-1, 2, 0))
+        assert not self.same((2, -4, 0), (1, 2, 0))
+        assert not self.same((3, 0), (0, 3))
+
+    def test_matches_reference(self):
+        rng = random.Random("primitive-parallel")
+        parallel = 0
+        for _ in range(3000):
+            n = rng.randint(1, 5)
+            u = [0] * n
+            while not any(u):
+                u = [rng.randint(-3, 3) for _ in range(n)]
+            if rng.random() < 0.5:  # a multiple, gcd and sign included
+                f = rng.choice((-6, -3, -2, -1, 2, 4))
+                v = [f * x for x in u]
+                if rng.random() < 0.3:
+                    v[rng.randrange(n)] += 1
+            else:
+                v = [rng.randint(-3, 3) for _ in range(n)]
+            if not any(v):
+                continue
+            fr = Frame.from_vectors([u, v], exact=True)
+            want = reference_parallel(fr, 0, 1)
+            assert self.same(*fr.integer_image.vectors) == want
+            parallel += want
+        assert parallel >= 1000
 
 
 class TestNamedGraphSpecs:

@@ -13,6 +13,7 @@ from framescale.exactnum import ExactModeError
 from framescale.linalg import (
     SymmetricMatrix,
     jacobi_eigensystem,
+    ordered_sum,
     symmetric_eigs,
 )
 
@@ -120,3 +121,14 @@ class TestRank:
             (np.array(s.rows()) @ np.array(s.rows()).T).tolist()
         )
         assert count_positive_eigenvalues(g) == 4
+
+
+def test_ordered_sum_adds_left_to_right():
+    """No compensation, on every interpreter: 1e16 + 1 rounds back to 1e16
+    before -1e16 cancels it."""
+    row = [1e16, 1.0, -1e16]
+    assert ordered_sum(row) == 0.0 and math.fsum(row) == 1.0
+    assert ordered_sum(reversed(row)) == 0.0
+    assert ordered_sum([1.0, 1e16, -1e16]) == 0.0
+    assert ordered_sum([2, 3], 1) == 6
+    assert ordered_sum([Fraction(1, 3)] * 3) == 1

@@ -102,6 +102,62 @@ def test_hand_built_object():
     assert stable_dumps(-0.0) == "-0" and stable_dumps(float("nan")) == "nan"
 
 
+class _Str(str):
+    def __str__(self):
+        return "not the text"
+
+
+class _Int(int):
+    """Like an IntEnum: its repr is not its JSON text."""
+
+    def __repr__(self):
+        return "_Int()"
+
+    __str__ = __repr__
+
+
+class _Float(float):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+def test_every_typed_path():
+    """Leaves written inline in dicts and lists, lists of one leaf type,
+    mixed lists, int rows, and subclasses of every leaf and container
+    type, which take the isinstance path."""
+    leaves = {"s": "x\u00e9", "i": -7, "f": 0.1, "t": True, "n": None,
+              "big": 10**20, "nan": float("nan")}
+    obj = {
+        "leaves": leaves,
+        "strs": ["a", "b\n", "\u2603"], "one_str": ["only"],
+        "floats": [0.5, -0.0, 1e300], "nones": [None, None],
+        "bools": [True, False], "ints_and_bools": [1, True, 0, False],
+        "mixed": ["a", 1, 2.5, None, True, [], {}, ["b"], {"k": "v"}],
+        "tuple": ("a", "b"), "tuple_of_tuples": ((1, 2), (3, 4)),
+        "rows": [[1, 2], [3, 4]], "bool_rows": [[1, True], [0, 1]],
+        "rows_in_tuple": ([1, 2], [3, 4]), "tuple_rows": [(1, 2), (3, 4)],
+        "empty": [[], {}, (), ""], "nested": {"a": {"b": {"c": [[[]]]}}},
+        "str_subclass": _Str("sub"), "int_subclass": _Int(5),
+        "float_subclass": _Float(2.5),
+        "subclass_lists": [[_Str("p"), _Str("q")], [_Int(1), _Int(2)],
+                           [_Str("p"), "q"], [_Int(1), 2]],
+        "dict_subclass": _Dict(b=1, a=[_Int(3)]),
+        "list_subclass": _List(["x", _List([1, 2])]),
+        _Str("subclass_key"): "value",
+    }
+    assert stable_dumps(obj) == reference_dumps(obj)
+    for value in [*leaves.values(), _Str("s"), _Int(-1), _Float(0.25),
+                  _Dict(), _List(), ["a"], (1,), [[1, 2]]]:
+        assert stable_dumps(value) == reference_dumps(value)
+
+
 def test_unserializable_raises():
     with pytest.raises(TypeError):
         stable_dumps({"x": object()})

@@ -736,3 +736,55 @@ def test_stored_slots_and_basis_partition_the_columns(frame, monkeypatch):
     monkeypatch.setattr(scaler._Tableau, "pivot", recorded_pivot)
     solve_strict(lp)
     assert checked and phases[0] == k + s and phases[1:] in ([], [k])
+
+
+def unpacked_objective(tab, cost):
+    """D*c - sum_i c_B(i) T_i over the stored rows read back as lists, one
+    row at a time, floats subtracted left to right."""
+    obj = [tab.d * cost[j] for j in tab.cols] + [tab.d * 0]
+    for i, j in enumerate(tab.basis):
+        if cost[j]:
+            obj = [a - cost[j] * b for a, b in zip(obj, tab.row(i))]
+    return obj
+
+
+@pytest.mark.parametrize("group", sorted(REFERENCE_DRAWS))
+def test_phase1_objective_from_the_input_rows(group, monkeypatch):
+    """The phase-1 objective row, taken as minus the column sums of the
+    rows before they are packed, equals the one built from the stored rows,
+    on every reference LP and on its float copy (to the bit)."""
+    checked = []
+    init = scaler._Tableau.__init__
+
+    def recorded(tab, rows, cols, basis, exact, cost):
+        init(tab, rows, cols, basis, exact, cost)
+        want = unpacked_objective(tab, cost)
+        assert list(map(repr, tab.obj)) == list(map(repr, want))
+        checked.append(tab.width is not None)
+
+    monkeypatch.setattr(scaler._Tableau, "__init__", recorded)
+    frames = REFERENCE_DRAWS[group]
+    for frame in frames + [fr.to_float() for fr in frames]:
+        solve_strict(build_lp(frame))
+    assert len(checked) == 2 * len(frames)
+    if group == "random_frame":
+        assert all(checked[:len(frames)])  # every exact LP packed
+
+
+def test_float_t_column_adds_left_to_right(monkeypatch):
+    """The t column of the float LP is each row summed left to right:
+    the row [1e16, 1, -1e16] gives 0, where a compensated sum gives 1."""
+    seen = []
+    phase1 = scaler._phase1
+
+    def recorded(rows, rhs, exact, tol):
+        seen.extend(rows)
+        return phase1(rows, rhs, exact, tol)
+
+    monkeypatch.setattr(scaler, "_phase1", recorded)
+    frame = Frame.from_vectors([[1e8, 1e8], [1.0, 1.0], [1e8, -1e8]])
+    lp = build_lp(frame)
+    solve_strict(lp)
+    row = dict(zip(lp.row_index, seen))[(0, 1)]
+    assert row[1:] == [1e16, 1.0, -1e16] and row[0] == 0.0
+    assert math.fsum(row[1:]) == 1.0
