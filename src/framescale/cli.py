@@ -6,16 +6,17 @@ accepted too), or CSV with one vector per row.  Vectors are the frame
 elements themselves, one list per vector.
 
 Exit codes: 0 analysis completed (whatever the verdict), 2 malformed input
-or dimension mismatch, 3 numerical solver failure.
+or dimension mismatch, 3 numerical solver failure, 4 standard output closed
+before the whole report was written (as by `framescale ... | head -1`).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
+import os
 import re
 import sys
 
@@ -43,6 +44,7 @@ from .scaler import SolverError, build_lp, solve_strict
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_SOLVER = 3
+EXIT_PIPE = 4
 
 _GENERATOR = re.compile(r"^(\w+)\(([\d,\s]*)\)$")
 
@@ -129,6 +131,8 @@ def _frame_from_json(data, exact: bool) -> Frame:
 
 
 def _frame_from_csv(text: str, exact: bool) -> Frame:
+    import csv  # only CSV input pays for it
+
     rows = [row for row in csv.reader(text.splitlines()) if row]
     if not rows:
         raise FrameError("empty CSV input")
@@ -422,7 +426,15 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point stdout at devnull so that
+        # the flush at exit cannot fail again, and exit with EXIT_PIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
+from typing import NamedTuple
 
 from .exactnum import QuadExt
 from .frames import Frame, FrameError, is_frame
@@ -32,13 +32,25 @@ class CorpusError(KeyError):
     pass
 
 
-@dataclass(frozen=True)
-class NamedInstance:
+class _NamedInstanceFields(NamedTuple):
     name: str
-    frame: Frame | None = None
-    graph: FrameGraph | None = None
-    provenance: str = ""
-    expected: dict = field(default_factory=dict)
+    frame: Frame | None
+    graph: FrameGraph | None
+    provenance: str
+    expected: dict
+
+
+class NamedInstance(_NamedInstanceFields):
+    """A built-in frame or graph; each instance gets its own `expected`
+    dict."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, frame: Frame | None = None,
+                graph: FrameGraph | None = None, provenance: str = "",
+                expected: dict | None = None):
+        return super().__new__(cls, name, frame, graph, provenance,
+                               {} if expected is None else expected)
 
 
 def _frac_frame(columns) -> Frame:

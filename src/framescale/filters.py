@@ -16,7 +16,7 @@ inapplicable rather than risking an unsound verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .exactnum import sign
 from .frames import Frame
@@ -44,21 +44,34 @@ def strongest(verdicts) -> str:
     return best
 
 
-@dataclass(frozen=True)
-class FilterReport:
+class _FilterReportFields(NamedTuple):
     filter_id: str
     citation: str
     applicable: bool
-    verdict: str = INCONCLUSIVE
-    certificate: dict = field(default_factory=dict)
-    experimental: bool = False
-    warnings: tuple = ()
+    verdict: str
+    certificate: dict
+    experimental: bool
+    warnings: tuple
 
-    def __post_init__(self):
-        if not self.applicable and self.verdict != INCONCLUSIVE:
+
+class FilterReport(_FilterReportFields):
+    """One filter's answer.  An inapplicable filter is inconclusive, and a
+    verdict carries a certificate; `_replace` skips these checks, so it is
+    not used on reports."""
+
+    __slots__ = ()
+
+    def __new__(cls, filter_id: str, citation: str, applicable: bool,
+                verdict: str = INCONCLUSIVE, certificate: dict | None = None,
+                experimental: bool = False, warnings: tuple = ()):
+        if not applicable and verdict != INCONCLUSIVE:
             raise ValueError("inapplicable filters must be inconclusive")
-        if self.verdict != INCONCLUSIVE and not self.certificate:
+        if verdict != INCONCLUSIVE and not certificate:
             raise ValueError("a verdict needs a certificate")
+        if certificate is None:
+            certificate = {}
+        return super().__new__(cls, filter_id, citation, applicable, verdict,
+                               certificate, experimental, warnings)
 
 
 def _v(i: int) -> int:
@@ -440,8 +453,7 @@ _GRAPH_FILTERS = (
 )
 
 
-@dataclass(frozen=True)
-class FilterBattery:
+class FilterBattery(NamedTuple):
     reports: tuple
     combined_verdict: str
     warnings: tuple

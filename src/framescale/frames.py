@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from operator import floordiv, mul, truediv
+from typing import NamedTuple
 
 from .exactnum import (
     ExactModeError,
@@ -51,8 +52,7 @@ def _exact_entry(x):
     return x
 
 
-@dataclass(frozen=True)
-class IntegerImage:
+class IntegerImage(NamedTuple):
     """u_i = L * f_i as tuples of ints, for the least common multiple L of
     all entry denominators of an exact rational frame.  Every vector is
     scaled alike, so u_i . u_j = L^2 <f_i, f_j> and the u_i have the rank,
@@ -62,36 +62,62 @@ class IntegerImage:
     vectors: tuple
 
 
-@dataclass(frozen=True)
+_FLOAT_ONLY = frozenset((float,))
+
+
 class Frame:
-    """Ordered list of m vectors in R^n (frame elements, not coordinates)."""
+    """Ordered list of m vectors in R^n (frame elements, not coordinates).
 
-    dim: int
-    vectors: tuple
-    scalar_mode: str = FLOAT_MODE
+    Immutable, with value equality and hashing over
+    (dim, vectors, scalar_mode).  Exact entries become Fractions (or stay
+    in Q(sqrt d)); in float mode, entries that are all floats are kept as
+    they are, and other entries are converted."""
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim: int, vectors, scalar_mode: str = FLOAT_MODE):
+        if dim < 1:
             raise FrameError("dim must be positive")
-        if len(self.vectors) < 1:
+        if len(vectors) < 1:
             raise FrameError("a frame needs at least one vector")
-        if self.scalar_mode not in (FLOAT_MODE, EXACT_MODE):
-            raise FrameError(f"unknown scalar mode {self.scalar_mode!r}")
-        fixed = []
-        for v in self.vectors:
-            if len(v) != self.dim:
+        if scalar_mode not in (FLOAT_MODE, EXACT_MODE):
+            raise FrameError(f"unknown scalar mode {scalar_mode!r}")
+        for v in vectors:
+            if len(v) != dim:
                 raise FrameError(
-                    f"vector of length {len(v)} in a frame of dimension {self.dim}"
+                    f"vector of length {len(v)} in a frame of dimension {dim}"
                 )
-            if self.scalar_mode == EXACT_MODE:
-                fixed.append(tuple(x if type(x) is Fraction else _exact_entry(x)
-                                   for x in v))
-            else:
-                row = tuple(map(float, v))
-                if not all(map(math.isfinite, row)):
-                    raise FrameError(f"non-finite entry in vector {row!r}")
-                fixed.append(row)
-        object.__setattr__(self, "vectors", tuple(fixed))
+        if scalar_mode == EXACT_MODE:
+            fixed = [tuple(x if type(x) is Fraction else _exact_entry(x)
+                           for x in v) for v in vectors]
+        else:
+            # one pass over all entries for each check, not one per vector
+            fixed = list(map(tuple, vectors))
+            if not _FLOAT_ONLY.issuperset(map(type,
+                                              chain.from_iterable(fixed))):
+                fixed = [tuple(map(float, v)) for v in fixed]
+            if not all(map(math.isfinite, chain.from_iterable(fixed))):
+                row = next(v for v in fixed if not all(map(math.isfinite, v)))
+                raise FrameError(f"non-finite entry in vector {row!r}")
+        self.__dict__.update(dim=dim, vectors=tuple(fixed),
+                             scalar_mode=scalar_mode)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.dim, self.vectors, self.scalar_mode)
+                == (other.dim, other.vectors, other.scalar_mode))
+
+    def __hash__(self):
+        return hash((self.dim, self.vectors, self.scalar_mode))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(dim={self.dim!r}, "
+                f"vectors={self.vectors!r}, scalar_mode={self.scalar_mode!r})")
 
     @cached_property
     def integer_image(self) -> IntegerImage | None:
@@ -207,8 +233,7 @@ def is_frame(frame: Frame, tol: float = DEFAULT_TOL) -> bool:
     return min(values) > tol
 
 
-@dataclass(frozen=True)
-class Tightness:
+class Tightness(NamedTuple):
     kind: str  # "not_tight" | "tight" | "parseval"
     bound: object = None  # frame bound A when tight/parseval
 

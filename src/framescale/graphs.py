@@ -27,9 +27,9 @@ longest path, and replays the witness from there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from operator import mul
+from typing import NamedTuple
 
 from .frames import Frame
 
@@ -189,8 +189,7 @@ def build_graph(frame: Frame, tol_zero: float = 1e-10) -> FrameGraph:
     return FrameGraph.from_masks(masks, flags)
 
 
-@dataclass(frozen=True)
-class GraphStats:
+class GraphStats(NamedTuple):
     components: tuple  # tuple of sorted vertex tuples
     is_connected: bool
     diameter: int | None  # None = infinite (disconnected)

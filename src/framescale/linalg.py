@@ -9,7 +9,7 @@ small orders (<= 64) this package targets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exactnum import EXACT_TYPES, ExactModeError
 
@@ -110,8 +110,7 @@ class SymmetricMatrix:
         return f"SymmetricMatrix(order={self.order})"
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Eigenvalues in descending order, plus the off-diagonal mass achieved."""
 
     eigenvalues: tuple

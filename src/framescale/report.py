@@ -8,10 +8,10 @@ are 1-based (v1..vm).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .exactnum import QuadExt, exact_str
 from .filters import (
@@ -28,8 +28,7 @@ from .scaler import OracleResult, build_lp, solve_strict
 REPORT_VERSION = 2
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
+class AnalysisConfig(NamedTuple):
     tol: float = 1e-8  # solver / Parseval tolerance
     tol_zero: float = 1e-10  # adjacency threshold (0 in exact mode)
     filters_only: bool = False
@@ -247,6 +246,8 @@ def stable_dumps(obj) -> str:
     escapes (``encode_basestring_ascii``), tuples written as lists, and
     floats written with ``format(x, ".17g")``, 17 significant digits (so
     ``nan``, ``inf`` and ``-0`` appear as such).  Keys must be strings.
+    A record (a NamedTuple, such as `OracleResult`) is not a list: it
+    raises TypeError, as ``json.dumps`` does for other objects.
     """
     return _text(obj, "\n")
 
@@ -284,7 +285,8 @@ def _text(o, nl: str) -> str:
             items.append(encode_basestring_ascii(k) + ": "
                          + (leaf(v) if leaf is not None else _text(v, inner)))
         return "{" + inner + ("," + inner).join(items) + nl + "}"
-    if isinstance(o, (list, tuple)):
+    if isinstance(o, list) or (isinstance(o, tuple)
+                               and not hasattr(o, "_fields")):
         if not o:
             return "[]"
         inner = nl + "  "

@@ -33,9 +33,9 @@ from __future__ import annotations
 import contextlib
 import math
 import sys
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import itemgetter, lshift, mul
+from typing import NamedTuple
 
 from .exactnum import QuadExt, magnitude, sign
 from .frames import (
@@ -63,8 +63,7 @@ class SolverError(RuntimeError):
     """Numerical breakdown inside the simplex (not a verdict)."""
 
 
-@dataclass(frozen=True)
-class ScaleLP:
+class ScaleLP(NamedTuple):
     """Equality system A w = b over nonnegative w, rows indexed by the upper
     triangle (p, q) of the target identity.
 
@@ -99,8 +98,7 @@ def build_lp(frame: Frame) -> ScaleLP:
     return ScaleLP(frame, tuple(index), tuple(rows), tuple(rhs), scale)
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     # solve_strict: "strictly_feasible" | "boundary" | "infeasible" |
     # "numerically_ambiguous"; nonneg() maps the first two to "feasible"
     status: str
@@ -115,7 +113,7 @@ class OracleResult:
         """The answer to {Aw = b, w >= 0} that this strict answer implies:
         the same weights or the same certificate."""
         if self.status in ("strictly_feasible", "boundary"):
-            return replace(self, status="feasible", margin=None)
+            return self._replace(status="feasible", margin=None)
         return self
 
 
@@ -550,8 +548,7 @@ def solve_scalable(lp: ScaleLP, tol: float = FEASIBILITY_TOL) -> OracleResult:
     return solve_strict(lp, tol).nonneg()
 
 
-@dataclass(frozen=True)
-class WeightReport:
+class WeightReport(NamedTuple):
     residual: float
     tightness: Tightness
 

@@ -5,14 +5,24 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import framescale
 from framescale import scaler
-from framescale.cli import _add_common, build_parser, load_frame_file, main
+from framescale.cli import (
+    EXIT_PIPE,
+    _add_common,
+    build_parser,
+    load_frame_file,
+    main,
+)
 from framescale.exactnum import QuadExt
 from framescale.frames import Frame
 from framescale.scaler import verify_weights
@@ -589,3 +599,52 @@ class TestRejectedOptions:
         assert code == 2 and not out
         assert err.startswith("error: dimension must be a positive integer")
         assert "Traceback" not in err
+
+
+SRC = str(Path(framescale.__file__).parents[1])
+
+
+def _python(args, unbuffered: bool = True, **kwargs):
+    """Run a fresh interpreter that imports framescale from this tree."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, *args], env=env, timeout=60,
+                          **kwargs)
+
+
+class TestProcess:
+    """The command as its own process: start-up cost and a closed stdout."""
+
+    def test_startup_loads_no_dataclass_machinery(self):
+        # only the modules that framescale brings in: what site loaded
+        # before it is not its doing
+        script = (
+            "import sys, contextlib, io\n"
+            "before = set(sys.modules)\n"
+            "import framescale.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = framescale.cli.main(['analyze', 'paper/M1', '--exact'])\n"
+            "print(code, ' '.join(sorted(set(sys.modules) - before)))\n"
+        )
+        proc = _python(["-c", script], capture_output=True, text=True,
+                       check=True)
+        code, *loaded = proc.stdout.split()
+        assert code == "0" and "framescale.cli" in loaded
+        assert "dataclasses" not in loaded
+        assert "inspect" not in loaded
+
+    @pytest.mark.parametrize("unbuffered", [True, False],
+                             ids=["unbuffered", "buffered"])
+    def test_closed_stdout_exits_without_traceback(self, unbuffered):
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the report is written
+        try:
+            proc = _python(["-m", "framescale.cli", "analyze", "paper/M1",
+                            "--exact"], unbuffered, stdout=write,
+                           stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write)
+        assert proc.returncode == EXIT_PIPE
+        assert proc.stderr == ""

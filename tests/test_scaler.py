@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -294,8 +293,7 @@ class TestScalingInvariance:
         base = solve_strict(lp)
         base_pivots, pivots[:] = pivots[:], []
         k = 36
-        scaled = solve_strict(replace(
-            lp,
+        scaled = solve_strict(lp._replace(
             scaled_matrix=tuple(tuple(k * a for a in r)
                                 for r in lp.scaled_matrix),
             scaled_rhs=tuple(k * b for b in lp.scaled_rhs),
