@@ -22,7 +22,7 @@ import sys
 
 from . import corpus
 from .exactnum import ExactModeError, parse_exact
-from .frames import Frame, FrameError, naimark_complement
+from .frames import Frame, FrameError, naimark_complement, random_parseval
 from .graphs import (
     FrameGraph,
     GraphError,
@@ -160,6 +160,16 @@ def load_frame_file(path: str, exact: bool) -> Frame:
     return _frame_from_csv(text, exact)
 
 
+# generator name -> (function of the call's integers and the seed, the
+# number of integers the call takes)
+_GENERATORS = {
+    "onb": (lambda n, seed: corpus.onb(n), 1),
+    "random_frame": (corpus.random_frame, 2),
+    "random_parseval": (random_parseval, 2),
+    "cycle_pattern_frame": (corpus.cycle_pattern_frame, 2),
+}
+
+
 def resolve_frame(spec: str, exact: bool, seed: int) -> Frame:
     """A frame argument is a corpus name, a generator call like
     'random_parseval(5,2)', or a file path; tried in that order."""
@@ -173,18 +183,13 @@ def resolve_frame(spec: str, exact: bool, seed: int) -> Frame:
         if match:
             kind = match.group(1)
             args = [int(a) for a in match.group(2).split(",") if a.strip()]
-            if kind == "onb":
-                frame = corpus.onb(*args)
-            elif kind == "random_frame":
-                frame = corpus.random_frame(*args, seed=seed)
-            elif kind == "random_parseval":
-                from .frames import random_parseval
-
-                frame = random_parseval(*args, seed=seed)
-            elif kind == "cycle_pattern_frame":
-                frame = corpus.cycle_pattern_frame(*args, seed=seed)
-            else:
+            if kind not in _GENERATORS:
                 raise CliError(f"unknown generator {kind!r}")
+            make, count = _GENERATORS[kind]
+            if len(args) != count:
+                raise CliError(f"{kind} needs {count} integer argument(s), "
+                               f"got {len(args)}")
+            frame = make(*args, seed=seed)
         else:
             frame = load_frame_file(spec, exact)
     if exact and not frame.is_exact:

@@ -166,8 +166,12 @@ def random_frame(m: int, n: int, seed: int, max_entry: int = 2,
     """Seeded frame with small integer entries (exact mode); retried until
     the vectors span R^n.  Small entries make orthogonal pairs common, which
     is exactly what makes these interesting graph instances."""
+    if n < 1:
+        raise FrameError("random_frame needs dimension n >= 1")
     if m < n:
         raise FrameError("need at least n vectors to span R^n")
+    if max_entry < 1:  # every draw would be the zero vector
+        raise FrameError("random_frame needs max_entry >= 1")
     for attempt in range(max_retries):
         rng = random.Random(seed * 7919 + attempt)
         vectors = []

@@ -166,31 +166,28 @@ def filter_diameter_codim2(g: FrameGraph, m: int, n: int,
         return FilterReport(fid, cite, applicable=False)
     if stats.diameter is None or stats.diameter <= 2:
         return FilterReport(fid, cite, applicable=True)
-    pair = _far_pair(g, 3)
+    pair = _far_pair(g)
     return FilterReport(
         fid, cite, applicable=True, verdict=NOT_STRICTLY_SCALABLE,
         certificate={"distant_pair": _edge(pair), "diameter": stats.diameter},
     )
 
 
-def _far_pair(g: FrameGraph, at_least: int):
-    # the pair found first follows the iteration order of the neighbour sets
-    for src in range(g.vertex_count):
-        dist = {src: 0}
-        frontier = [src]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for v in frontier:
-                for w in g.neighbors(v):
-                    if w not in dist:
-                        dist[w] = d
-                        if d >= at_least:
-                            return (src, w)
-                        nxt.append(w)
-            frontier = nxt
-    raise AssertionError("no pair at the requested distance")
+def _far_pair(g: FrameGraph):
+    """The smallest vertex s with a vertex at distance 3, and the smallest
+    vertex t at distance 3 from s, by a BFS in layers over the masks."""
+    masks = g.masks
+    for s in range(g.vertex_count):
+        seen = frontier = 1 << s
+        for _ in range(3):
+            reach = 0
+            for v in mask_vertices(frontier):
+                reach |= masks[v]
+            frontier = reach & ~seen
+            seen |= frontier
+        if frontier:
+            return s, (frontier & -frontier).bit_length() - 1
+    raise AssertionError("no pair at distance 3")
 
 
 def filter_orthogonal_set_codim2(g: FrameGraph, m: int, n: int,
@@ -227,7 +224,7 @@ def filter_bipartite_balance(g: FrameGraph, m: int, n: int,
     )
     if not stats.is_bipartite:
         return FilterReport(fid, cite, applicable=True)
-    if balanced_bipartition_exists(g):
+    if balanced_bipartition_exists(stats.component_part_sizes):
         return FilterReport(fid, cite, applicable=True)
     return FilterReport(
         fid, cite, applicable=True, verdict=NOT_STRICTLY_SCALABLE,
@@ -362,12 +359,15 @@ def filter_cycle(g: FrameGraph, m: int, n: int,
 
 
 def _cycle_order(g: FrameGraph):
-    order = [0]
-    prev = None
+    """The cycle from vertex 0, each step to the lower neighbour other than
+    the vertex it came from."""
+    masks = g.masks
+    order, back = [0], 0
     while len(order) < g.vertex_count:
-        nxt = min(w for w in g.neighbors(order[-1]) if w != prev)
-        prev = order[-1]
-        order.append(nxt)
+        v = order[-1]
+        nxt = masks[v] & ~back
+        order.append((nxt & -nxt).bit_length() - 1)
+        back = 1 << v
     return order
 
 

@@ -53,29 +53,29 @@ def mask_vertices(mask: int) -> list:
 class FrameGraph:
     """Simple undirected graph on vertex indices 0..m-1.
 
-    ``masks[v]`` is the neighbourhood of v as a bitmask, built once; the
-    statistics and filters read it.  The edge set and the neighbour sets are
-    built on first use, from the edges in the order given (ascending for
-    ``from_masks``), so they are the same sets, iterating in the same order,
-    as a graph that built them eagerly.
+    ``masks[v]`` is the neighbourhood of v as a bitmask, built once; it is
+    the graph's only adjacency, and the statistics, the filters and the
+    reports all read it.  ``edges`` lists the edges (i, j), i < j, in
+    ascending order, whatever order the constructor was given them in, so
+    no certificate depends on that order: the diameter filter's distant
+    pair, for one, is the smallest vertex s with a vertex at distance 3,
+    and the smallest vertex t at distance 3 from s.
     """
 
-    __slots__ = ("vertex_count", "masks", "vertex_flags", "_given", "_edges",
-                 "_adj")
+    __slots__ = ("vertex_count", "masks", "vertex_flags")
 
     def __init__(self, vertex_count: int, edges, vertex_flags=None):
         if vertex_count < 1:
             raise GraphError("need at least one vertex")
-        given = tuple(edges)
         masks = [0] * vertex_count
-        for (i, j) in given:
+        for (i, j) in edges:
             if i == j:
                 raise GraphError(f"loop at vertex {i}")
             if not (0 <= i < vertex_count and 0 <= j < vertex_count):
                 raise GraphError(f"edge ({i},{j}) out of range")
             masks[i] |= 1 << j
             masks[j] |= 1 << i
-        self._init(masks, vertex_flags, given)
+        self._init(masks, vertex_flags)
 
     @classmethod
     def from_masks(cls, masks, vertex_flags=None) -> "FrameGraph":
@@ -84,15 +84,13 @@ class FrameGraph:
         if not masks:
             raise GraphError("need at least one vertex")
         g = cls.__new__(cls)
-        g._init(masks, vertex_flags, None)
+        g._init(masks, vertex_flags)
         return g
 
-    def _init(self, masks, vertex_flags, given):
+    def _init(self, masks, vertex_flags):
         m = len(masks)
         self.vertex_count = m
         self.masks = tuple(masks)
-        self._given = given
-        self._edges = self._adj = None
         flags = {i: set() for i in range(m)}
         if vertex_flags:
             for i, fs in vertex_flags.items():
@@ -102,32 +100,6 @@ class FrameGraph:
                 flags[i].add("isolated")
         self.vertex_flags = {i: frozenset(fs) for i, fs in flags.items()}
 
-    def _build_sets(self) -> None:
-        given = self._given if self._given is not None else self.sorted_edges()
-        canon = set()
-        for (i, j) in given:
-            canon.add((min(i, j), max(i, j)))
-        adj = [set() for _ in range(self.vertex_count)]
-        for (i, j) in canon:
-            adj[i].add(j)
-            adj[j].add(i)
-        self._edges = frozenset(canon)
-        self._adj = tuple(frozenset(s) for s in adj)
-
-    @property
-    def edges(self) -> frozenset:
-        if self._edges is None:
-            self._build_sets()
-        return self._edges
-
-    def neighbors(self, v: int) -> frozenset:
-        if self._adj is None:
-            self._build_sets()
-        return self._adj[v]
-
-    def degree(self, v: int) -> int:
-        return self.masks[v].bit_count()
-
     def edge_count(self) -> int:
         return sum(mask.bit_count() for mask in self.masks) // 2
 
@@ -135,9 +107,11 @@ class FrameGraph:
         m = self.vertex_count
         return 0 <= i < m and 0 <= j < m and bool(self.masks[i] >> j & 1)
 
-    def sorted_edges(self):
+    def sorted_edges(self) -> list:
         return [(i, j) for i, mask in enumerate(self.masks)
                 for j in mask_vertices(mask & -(2 << i))]
+
+    edges = property(sorted_edges)
 
     def has_flagged_vertices(self) -> bool:
         return any(self.vertex_flags[i] for i in range(self.vertex_count))
@@ -562,10 +536,11 @@ def compute_stats(g: FrameGraph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> GraphS
     )
 
 
-def balanced_bipartition_exists(g: FrameGraph) -> bool:
+def balanced_bipartition_exists(part_sizes) -> bool:
     """Whether some global bipartition (X, Y) of a bipartite graph has
-    |X| = |Y|: a sign choice per component over part-size differences."""
-    _, part_sizes = _components(g)
+    |X| = |Y|, given the per-component part sizes of its colour classes
+    (``GraphStats.component_part_sizes``): a sign choice per component over
+    part-size differences."""
     if part_sizes is None:
         raise GraphError("graph is not bipartite")
     diffs = [x - y for (x, y) in part_sizes]
@@ -637,12 +612,14 @@ def complete_bipartite_graph(a: int, b: int) -> FrameGraph:
 
 def graph_union(g1: FrameGraph, g2: FrameGraph) -> FrameGraph:
     off = g1.vertex_count
-    edges = list(g1.edges) + [(i + off, j + off) for (i, j) in g2.edges]
-    return FrameGraph(off + g2.vertex_count, edges)
+    return FrameGraph.from_masks(
+        g1.masks + tuple(mask << off for mask in g2.masks))
 
 
 def graph_join(g1: FrameGraph, g2: FrameGraph) -> FrameGraph:
+    """The union plus every edge between a vertex of g1 and one of g2."""
     off = g1.vertex_count
-    edges = list(g1.edges) + [(i + off, j + off) for (i, j) in g2.edges]
-    edges += [(i, off + j) for i in range(off) for j in range(g2.vertex_count)]
-    return FrameGraph(off + g2.vertex_count, edges)
+    low, high = (1 << off) - 1, ((1 << g2.vertex_count) - 1) << off
+    return FrameGraph.from_masks(
+        tuple(mask | high for mask in g1.masks)
+        + tuple(mask << off | low for mask in g2.masks))

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -540,6 +541,25 @@ class TestGraphCmd:
         assert out.count("--") == 5
 
 
+class TestGeneratorCalls:
+    """A generator call with the wrong number of integers, or with an
+    unknown name, exits 2 with an error line."""
+
+    @pytest.mark.parametrize("spec", [
+        "onb()", "onb(3,1)", "random_frame(3)", "random_frame(4,2,3)",
+        "random_parseval(5)", "cycle_pattern_frame(7,5,1)",
+    ])
+    def test_wrong_argument_count_exit_2(self, capsys, spec):
+        code, out, err = run(capsys, "analyze", spec)
+        assert code == 2 and not out
+        assert err.startswith("error: ") and "argument" in err
+        assert "Traceback" not in err
+
+    def test_unknown_generator_exit_2(self, capsys):
+        code, _, err = run(capsys, "analyze", "petersen(10)")
+        assert code == 2 and err == "error: unknown generator 'petersen'\n"
+
+
 class TestExactFlag:
     def test_exact_on_irrational_generator_exit_2(self, capsys):
         code, _, err = run(capsys, "analyze", "random_parseval(4,2)",
@@ -604,14 +624,87 @@ class TestRejectedOptions:
 SRC = str(Path(framescale.__file__).parents[1])
 
 
-def _python(args, unbuffered: bool = True, **kwargs):
+def _python(args, unbuffered: bool = True, timeout: float = 60,
+            python: str = sys.executable, **kwargs):
     """Run a fresh interpreter that imports framescale from this tree."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = SRC
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    return subprocess.run([sys.executable, *args], env=env, timeout=60,
+    return subprocess.run([python, *args], env=env, timeout=timeout,
                           **kwargs)
+
+
+class TestNoEndlessDraw:
+    """A random frame with no nonzero vector to draw fails at once.  A draw
+    that can only give the zero vector would never end, so each check runs
+    in its own process under a timeout."""
+
+    def test_zero_dimension_exit_2(self):
+        proc = _python(["-m", "framescale.cli", "analyze", "random_frame(2,0)"],
+                       timeout=20, capture_output=True, text=True)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+
+    def test_zero_max_entry_raises(self):
+        script = (
+            "from framescale.corpus import random_frame\n"
+            "from framescale.frames import FrameError\n"
+            "try:\n"
+            "    random_frame(3, 2, 0, max_entry=0)\n"
+            "except FrameError as exc:\n"
+            "    print('FrameError:', exc)\n"
+        )
+        proc = _python(["-c", script], timeout=20, capture_output=True,
+                       text=True, check=True)
+        assert proc.stdout.startswith("FrameError: ")
+
+
+# One process runs every call in turn and prints each exit code and stdout.
+# The calls cover float and exact analyses, a frame over Q(sqrt 3)
+# (canonical/mercedes), and a graph whose diameter_codim2 filter fires.
+_ACROSS_CALLS = [
+    ["analyze", "paper/M", "--exact"],
+    ["analyze", "canonical/mercedes", "--exact"],
+    ["analyze", "random_frame(9,4)", "--exact", "--seed", "3"],
+    ["analyze", "random_parseval(10,4)", "--seed", "5"],
+    ["analyze", "cycle_pattern_frame(8,6)", "--filters-only"],
+    ["scale", "random_frame(8,5)", "--seed", "1"],
+    ["filters", "--graph", "P6", "--dim", "4"],
+    ["filters", "--graph", "paper/graph-K2K2-join-K13", "--dim", "6"],
+    ["graph", "paper/M2", "--format", "json"],
+]
+_ACROSS_SCRIPT = (
+    "import contextlib, io, sys\n"
+    "from framescale.cli import main\n"
+    f"for argv in {_ACROSS_CALLS!r}:\n"
+    "    out = io.StringIO()\n"
+    "    with contextlib.redirect_stdout(out):\n"
+    "        code = main(argv)\n"
+    "    sys.stdout.write(f'{argv} -> {code}\\n{out.getvalue()}')\n"
+)
+
+
+@pytest.fixture(scope="module")
+def reports_here() -> str:
+    proc = _python(["-c", _ACROSS_SCRIPT], capture_output=True, text=True,
+                   check=True)
+    assert proc.stdout.count(" -> 0\n") == len(_ACROSS_CALLS)
+    assert '"distant_pair"' in proc.stdout
+    return proc.stdout
+
+
+@pytest.mark.parametrize("python", ["python3.10", "python3.12", "python3.13"])
+def test_reports_byte_identical_across_interpreters(reports_here, python):
+    """The same calls give the same bytes on other interpreters on PATH;
+    one that is missing, or that cannot run, is skipped."""
+    path = shutil.which(python)
+    if path is None or subprocess.run([path, "-c", "pass"], timeout=60,
+                                      capture_output=True).returncode:
+        pytest.skip(f"{python} cannot run here")
+    proc = _python(["-c", _ACROSS_SCRIPT], python=path, capture_output=True,
+                   text=True, check=True)
+    assert proc.stdout == reports_here
 
 
 class TestProcess:

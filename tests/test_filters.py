@@ -133,6 +133,49 @@ class TestDiameterCodim2:
         g = graph_union(complete_graph(2), complete_graph(2))
         assert not run_one(filter_diameter_codim2, g, 2).applicable
 
+    @staticmethod
+    def reference_far_pair(g: FrameGraph):
+        """All-pairs distances by Floyd-Warshall; the smallest s with a
+        vertex at distance 3, then the smallest such vertex t."""
+        m = g.vertex_count
+        dist = [[0 if i == j else 1 if g.has_edge(i, j) else m
+                 for j in range(m)] for i in range(m)]
+        for k in range(m):
+            for i in range(m):
+                for j in range(m):
+                    if dist[i][k] + dist[k][j] < dist[i][j]:
+                        dist[i][j] = dist[i][k] + dist[k][j]
+        return next((s, t) for s in range(m) for t in range(m)
+                    if dist[s][t] == 3)
+
+    def check_far_pair(self, g: FrameGraph):
+        pair = self.reference_far_pair(g)
+        assert filters._far_pair(g) == pair
+        rep = run_one(filter_diameter_codim2, g, g.vertex_count - 2)
+        assert rep.certificate["distant_pair"] == [pair[0] + 1, pair[1] + 1]
+
+    def test_far_pair_named(self):
+        for m in range(4, 12):
+            self.check_far_pair(path_graph(m))
+        for m in range(6, 14):
+            self.check_far_pair(cycle_graph(m))
+
+    def test_far_pair_random_connected(self):
+        rng = random.Random("far-pair")
+        checked = 0
+        while checked < 200:
+            m = rng.randint(4, 14)
+            # a random spanning tree, then a few more edges
+            order = list(range(m))
+            rng.shuffle(order)
+            edges = [(order[k], order[rng.randrange(k)]) for k in range(1, m)]
+            edges += [(i, j) for i in range(m) for j in range(i + 1, m)
+                      if rng.random() < 0.1]
+            g = FrameGraph(m, edges)
+            if compute_stats(g, vertex_cap=0).diameter >= 3:
+                self.check_far_pair(g)
+                checked += 1
+
 
 class TestOrthogonalSetCodim2:
     def test_alpha3_fires(self):
@@ -268,6 +311,22 @@ class TestCycle:
     def test_non_cycle_inapplicable(self):
         assert not run_one(filter_cycle, path_graph(7), 7).applicable
 
+    def test_relabelled_cycles_walk_to_the_lower_neighbour(self):
+        rng = random.Random("cycle-order")
+        for m in (7, 8, 13, 31):
+            for _ in range(5):
+                label = list(range(m))
+                rng.shuffle(label)
+                g = FrameGraph(m, [(label[k], label[(k + 1) % m])
+                                   for k in range(m)])
+                order = [v - 1 for v in
+                         run_one(filter_cycle, g, m).certificate["cycle"]]
+                assert order[0] == 0 and sorted(order) == list(range(m))
+                assert all(g.has_edge(a, b)
+                           for a, b in zip(order, order[1:] + order[:1]))
+                # the first step goes to the lower of vertex 0's neighbours
+                assert order[1] < order[-1]
+
 
 class TestRunAll:
     def test_m1_combined(self):
@@ -399,10 +458,13 @@ def reference_parallel(frame: Frame, i: int, j: int) -> bool:
 def reference_adjacent_warnings(frame: Frame, g: FrameGraph):
     """Every sorted edge tested for parallelism first, then for equal closed
     neighbourhoods."""
+    closed = [{v} for v in range(g.vertex_count)]
+    for (i, j) in g.edges:
+        closed[i].add(j)
+        closed[j].add(i)
     out = []
-    for (i, j) in sorted(g.edges):
-        if reference_parallel(frame, i, j) and \
-                g.neighbors(i) | {i} != g.neighbors(j) | {j}:
+    for (i, j) in g.edges:
+        if reference_parallel(frame, i, j) and closed[i] != closed[j]:
             out.append(
                 f"parallel adjacent vectors v{i + 1}, v{j + 1} have different "
                 f"closed neighborhoods; check tol_zero"

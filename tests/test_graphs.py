@@ -70,6 +70,20 @@ def brute_longest_induced_path(g: FrameGraph) -> int:
     return best
 
 
+def neighbour_sets(g: FrameGraph) -> list:
+    """The neighbour set of every vertex, built once from the edge list."""
+    adj = [set() for _ in range(g.vertex_count)]
+    for (i, j) in g.edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    return adj
+
+
+def neighbour_masks(g: FrameGraph) -> list:
+    """The neighbourhoods as bitmasks, rebuilt from the edge list."""
+    return [sum(1 << w for w in nbrs) for nbrs in neighbour_sets(g)]
+
+
 def induced_subgraph(g: FrameGraph, keep) -> FrameGraph:
     """Subgraph on the kept vertices, re-indexed in sorted order."""
     index = {v: k for k, v in enumerate(sorted(set(keep)))}
@@ -83,7 +97,7 @@ def reference_mis_mask(g: FrameGraph) -> int:
     """Maximum independent set by popcount-bounded branch and bound, in the
     branching order of the library search: the lowest-index candidate of
     maximum degree, include branch first.  Both keep the first maximum."""
-    adj = [sum(1 << w for w in g.neighbors(v)) for v in range(g.vertex_count)]
+    adj = neighbour_masks(g)
     best = {"mask": 0, "size": 0}
 
     def grow(candidates, chosen, size):
@@ -111,7 +125,7 @@ def reference_mis_mask(g: FrameGraph) -> int:
 def reference_longest_induced_path(g: FrameGraph):
     """Unbounded DFS over every induced path, starts in ascending order,
     then neighbours in ascending order; keeps the first longest path."""
-    adj = [sum(1 << w for w in g.neighbors(v)) for v in range(g.vertex_count)]
+    adj = neighbour_masks(g)
     best = {"len": 1, "path": (0,)}
 
     def extend(path, endpoint, blocked):
@@ -134,6 +148,7 @@ def reference_longest_induced_path(g: FrameGraph):
 def reference_components(g: FrameGraph):
     """Depth-first components over neighbour sets, sorted vertex tuples in
     order of their smallest vertex."""
+    adj = neighbour_sets(g)
     seen = [False] * g.vertex_count
     comps = []
     for start in range(g.vertex_count):
@@ -144,7 +159,7 @@ def reference_components(g: FrameGraph):
         while stack:
             v = stack.pop()
             comp.append(v)
-            for w in g.neighbors(v):
+            for w in adj[v]:
                 if not seen[w]:
                     seen[w] = True
                     stack.append(w)
@@ -156,6 +171,7 @@ def reference_diameter(g: FrameGraph, connected: bool):
     """A dict BFS from every vertex; None when disconnected."""
     if not connected:
         return None
+    adj = neighbour_sets(g)
     best = 0
     for src in range(g.vertex_count):
         dist = {src: 0}
@@ -165,7 +181,7 @@ def reference_diameter(g: FrameGraph, connected: bool):
             d += 1
             nxt = []
             for v in frontier:
-                for w in g.neighbors(v):
+                for w in adj[v]:
                     if w not in dist:
                         dist[w] = d
                         nxt.append(w)
@@ -177,6 +193,7 @@ def reference_diameter(g: FrameGraph, connected: bool):
 def reference_part_sizes(g: FrameGraph, comps):
     """Per-component colour class sizes of a 2-colouring that gives each
     component's smallest vertex colour 0, or None on an odd cycle."""
+    adj = neighbour_sets(g)
     color = {}
     sizes = []
     for comp in comps:
@@ -184,7 +201,7 @@ def reference_part_sizes(g: FrameGraph, comps):
         queue = [comp[0]]
         while queue:
             v = queue.pop()
-            for w in g.neighbors(v):
+            for w in adj[v]:
                 if w not in color:
                     color[w] = 1 - color[v]
                     queue.append(w)
@@ -197,6 +214,7 @@ def reference_part_sizes(g: FrameGraph, comps):
 
 def reference_bridges(g: FrameGraph):
     """Bridge edges by iterative DFS low-link over sorted neighbour sets."""
+    adj = [sorted(nbrs) for nbrs in neighbour_sets(g)]
     disc = [-1] * g.vertex_count
     low = [0] * g.vertex_count
     out = []
@@ -204,7 +222,7 @@ def reference_bridges(g: FrameGraph):
     for root in range(g.vertex_count):
         if disc[root] != -1:
             continue
-        stack = [(root, -1, iter(sorted(g.neighbors(root))))]
+        stack = [(root, -1, iter(adj[root]))]
         disc[root] = low[root] = timer
         timer += 1
         while stack:
@@ -214,7 +232,7 @@ def reference_bridges(g: FrameGraph):
                 if disc[w] == -1:
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append((w, v, iter(sorted(g.neighbors(w)))))
+                    stack.append((w, v, iter(adj[w])))
                     advanced = True
                     break
                 elif w != parent:
@@ -230,11 +248,12 @@ def reference_bridges(g: FrameGraph):
 
 
 def reference_unique_common_neighbor_pairs(g: FrameGraph):
+    adj = neighbour_sets(g)
     out = []
     for u, v in itertools.combinations(range(g.vertex_count), 2):
-        if (u, v) in g.edges:
+        if v in adj[u]:
             continue
-        common = g.neighbors(u) & g.neighbors(v)
+        common = adj[u] & adj[v]
         if len(common) == 1:
             out.append((u, v, min(common)))
     return out
@@ -263,25 +282,16 @@ class TestFrameGraph:
         assert "isolated" in g.vertex_flags.get(2, frozenset())
         assert g.has_flagged_vertices()
 
-    def test_neighbour_sets_iterate_as_built_from_given_edges(self):
-        # the diameter filter's distant pair follows this iteration order
+    def test_edges_ascending_whatever_the_given_order(self):
         rng = random.Random("mask-stats:order")
         for m in (9, 20, 40):
-            edges = [(j, i) if rng.random() < 0.5 else (i, j)
-                     for i in range(m) for j in range(i + 1, m)
+            canon = [(i, j) for i in range(m) for j in range(i + 1, m)
                      if rng.random() < 0.3]
-            rng.shuffle(edges)
-            canon = set()
-            for (i, j) in edges:
-                canon.add((min(i, j), max(i, j)))
-            adj = [set() for _ in range(m)]
-            for (i, j) in canon:
-                adj[i].add(j)
-                adj[j].add(i)
-            g = FrameGraph(m, edges)
-            assert list(g.edges) == list(frozenset(canon))
-            assert [list(g.neighbors(v)) for v in range(m)] == \
-                [list(frozenset(s)) for s in adj]
+            given = [(j, i) if rng.random() < 0.5 else (i, j)
+                     for (i, j) in canon]
+            given += given[:5]  # repeats add nothing
+            rng.shuffle(given)
+            assert FrameGraph(m, given).edges == canon
 
     def test_from_masks_matches_edge_list(self):
         rng = random.Random("mask-stats:from-masks")
@@ -289,7 +299,7 @@ class TestFrameGraph:
             g = gnp(rng, m, 0.3)
             h = FrameGraph.from_masks(g.masks)
             assert h == g and h.edges == g.edges
-            assert all(h.neighbors(v) == g.neighbors(v) for v in range(m))
+            assert h.vertex_flags == g.vertex_flags
 
 
 class TestBuildGraph:
@@ -526,14 +536,14 @@ class TestSearchesMatchReference:
         assert st.is_bipartite == (parts is not None)
         assert st.component_part_sizes == parts
         assert st.bridges == reference_bridges(g)
-        degrees = [len(g.neighbors(v)) for v in range(m)]
-        assert [g.degree(v) for v in range(m)] == degrees
+        degrees = [len(nbrs) for nbrs in neighbour_sets(g)]
         assert st.leaves == tuple(v for v in range(m) if degrees[v] == 1)
         assert st.is_complete == (len(g.edges) == m * (m - 1) // 2)
         assert st.is_empty == (not g.edges)
         assert st.is_cycle == (connected and m >= 3 and set(degrees) == {2})
         assert g.edge_count() == len(g.edges)
-        assert g.sorted_edges() == sorted(g.edges)
+        assert g.edges == sorted({(i, j) for (i, j) in g.edges if i < j})
+        assert neighbour_masks(g) == list(g.masks)
         assert unique_common_neighbor_pairs(g) == \
             reference_unique_common_neighbor_pairs(g)
 
@@ -555,12 +565,17 @@ class TestSearchesMatchReference:
 
 
 class TestBalancedBipartition:
+    """The balance test reads the part sizes the statistics computed."""
+
+    @staticmethod
+    def balanced(g: FrameGraph) -> bool:
+        return balanced_bipartition_exists(compute_stats(g).component_part_sizes)
+
     def test_k2_union_k2_true(self):
-        g = graph_union(complete_graph(2), complete_graph(2))
-        assert balanced_bipartition_exists(g)
+        assert self.balanced(graph_union(complete_graph(2), complete_graph(2)))
 
     def test_star_false(self):
-        assert not balanced_bipartition_exists(complete_bipartite_graph(1, 3))
+        assert not self.balanced(complete_bipartite_graph(1, 3))
 
     def test_differences_cancel(self):
         # parts (1,2), (1,3), (1,4): diffs 1,2,3 and 1+2-3 = 0
@@ -569,14 +584,49 @@ class TestBalancedBipartition:
                         complete_bipartite_graph(1, 3)),
             complete_bipartite_graph(1, 4),
         )
-        assert balanced_bipartition_exists(g)
+        assert self.balanced(g)
+        assert balanced_bipartition_exists(((1, 2), (1, 3), (1, 4)))
 
     def test_odd_vertex_count_false(self):
-        assert not balanced_bipartition_exists(path_graph(5))
+        assert not self.balanced(path_graph(5))
+        assert not balanced_bipartition_exists(((3, 2),))
 
     def test_non_bipartite_raises(self):
         with pytest.raises(GraphError):
-            balanced_bipartition_exists(complete_graph(3))
+            self.balanced(complete_graph(3))
+
+
+class TestUnionAndJoin:
+    """The mask-shifting constructors equal the graphs built from the edge
+    lists they stand for."""
+
+    @staticmethod
+    def pairs(rng):
+        yield complete_graph(1), complete_graph(1)
+        yield complete_graph(2), empty_graph(3)
+        yield cycle_graph(5), complete_bipartite_graph(1, 3)
+        for _ in range(20):
+            yield (gnp(rng, rng.randint(1, 12), rng.random()),
+                   gnp(rng, rng.randint(1, 12), rng.random()))
+
+    def test_union(self):
+        for g1, g2 in self.pairs(random.Random("union")):
+            off = g1.vertex_count
+            edges = g1.edges + [(i + off, j + off) for (i, j) in g2.edges]
+            expected = FrameGraph(off + g2.vertex_count, edges)
+            g = graph_union(g1, g2)
+            assert g == expected and g.edges == expected.edges
+            assert g.vertex_flags == expected.vertex_flags
+
+    def test_join(self):
+        for g1, g2 in self.pairs(random.Random("join")):
+            off, m2 = g1.vertex_count, g2.vertex_count
+            edges = g1.edges + [(i + off, j + off) for (i, j) in g2.edges]
+            edges += [(i, off + j) for i in range(off) for j in range(m2)]
+            expected = FrameGraph(off + m2, edges)
+            g = graph_join(g1, g2)
+            assert g == expected and g.edges == expected.edges
+            assert g.vertex_flags == expected.vertex_flags
 
 
 class TestUniqueCommonNeighbor:
