@@ -231,7 +231,7 @@ def resolve_graph(spec: str) -> FrameGraph:
         inst = corpus.load(spec)
         if inst.graph is not None:
             return inst.graph
-        return build_graph(inst.frame, 0 if inst.frame.is_exact else 1e-10)
+        return build_graph(inst.frame, 0)  # every built-in frame is exact
     try:
         return corpus.named_graph(spec)
     except corpus.CorpusError:
@@ -246,33 +246,20 @@ def resolve_graph(spec: str) -> FrameGraph:
     return _graph_from_json(data)
 
 
-def _config(args, filters_only: bool = False) -> AnalysisConfig:
-    return AnalysisConfig(
-        tol=args.tol,
-        tol_zero=args.tol_zero,
-        filters_only=filters_only or getattr(args, "filters_only", False),
-    )
-
-
 def cmd_analyze(args) -> int:
-    frame = resolve_frame(args.input, args.exact, args.seed)
-    report = analyze_frame(frame, _config(args), source=args.input)
-    print(stable_dumps(report))
-    return EXIT_OK
-
-
-def cmd_filters(args) -> int:
+    """`analyze`, and `filters` with ``filters_only`` set: a frame input,
+    or (`filters` only) an abstract graph with its dimension."""
+    config = AnalysisConfig(args.tol, args.tol_zero, args.filters_only)
     if args.graph is not None:
         if args.dim is None:
             raise CliError("--graph requires an explicit --dim")
         graph = resolve_graph(args.graph)
-        report = analyze_graph(graph, args.dim, _config(args, True),
-                               source=args.graph)
+        report = analyze_graph(graph, args.dim, config, source=args.graph)
     else:
         if args.input is None:
             raise CliError("give a frame input or --graph NAME --dim N")
         frame = resolve_frame(args.input, args.exact, args.seed)
-        report = analyze_frame(frame, _config(args, True), source=args.input)
+        report = analyze_frame(frame, config, source=args.input)
     print(stable_dumps(report))
     return EXIT_OK
 
@@ -290,7 +277,7 @@ def cmd_scale(args) -> int:
 
 
 def cmd_complement(args) -> int:
-    frame = resolve_frame(args.input, False, args.seed)
+    frame = resolve_frame(args.input, args.exact, args.seed)
     comp = naimark_complement(frame, args.tol)
     out = {
         "dimension": comp.dim,
@@ -348,14 +335,9 @@ _TOL_ZERO = _checked(float, lambda x: math.isfinite(x) and x >= 0,
 _DIM = _checked(int, lambda n: n >= 1, "must be a positive integer")
 
 
-def _add_common(sub, with_input=True, input_optional=False):
-    if with_input:
-        if input_optional:
-            sub.add_argument("input", nargs="?", default=None,
-                             help="frame file, corpus name, or generator call")
-        else:
-            sub.add_argument("input",
-                             help="frame file, corpus name, or generator call")
+def _add_common(sub, input_optional=False):
+    sub.add_argument("input", nargs="?" if input_optional else None,
+                     help="frame file, corpus name, or generator call")
     sub.add_argument("--tol", type=_TOL, default=1e-8,
                      help="solver / Parseval tolerance (default 1e-8)")
     sub.add_argument("--tol-zero", type=_TOL_ZERO, default=1e-10,
@@ -378,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--filters-only", action="store_true",
                    help="skip the feasibility oracle")
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(func=cmd_analyze, graph=None)
 
     p = subs.add_parser("filters", help="filter battery only")
     _add_common(p, input_optional=True)
@@ -387,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "or adjacency-matrix JSON file")
     p.add_argument("--dim", type=_DIM, default=None,
                    help="ambient dimension for --graph mode")
-    p.set_defaults(func=cmd_filters)
+    p.set_defaults(func=cmd_analyze, filters_only=True)
 
     p = subs.add_parser("scale", help="feasibility oracle only")
     _add_common(p)

@@ -28,6 +28,11 @@ from .graphs import (
 from .linalg import ordered_sum
 
 
+RANDOM_FRAME_RETRIES = 64  # seeded draws random_frame tries
+CYCLE_PATTERN_RESTARTS = 64  # seeded restarts of cycle_pattern_frame
+CYCLE_PATTERN_MARGIN = 1e-4  # least |<f_i, f_j>| on a cycle edge
+
+
 class CorpusError(KeyError):
     pass
 
@@ -161,8 +166,7 @@ def onb(n: int) -> Frame:
     )
 
 
-def random_frame(m: int, n: int, seed: int, max_entry: int = 2,
-                 max_retries: int = 64) -> Frame:
+def random_frame(m: int, n: int, seed: int, max_entry: int = 2) -> Frame:
     """Seeded frame with small integer entries (exact mode); retried until
     the vectors span R^n.  Small entries make orthogonal pairs common, which
     is exactly what makes these interesting graph instances."""
@@ -172,7 +176,7 @@ def random_frame(m: int, n: int, seed: int, max_entry: int = 2,
         raise FrameError("need at least n vectors to span R^n")
     if max_entry < 1:  # every draw would be the zero vector
         raise FrameError("random_frame needs max_entry >= 1")
-    for attempt in range(max_retries):
+    for attempt in range(RANDOM_FRAME_RETRIES):
         rng = random.Random(seed * 7919 + attempt)
         vectors = []
         for _ in range(m):
@@ -186,8 +190,7 @@ def random_frame(m: int, n: int, seed: int, max_entry: int = 2,
     raise FrameError(f"random_frame({m},{n},{seed}): no spanning draw")
 
 
-def cycle_pattern_frame(m: int, n: int, seed: int,
-                        max_restarts: int = 64) -> Frame:
+def cycle_pattern_frame(m: int, n: int, seed: int) -> Frame:
     """m unit vectors in R^n whose frame graph is the m-cycle 1-2-...-m-1.
 
     Vectors are built sequentially: each one is drawn in the orthogonal
@@ -203,7 +206,7 @@ def cycle_pattern_frame(m: int, n: int, seed: int,
             f"cycle_pattern_frame supports n in {{m-2, m-1, m}}, "
             f"got m={m}, n={n}"
         )
-    for attempt in range(max_restarts):
+    for attempt in range(CYCLE_PATTERN_RESTARTS):
         rng = random.Random(seed * 104729 + attempt)
         vectors = []
         failed = False
@@ -225,7 +228,7 @@ def cycle_pattern_frame(m: int, n: int, seed: int,
             return frame
     raise FrameError(
         f"cycle_pattern_frame({m},{n},{seed}): no realization after "
-        f"{max_restarts} restarts"
+        f"{CYCLE_PATTERN_RESTARTS} restarts"
     )
 
 
@@ -250,13 +253,13 @@ def _draw_in_complement(rng, n, others):
     return tuple(a / norm for a in v)
 
 
-def _cycle_pattern_ok(frame: Frame, m: int, margin: float = 1e-4) -> bool:
+def _cycle_pattern_ok(frame: Frame, m: int) -> bool:
     vs = frame.vectors
     for i in range(m):
         for j in range(i + 1, m):
             ip = abs(ordered_sum(map(mul, vs[i], vs[j])))
             adjacent = j == i + 1 or (i == 0 and j == m - 1)
-            if adjacent and ip < margin:
+            if adjacent and ip < CYCLE_PATTERN_MARGIN:
                 return False
             if not adjacent and ip > 1e-10:
                 return False

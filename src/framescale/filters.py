@@ -15,10 +15,8 @@ inapplicable rather than risking an unsound verdict.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
-from .exactnum import sign
 from .frames import Frame
 from .graphs import (
     FrameGraph,
@@ -374,32 +372,26 @@ def _cycle_order(g: FrameGraph):
 def filter_adjacent_dependence(frame: Frame, g: FrameGraph) -> FilterReport:
     """Data-quality check, not a scalability condition: adjacent parallel
     vectors must have identical closed neighborhoods.  A violation points at
-    a misconfigured adjacency tolerance."""
+    a misconfigured adjacency tolerance, so only float frames are checked:
+    if f_j = c f_i with c != 0, then <f_j, f_k> = c <f_i, f_k> for every k,
+    and exact adjacency gives f_i and f_j the same closed neighborhood."""
     fid, cite = "adjacent_dependence", (
         "adjacent parallel vectors force identical closed neighborhoods; "
         "disagreement signals a tolerance problem"
     )
+    if frame.is_exact:
+        return FilterReport(fid, cite, applicable=True, experimental=True)
     # closed neighbourhoods first: parallelism is tested only on the edges
     # whose ends disagree, in the order of the sorted edge list
     closed = [mask | 1 << v for v, mask in enumerate(g.masks)]
     same = {}
     for v, c in enumerate(closed):
         same[c] = same.get(c, 0) | 1 << v
-    image = frame.integer_image
-    if image is None:
-        vectors, exact = frame.vectors, frame.is_exact
-
-        def parallel(i, j):
-            return _parallel(vectors[i], vectors[j], exact)
-    else:  # parallel integer vectors have one primitive form
-        primitive = [_primitive(u) for u in image.vectors]
-
-        def parallel(i, j):
-            return primitive[i] == primitive[j]
+    vectors = frame.vectors
     warnings = []
     for i, mask in enumerate(g.masks):
         for j in mask_vertices(mask & ~same[closed[i]] & -(2 << i)):
-            if parallel(i, j):
+            if _parallel(vectors[i], vectors[j]):
                 warnings.append(
                     f"parallel adjacent vectors v{_v(i)}, v{_v(j)} have "
                     f"different closed neighborhoods; check tol_zero"
@@ -409,30 +401,13 @@ def filter_adjacent_dependence(frame: Frame, g: FrameGraph) -> FilterReport:
     )
 
 
-def _primitive(u) -> tuple:
-    """The integer vector u divided by the gcd of its entries, with its
-    first nonzero entry made positive: two nonzero integer vectors are
-    parallel iff their primitive forms are equal.  A zero vector stays
-    zero (it has no edges, so it is never tested)."""
-    g = math.gcd(*u)
-    if not g:
-        return tuple(u)
-    if next(x for x in u if x) < 0:
-        g = -g
-    return tuple(x // g for x in u)
-
-
-def _parallel(u, v, exact: bool) -> bool:
-    if exact:
-        return all(
-            sign(u[p] * v[q] - u[q] * v[p]) == 0
-            for p in range(len(u))
-            for q in range(p + 1, len(u))
-        )
-    scale = max(max(abs(float(x)) for x in u), max(abs(float(x)) for x in v), 1.0)
+def _parallel(u, v) -> bool:
+    """All 2x2 minors of the float vectors u, v vanish, within 1e-12 times
+    the square of the largest |entry| (at least 1)."""
+    scale = max(max(map(abs, u)), max(map(abs, v)), 1.0)
     tol = 1e-12 * scale * scale
     return all(
-        abs(float(u[p]) * float(v[q]) - float(u[q]) * float(v[p])) <= tol
+        abs(u[p] * v[q] - u[q] * v[p]) <= tol
         for p in range(len(u))
         for q in range(p + 1, len(u))
     )

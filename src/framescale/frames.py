@@ -10,9 +10,9 @@ An exact rational frame has one integer image, built once per frame: the
 vectors u_i = L * f_i for the least common multiple L of all its entry
 denominators.  Every exact step before the simplex reads it: the rank in
 `is_frame`, the frame operator in `classify_tightness` (as L^2 * S), the LP
-rows in `scaler.build_lp`, and the adjacency and parallelism tests of the
-graph side.  One L for every vector keeps all of them exact multiples of
-the rational quantities, with no Fraction arithmetic.
+rows in `scaler.build_lp`, and the adjacency test of the graph side.  One L
+for every vector keeps all of them exact multiples of the rational
+quantities, with no Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ FLOAT_MODE = "float64"
 EXACT_MODE = "exact_rational"
 
 DEFAULT_TOL = 1e-8
+PARSEVAL_RETRIES = 16  # seeded substreams random_parseval tries
 
 
 class FrameError(ValueError):
@@ -55,8 +56,8 @@ def _exact_entry(x):
 class IntegerImage(NamedTuple):
     """u_i = L * f_i as tuples of ints, for the least common multiple L of
     all entry denominators of an exact rational frame.  Every vector is
-    scaled alike, so u_i . u_j = L^2 <f_i, f_j> and the u_i have the rank,
-    adjacency and parallel pairs of the frame."""
+    scaled alike, so u_i . u_j = L^2 <f_i, f_j> and the u_i have the rank
+    and adjacency of the frame."""
 
     scale: int  # L
     vectors: tuple
@@ -349,12 +350,12 @@ def scale_frame(frame: Frame, weights) -> Frame:
     return Frame(frame.dim, vectors, FLOAT_MODE)
 
 
-def random_parseval(m: int, n: int, seed: int, max_retries: int = 16) -> Frame:
+def random_parseval(m: int, n: int, seed: int) -> Frame:
     """Seeded Parseval frame of m vectors in R^n (rows of an orthonormal-column
     Gaussian matrix); deterministic in the seed."""
     if not (m >= n >= 1):
         raise FrameError("random_parseval needs m >= n >= 1")
-    for attempt in range(max_retries):
+    for attempt in range(PARSEVAL_RETRIES):
         rng = random.Random(seed * 1000003 + attempt)
         cols = [[rng.gauss(0.0, 1.0) for _ in range(m)] for _ in range(n)]
         ortho = []
@@ -375,7 +376,7 @@ def random_parseval(m: int, n: int, seed: int, max_retries: int = 16) -> Frame:
         return Frame(n, vectors, FLOAT_MODE)
     raise FrameError(
         f"random_parseval({m}, {n}, {seed}): degenerate draws in all "
-        f"{max_retries} substreams"
+        f"{PARSEVAL_RETRIES} substreams"
     )
 
 

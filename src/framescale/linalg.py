@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from .exactnum import EXACT_TYPES, ExactModeError
 
-DEFAULT_MAX_SWEEPS = 100
+MAX_SWEEPS = 100
 
 
 class JacobiConvergenceError(RuntimeError):
@@ -128,13 +128,12 @@ def _max_offdiag(m, n: int) -> float:
     return best
 
 
-def jacobi_eigensystem(a: SymmetricMatrix, tol: float,
-                       max_sweeps: int = DEFAULT_MAX_SWEEPS):
+def jacobi_eigensystem(a: SymmetricMatrix, tol: float):
     """Full eigensystem of a symmetric matrix by row-cyclic Jacobi rotations.
 
     Returns (eigenvalues, eigenvectors, achieved_offdiag) with eigenvalues
     descending and eigenvectors as a list of column vectors, paired by index.
-    Raises JacobiConvergenceError if max_sweeps is exhausted.
+    Raises JacobiConvergenceError after MAX_SWEEPS sweeps.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -152,7 +151,7 @@ def jacobi_eigensystem(a: SymmetricMatrix, tol: float,
     off = _max_offdiag(m, n)
     sweeps = 0
     while off >= tol:
-        if sweeps >= max_sweeps:
+        if sweeps >= MAX_SWEEPS:
             raise JacobiConvergenceError(off, sweeps)
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -189,8 +188,7 @@ def jacobi_eigensystem(a: SymmetricMatrix, tol: float,
     return values, vectors, off
 
 
-def symmetric_eigs(a: SymmetricMatrix, tol: float,
-                   max_sweeps: int = DEFAULT_MAX_SWEEPS) -> Spectrum:
+def symmetric_eigs(a: SymmetricMatrix, tol: float) -> Spectrum:
     """Eigenvalues only; see jacobi_eigensystem for the contract."""
-    values, _, off = jacobi_eigensystem(a, tol, max_sweeps)
+    values, _, off = jacobi_eigensystem(a, tol)
     return Spectrum(tuple(values), off)

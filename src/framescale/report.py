@@ -168,43 +168,14 @@ def analyze_frame(frame: Frame, config: AnalysisConfig | None = None,
     warnings = []
     if not is_frame(frame, config.tol):
         warnings.append("input does not span R^n (not a frame)")
-    graph = build_graph(frame, tol_zero)
-    stats = compute_stats(graph)
-    battery = run_all_filters(graph, frame.dim, frame=frame, stats=stats)
-    warnings.extend(battery.warnings)
-
-    strict = None
-    if not config.filters_only:
-        strict = solve_strict(build_lp(frame), config.tol)
-
     tightness = classify_tightness(frame, config.tol)
-    conclusion = _conclusion(battery, strict, warnings)
-    return {
-        "report_version": REPORT_VERSION,
-        "input": {
-            "source": source,
-            "m": frame.count,
-            "n": frame.dim,
-            "scalar_mode": frame.scalar_mode,
-            "tol": config.tol,
-            "tol_zero": tol_zero,
-            "tightness": {
-                "kind": tightness.kind,
-                "bound": _scalar(tightness.bound)
-                if tightness.bound is not None
-                else None,
-            },
-        },
-        "graph": {
-            "edges": edge_rows(graph),
-            "stats": _stats_json(stats),
-        },
-        "filters": _battery_json(battery),
-        "combined_filter_verdict": battery.combined_verdict,
-        "oracle": {"skipped": True} if strict is None else oracle_json(strict),
-        "conclusion": conclusion,
-        "warnings": warnings,
-    }
+    inputs = {"source": source, "m": frame.count, "n": frame.dim,
+              "scalar_mode": frame.scalar_mode, "tol": config.tol,
+              "tol_zero": tol_zero,
+              "tightness": {"kind": tightness.kind,
+                            "bound": _scalar(tightness.bound)}}
+    return _report(inputs, warnings, build_graph(frame, tol_zero), config,
+                   frame)
 
 
 def analyze_graph(graph: FrameGraph, dim: int,
@@ -213,26 +184,30 @@ def analyze_graph(graph: FrameGraph, dim: int,
     """Filter battery on an abstract graph with a declared dimension; no
     vectors means no oracle."""
     config = config or AnalysisConfig()
+    inputs = {"source": source, "m": graph.vertex_count, "n": dim,
+              "scalar_mode": "graph_only", "tol_zero": config.tol_zero}
+    return _report(inputs, [], graph, config)
+
+
+def _report(inputs: dict, warnings: list, graph: FrameGraph,
+            config: AnalysisConfig, frame: Frame | None = None) -> dict:
+    """The report on one graph, in dimension ``inputs["n"]``: its stats,
+    the filter battery and, given a frame and not ``filters_only``, the
+    oracle.  ``warnings`` holds those found before the graph's."""
     stats = compute_stats(graph)
-    battery = run_all_filters(graph, dim, stats=stats)
-    warnings = list(battery.warnings)
-    conclusion = _conclusion(battery, None, warnings)
+    battery = run_all_filters(graph, inputs["n"], frame=frame, stats=stats)
+    warnings.extend(battery.warnings)
+    strict = None
+    if frame is not None and not config.filters_only:
+        strict = solve_strict(build_lp(frame), config.tol)
+    conclusion = _conclusion(battery, strict, warnings)
     return {
         "report_version": REPORT_VERSION,
-        "input": {
-            "source": source,
-            "m": graph.vertex_count,
-            "n": dim,
-            "scalar_mode": "graph_only",
-            "tol_zero": config.tol_zero,
-        },
-        "graph": {
-            "edges": edge_rows(graph),
-            "stats": _stats_json(stats),
-        },
+        "input": inputs,
+        "graph": {"edges": edge_rows(graph), "stats": _stats_json(stats)},
         "filters": _battery_json(battery),
         "combined_filter_verdict": battery.combined_verdict,
-        "oracle": {"skipped": True},
+        "oracle": {"skipped": True} if strict is None else oracle_json(strict),
         "conclusion": conclusion,
         "warnings": warnings,
     }

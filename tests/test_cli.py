@@ -81,6 +81,61 @@ class TestAnalyze:
                    for _ in range(3)}
         assert len(outputs) == 1
 
+    def test_not_spanning_warns(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"dimension": 2,
+                                    "vectors": [[1, 0], [2, 0]]}))
+        code, out, _ = run(capsys, "analyze", str(path), "--exact")
+        assert code == 0
+        assert "input does not span R^n (not a frame)" in \
+            json.loads(out)["warnings"]
+
+    def test_numerically_ambiguous_in_float_only(self, capsys):
+        spec = "random_frame(20,7)"
+        code, out, _ = run(capsys, "analyze", spec, "--seed", "56")
+        report = json.loads(out)
+        assert code == 0
+        assert report["conclusion"] == {"verdict": "numerically_ambiguous",
+                                        "basis": "oracle"}
+        assert report["oracle"]["strict"]["detail"] == (
+            "phase-1 positive but the dual certificate does not verify at "
+            "this tolerance")
+        code, out, _ = run(capsys, "analyze", spec, "--seed", "56", "--exact")
+        assert code == 0
+        assert json.loads(out)["conclusion"]["verdict"] == "not_scalable"
+
+
+class TestInputErrors:
+    """Each malformed input or missing argument exits 2 with one error
+    line and no traceback.  ``{path}`` is a file holding ``text``, or no
+    file when ``text`` is None."""
+
+    @pytest.mark.parametrize("argv, text, message", [
+        (["analyze", "{path}"], '{"dim": 2}', '"dimension" and "vectors"'),
+        (["analyze", "{path}"], '{"dimension": 2, "vectors": []}',
+         "non-empty list"),
+        (["analyze", "{path}"], "", "empty CSV input"),
+        (["analyze", "{path}"], "1,0\n1\n", "inconsistent lengths"),
+        (["filters", "--graph", "{path}", "--dim", "2"],
+         '{"edges": [[1, 2]]}', "needs an adjacency matrix"),
+        (["filters", "--graph", "{path}", "--dim", "2"], None,
+         "cannot read graph"),
+        (["filters", "--graph", "{path}", "--dim", "2"], "{not json",
+         "invalid JSON"),
+        (["filters"], None, "give a frame input or --graph"),
+        (["graph"], None, "give a frame input or --graph"),
+    ], ids=["frame_keys", "no_vectors", "empty_csv", "ragged_csv",
+            "graph_not_adjacency", "graph_unreadable", "graph_bad_json",
+            "filters_no_input", "graph_no_input"])
+    def test_exit_2(self, tmp_path, capsys, argv, text, message):
+        path = tmp_path / "input"
+        if text is not None:
+            path.write_text(text)
+        code, out, err = run(capsys, *(a.format(path=path) for a in argv))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err and "Traceback" not in err
+
 
 class TestFileInput:
     def test_json_frame_file(self, tmp_path, capsys):
@@ -515,6 +570,16 @@ class TestComplement:
         code, _, err = run(capsys, "complement", "paper/M1")
         assert code == 2 and err
 
+    @pytest.mark.parametrize("spec, message", [
+        ("random_parseval(5,2)", "has no exact representation"),
+        ("paper/M1", "irrational output"),
+    ])
+    def test_exact_exit_2(self, capsys, spec, message):
+        code, out, err = run(capsys, "complement", spec, "--seed", "4",
+                             "--exact")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+
 
 class TestGraphCmd:
     def test_m1_dot(self, capsys):
@@ -625,9 +690,10 @@ SRC = str(Path(framescale.__file__).parents[1])
 
 
 def _python(args, unbuffered: bool = True, timeout: float = 60,
-            python: str = sys.executable, **kwargs):
+            python: str = sys.executable, extra_env=None, **kwargs):
     """Run a fresh interpreter that imports framescale from this tree."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(extra_env or {})
     env["PYTHONPATH"] = SRC
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -694,16 +760,47 @@ def reports_here() -> str:
     return proc.stdout
 
 
+def _runs(path: str, extra_env: dict) -> bool:
+    return not subprocess.run([path, "-c", "pass"], timeout=60,
+                              env={**os.environ, **extra_env},
+                              capture_output=True).returncode
+
+
+def _interpreter(python: str):
+    """The path of ``python`` on PATH and the environment it runs in, or
+    None.  A pyenv shim that cannot run as it is (no ``PYENV_VERSION``
+    selects it) is retried once with the newest installed version of its
+    name, as ``pyenv versions --bare`` lists them."""
+    path = shutil.which(python)
+    if path is None:
+        return None
+    if _runs(path, {}):
+        return path, {}
+    pyenv = shutil.which("pyenv")
+    if Path(path).parent.name != "shims" or pyenv is None:
+        return None
+    listed = subprocess.run([pyenv, "versions", "--bare"], timeout=60,
+                            capture_output=True, text=True).stdout.split()
+    prefix = python.removeprefix("python") + "."
+    versions = [tuple(map(int, v.split("."))) for v in listed
+                if v.startswith(prefix)
+                and v.replace(".", "").isdigit()]
+    if not versions:
+        return None
+    extra_env = {"PYENV_VERSION": ".".join(map(str, max(versions)))}
+    return (path, extra_env) if _runs(path, extra_env) else None
+
+
 @pytest.mark.parametrize("python", ["python3.10", "python3.12", "python3.13"])
 def test_reports_byte_identical_across_interpreters(reports_here, python):
     """The same calls give the same bytes on other interpreters on PATH;
     one that is missing, or that cannot run, is skipped."""
-    path = shutil.which(python)
-    if path is None or subprocess.run([path, "-c", "pass"], timeout=60,
-                                      capture_output=True).returncode:
+    found = _interpreter(python)
+    if found is None:
         pytest.skip(f"{python} cannot run here")
-    proc = _python(["-c", _ACROSS_SCRIPT], python=path, capture_output=True,
-                   text=True, check=True)
+    path, extra_env = found
+    proc = _python(["-c", _ACROSS_SCRIPT], python=path, extra_env=extra_env,
+                   capture_output=True, text=True, check=True)
     assert proc.stdout == reports_here
 
 

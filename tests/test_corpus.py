@@ -22,6 +22,11 @@ class TestRegistry:
         assert {"paper/M1", "paper/M2", "paper/M", "canonical/mercedes",
                 "paper/graph-K2K2-join-K13"} <= set(names())
 
+    def test_built_in_frames_exact(self):
+        # `filters --graph NAME` builds their graphs with tol_zero 0
+        frames = [load(name).frame for name in names()]
+        assert all(fr.is_exact for fr in frames if fr is not None)
+
     def test_unknown_name(self):
         with pytest.raises(CorpusError):
             load("paper/nope")

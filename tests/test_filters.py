@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from framescale.corpus import load, named_graph, onb
+from framescale.exactnum import QuadExt
 from framescale import filters
 from framescale.filters import (
     INCONCLUSIVE,
@@ -192,6 +193,12 @@ class TestOrthogonalSetCodim2:
         assert not run_one(filter_orthogonal_set_codim2,
                            complete_graph(5), 4).applicable
 
+    def test_vertex_cap_exceeded_warns(self):
+        rep = run_one(filter_orthogonal_set_codim2, complete_graph(34), 32)
+        assert not rep.applicable and rep.verdict == INCONCLUSIVE
+        assert rep.warnings == (
+            "independence number skipped: vertex cap exceeded",)
+
 
 class TestBipartiteBalance:
     def test_star_fires(self):
@@ -245,6 +252,14 @@ class TestLeafBridge:
     def test_small_components_inapplicable(self):
         g = graph_union(complete_graph(2), complete_graph(2))
         assert not run_one(filter_leaf_bridge, g, 3).applicable
+
+    def test_bridge_between_triangles_fires(self):
+        # no leaf, one bridge: the edge v3-v4 joining two triangles
+        g = FrameGraph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5),
+                           (4, 5)])
+        rep = run_one(filter_leaf_bridge, g, 4)
+        assert rep.verdict == NOT_STRICTLY_SCALABLE
+        assert rep.certificate == {"bridge": [3, 4]}
 
 
 class TestTree:
@@ -472,15 +487,22 @@ def reference_adjacent_warnings(frame: Frame, g: FrameGraph):
     return tuple(out)
 
 
-def _frame_with_parallels(rng: random.Random, exact: bool) -> Frame:
-    """Small integer vectors, about half of them integer or fractional
-    multiples of an earlier one, plus near-zero perturbations in float
+_RATIONAL_FACTORS = (-2, 3, Fraction(1, 2), Fraction(-2, 3))
+_SQRT2 = QuadExt(2, 0, 1)
+_QUADRATIC_FACTORS = _RATIONAL_FACTORS + (_SQRT2, -_SQRT2, 1 + _SQRT2,
+                                          _SQRT2 / 3)
+
+
+def _frame_with_parallels(rng: random.Random, exact: bool,
+                          factors=_RATIONAL_FACTORS) -> Frame:
+    """Small integer vectors, about half of them multiples (by one of
+    ``factors``) of an earlier one, plus near-zero perturbations in float
     mode."""
     n = rng.randint(2, 4)
     vectors = []
     for _ in range(rng.randint(n, 14)):
         if vectors and rng.random() < 0.5:
-            factor = rng.choice((-2, 3, Fraction(1, 2), Fraction(-2, 3)))
+            factor = rng.choice(factors)
             vectors.append([factor * x for x in rng.choice(vectors)])
         else:
             vectors.append([rng.randint(-1, 1) for _ in range(n)])
@@ -491,69 +513,40 @@ def _frame_with_parallels(rng: random.Random, exact: bool) -> Frame:
 
 class TestAdjacentDependence:
     """Closed neighbourhoods are compared before parallelism is tested; the
-    warnings are those of the parallelism-first reference, in its order."""
+    warnings are those of the parallelism-first reference, in its order.
+    Exact frames, rational or over Q(sqrt 2), never warn."""
 
     @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
     def test_matches_reference(self, exact):
-        rng = random.Random(f"adjacent-dependence:{exact}")
-        parallel = warned = 0
-        for _ in range(150):
-            fr = _frame_with_parallels(rng, exact)
-            g = build_graph(fr, 0 if exact else 1e-10)
-            expected = reference_adjacent_warnings(fr, g)
-            assert filter_adjacent_dependence(fr, g).warnings == expected
-            parallel += any(reference_parallel(fr, i, j)
-                            for i, j in g.sorted_edges())
-            warned += bool(expected)
-        # exact adjacency cannot split parallel vectors; float can
-        assert parallel >= 50
-        assert (warned == 0) if exact else (warned >= 10)
+        runs = [(f"adjacent-dependence:{exact}", _RATIONAL_FACTORS)]
+        if exact:
+            runs.append(("adjacent-dependence:sqrt2", _QUADRATIC_FACTORS))
+        for seed, factors in runs:
+            rng = random.Random(seed)
+            parallel = warned = 0
+            for _ in range(150):
+                fr = _frame_with_parallels(rng, exact, factors)
+                g = build_graph(fr, 0 if exact else 1e-10)
+                expected = reference_adjacent_warnings(fr, g)
+                assert filter_adjacent_dependence(fr, g).warnings == expected
+                parallel += any(reference_parallel(fr, i, j)
+                                for i, j in g.sorted_edges())
+                warned += bool(expected)
+            # exact adjacency cannot split parallel vectors; float can
+            assert parallel >= 50
+            assert (warned == 0) if exact else (warned >= 10)
+
+    def test_quadratic_frames_leave_the_rationals(self):
+        rng = random.Random("adjacent-dependence:sqrt2")
+        frames = [_frame_with_parallels(rng, True, _QUADRATIC_FACTORS)
+                  for _ in range(150)]
+        assert sum(fr.integer_image is None for fr in frames) >= 50
 
     def test_equal_neighbourhoods_no_warning(self):
         fr = Frame.from_vectors([[1, 0], [2, 0], [1, 1], [-1, 1]])
         g = build_graph(fr, 1e-10)
         assert g.has_edge(0, 1) and reference_parallel(fr, 0, 1)
         assert not filter_adjacent_dependence(fr, g).warnings
-
-
-class TestPrimitiveParallel:
-    """Integer vectors are parallel iff their primitive forms (divided by
-    the gcd, first nonzero entry positive) are equal."""
-
-    @staticmethod
-    def same(u, v):
-        return filters._primitive(u) == filters._primitive(v)
-
-    def test_gcd_and_opposite_signs(self):
-        assert filters._primitive((2, -4, 0)) == (1, -2, 0)
-        assert filters._primitive((-1, 2, 0)) == (1, -2, 0)
-        assert filters._primitive((0, -6, 9)) == (0, 2, -3)
-        assert self.same((2, -4, 0), (-1, 2, 0))
-        assert not self.same((2, -4, 0), (1, 2, 0))
-        assert not self.same((3, 0), (0, 3))
-
-    def test_matches_reference(self):
-        rng = random.Random("primitive-parallel")
-        parallel = 0
-        for _ in range(3000):
-            n = rng.randint(1, 5)
-            u = [0] * n
-            while not any(u):
-                u = [rng.randint(-3, 3) for _ in range(n)]
-            if rng.random() < 0.5:  # a multiple, gcd and sign included
-                f = rng.choice((-6, -3, -2, -1, 2, 4))
-                v = [f * x for x in u]
-                if rng.random() < 0.3:
-                    v[rng.randrange(n)] += 1
-            else:
-                v = [rng.randint(-3, 3) for _ in range(n)]
-            if not any(v):
-                continue
-            fr = Frame.from_vectors([u, v], exact=True)
-            want = reference_parallel(fr, 0, 1)
-            assert self.same(*fr.integer_image.vectors) == want
-            parallel += want
-        assert parallel >= 1000
 
 
 class TestNamedGraphSpecs:
