@@ -27,7 +27,6 @@ from .frames import (
     classify_tightness,
     is_frame,
     naimark_complement,
-    normalize_tight,
     random_parseval,
     scale_frame,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "is_frame",
     "jacobi_eigensystem",
     "naimark_complement",
-    "normalize_tight",
     "parse_exact",
     "random_parseval",
     "run_all_filters",

@@ -246,16 +246,26 @@ def resolve_graph(spec: str) -> FrameGraph:
     return _graph_from_json(data)
 
 
+def _one_input(args):
+    """A frame input and --graph exclude each other: the report could
+    describe only one of them."""
+    if args.input is not None and args.graph is not None:
+        raise CliError("give a frame input or --graph, not both")
+
+
 def cmd_analyze(args) -> int:
     """`analyze`, and `filters` with ``filters_only`` set: a frame input,
     or (`filters` only) an abstract graph with its dimension."""
     config = AnalysisConfig(args.tol, args.tol_zero, args.filters_only)
+    _one_input(args)
     if args.graph is not None:
         if args.dim is None:
             raise CliError("--graph requires an explicit --dim")
         graph = resolve_graph(args.graph)
         report = analyze_graph(graph, args.dim, config, source=args.graph)
     else:
+        if args.dim is not None:
+            raise CliError("--dim applies only to --graph")
         if args.input is None:
             raise CliError("give a frame input or --graph NAME --dim N")
         frame = resolve_frame(args.input, args.exact, args.seed)
@@ -290,6 +300,7 @@ def cmd_complement(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    _one_input(args)
     if args.graph is not None:
         graph = resolve_graph(args.graph)
     else:
@@ -360,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--filters-only", action="store_true",
                    help="skip the feasibility oracle")
-    p.set_defaults(func=cmd_analyze, graph=None)
+    p.set_defaults(func=cmd_analyze, graph=None, dim=None)
 
     p = subs.add_parser("filters", help="filter battery only")
     _add_common(p, input_optional=True)

@@ -224,17 +224,6 @@ def parse_exact(text) -> Fraction:
     raise ValueError(f"cannot parse {text!r} as an exact number")
 
 
-def rational_sqrt(x: Fraction):
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError("square root of a negative number")
-    rn, rd = math.isqrt(x.numerator), math.isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def exact_str(x) -> str:
     """Canonical string for an exact scalar ('p/q' for rationals)."""
     if isinstance(x, (Fraction, QuadExt)):

@@ -8,10 +8,14 @@ construction) refuse exact mode.
 
 An exact rational frame has one integer image, built once per frame: the
 vectors u_i = L * f_i for the least common multiple L of all its entry
-denominators.  Every exact step before the simplex reads it: the rank in
-`is_frame`, the frame operator in `classify_tightness` (as L^2 * S), the LP
-rows in `scaler.build_lp`, and the adjacency test of the graph side.  One L
-for every vector keeps all of them exact multiples of the rational
+denominators.  These exact steps read it:
+- the rank in `is_frame`;
+- the weight check `verify_weights`, on T = sum_i N_i u_i u_i^t for
+  weights N_i / D (T = D * L^2 * S), and so `classify_tightness`, which is
+  that check at unit weights (T = L^2 * S);
+- the LP rows in `scaler.build_lp`;
+- the adjacency test of the graph side.
+One L for every vector keeps all of them exact multiples of the rational
 quantities, with no Fraction arithmetic.
 """
 
@@ -27,9 +31,7 @@ from typing import NamedTuple
 
 from .exactnum import (
     ExactModeError,
-    QuadExt,
     is_exact_scalar,
-    rational_sqrt,
     sign,
 )
 from .linalg import SymmetricMatrix, jacobi_eigensystem, ordered_sum
@@ -135,10 +137,11 @@ class Frame:
     @cached_property
     def operator(self) -> SymmetricMatrix:
         """The frame operator S = sum_i f_i f_i^t, built once per frame:
-        `is_frame` and `classify_tightness` both read it.  Each entry adds
-        its products left to right over the vectors in a plain loop, which
-        keeps the bits of float entries and printed tight bounds on every
-        interpreter: the float `sum` of Python 3.12 compensates."""
+        `is_frame` and `verify_weights` at unit weights both read it.  Each
+        entry adds its products left to right over the vectors in a plain
+        loop, which keeps the bits of float entries and printed tight
+        bounds on every interpreter: the float `sum` of Python 3.12
+        compensates."""
         vectors = self.vectors
         zero = Fraction(0) if self.is_exact else 0.0
 
@@ -238,93 +241,80 @@ class Tightness(NamedTuple):
     kind: str  # "not_tight" | "tight" | "parseval"
     bound: object = None  # frame bound A when tight/parseval
 
-    @property
-    def is_tight(self) -> bool:
-        return self.kind in ("tight", "parseval")
+
+class WeightReport(NamedTuple):
+    residual: float | None  # max |S - I|; None at unit weights, exact S
+    tightness: Tightness
 
 
-def classify_operator(s: SymmetricMatrix, tol: float) -> Tightness:
-    """Classify an n x n frame operator as Parseval / tight / neither."""
-    n = s.order
-    if s.is_exact():
-        return classify_exact_operator(s)
-    a = float(s.trace()) / n
-    dev_ident = max(
-        abs(float(s.entry(i, j)) - (1.0 if i == j else 0.0))
-        for i in range(n)
-        for j in range(i, n)
-    )
-    if dev_ident < tol:
-        return Tightness("parseval", 1.0)
-    dev_tight = max(
-        abs(float(s.entry(i, j)) - (a if i == j else 0.0))
-        for i in range(n)
-        for j in range(i, n)
-    )
-    if a > 0 and dev_tight < tol:
-        return Tightness("tight", a)
-    return Tightness("not_tight")
+def verify_weights(frame: Frame, weights=None,
+                   tol: float = DEFAULT_TOL) -> WeightReport:
+    """Rebuild S = sum_i w_i f_i f_i^t and compare it with I and with a * I;
+    weights=None means w_i = 1, the tightness test.
 
+    Rational weights N_i / D (or unit weights) on a rational frame are read
+    on the integer image: T = sum_i N_i u_i u_i^t is c * S for c = D * L^2.
+    Every other S adds its terms left to right; at unit weights that is
+    `Frame.operator`.  An exact matrix (T, or S with c = 1) is tight when
+    it equals a * I with a > 0, and Parseval when a = c.  A float S is
+    Parseval when its residual max |S - I| is below tol, and tight when
+    max |S - a * I| is, for a = trace(S) / n.  The residual is a float;
+    unit weights on an exact frame skip it, since T can lie beyond the
+    float range there."""
+    n = frame.dim
+    image = frame.integer_image
+    if weights is not None:
+        weights = list(weights)
+        if len(weights) != frame.count:
+            raise ValueError("weight count mismatch")
+    if image is not None and (weights is None or all(
+            isinstance(w, (int, Fraction)) for w in weights)):
+        cols = tuple(zip(*image.vectors))
+        d, left = 1, cols
+        if weights is not None:
+            d = math.lcm(*(w.denominator for w in weights))
+            nums = [w.numerator * (d // w.denominator) for w in weights]
+            left = [tuple(map(mul, nums, col)) for col in cols]
+        s = SymmetricMatrix.from_function(
+            n, lambda p, q: sum(map(mul, left[p], cols[q])))
+        exact, c = True, d * image.scale ** 2
+    elif weights is None:
+        s, exact, c = frame.operator, frame.is_exact, 1
+    else:
+        exact = frame.is_exact and not any(isinstance(w, float)
+                                           for w in weights)
+        zero = Fraction(0) if exact else 0.0
 
-def integer_operator(vectors, weights=None) -> SymmetricMatrix:
-    """T = sum_i N_i u_i u_i^t for integer vectors u_i and integer weights
-    N_i (all 1 when weights is None), entry by entry as column products."""
-    cols = tuple(zip(*vectors))
-    left = cols if weights is None else tuple(
-        tuple(map(mul, weights, c)) for c in cols)
-    return SymmetricMatrix.from_function(
-        len(cols), lambda p, q: sum(map(mul, left[p], cols[q])))
+        def entry(p, q):
+            total = zero
+            for w, v in zip(weights, frame.vectors):
+                total = total + w * (v[p] * v[q])
+            return total
 
-
-def classify_exact_operator(t: SymmetricMatrix, scale: int = 1) -> Tightness:
-    """Classify S = T / scale, for an exact matrix T and an integer
-    scale > 0, on T itself: S is tight when T = a * I, and Parseval when
-    a = scale."""
-    a = t.entry(0, 0)
-    if t == SymmetricMatrix.identity(t.order, one=a, zero=0):
-        if a == scale:
-            return Tightness("parseval", Fraction(1))
-        if sign(a) > 0:
-            return Tightness("tight", a / Fraction(scale))
-    return Tightness("not_tight")
+        s, c = SymmetricMatrix.from_function(n, entry), 1
+    residual = None
+    if weights is not None or not exact:
+        residual = float(max(abs(s.entry(p, q) - (c if p == q else 0))
+                             for p in range(n) for q in range(p, n)) / c)
+    tightness = Tightness("not_tight")
+    if exact:
+        a = s.entry(0, 0)
+        if s == SymmetricMatrix.identity(n, one=a, zero=0) and sign(a) > 0:
+            tightness = (Tightness("parseval", Fraction(1)) if a == c
+                         else Tightness("tight", a / Fraction(c)))
+    elif residual < tol:
+        tightness = Tightness("parseval", 1.0)
+    else:
+        a = s.trace() / n
+        if a > 0 and max(abs(s.entry(p, q) - (a if p == q else 0.0))
+                         for p in range(n) for q in range(p, n)) < tol:
+            tightness = Tightness("tight", a)
+    return WeightReport(residual, tightness)
 
 
 def classify_tightness(frame: Frame, tol: float = DEFAULT_TOL) -> Tightness:
-    """Parseval / tight / neither.  An exact rational frame is classified
-    on its integer image: its operator sum_i u_i u_i^t is L^2 * S."""
-    image = frame.integer_image
-    if image is None:
-        return classify_operator(frame.operator, tol)
-    return classify_exact_operator(integer_operator(image.vectors),
-                                   image.scale ** 2)
-
-
-def normalize_tight(frame: Frame, tol: float = DEFAULT_TOL) -> Frame:
-    """Divide a tight frame by sqrt(A) so it becomes Parseval.
-
-    Exact frames stay exact when A is a perfect rational square; otherwise
-    the result is returned in float mode.
-    """
-    cls = classify_tightness(frame, tol)
-    if not cls.is_tight:
-        raise FrameError("normalize_tight requires a tight frame")
-    if cls.kind == "parseval":
-        return frame
-    a = cls.bound
-    if frame.is_exact and isinstance(a, Fraction):
-        root = rational_sqrt(a)
-        if root is not None:
-            return Frame(
-                frame.dim,
-                tuple(tuple(x / root for x in v) for v in frame.vectors),
-                EXACT_MODE,
-            )
-    scale = 1.0 / math.sqrt(float(a))
-    return Frame(
-        frame.dim,
-        tuple(tuple(float(x) * scale for x in v) for v in frame.vectors),
-        FLOAT_MODE,
-    )
+    """Parseval / tight / neither: the weight check at unit weights."""
+    return verify_weights(frame, None, tol).tightness
 
 
 def scale_frame(frame: Frame, weights) -> Frame:

@@ -25,7 +25,9 @@ LPs use normalized pivots with a zero tolerance.
 
 The oracle checks its own answers with `verify_weights` (the residual it
 reports, computed on the integer image for a rational frame) and
-`verify_farkas` (the gate on float certificates).
+`verify_farkas` (the gate on float certificates).  `verify_weights` lives
+in `frames`, where at unit weights it is the tightness test, and is
+re-exported here with `WeightReport`.
 """
 
 from __future__ import annotations
@@ -38,13 +40,11 @@ from operator import itemgetter, lshift, mul
 from typing import NamedTuple
 
 from .exactnum import QuadExt, magnitude, sign
-from .frames import (
+from .frames import (  # verify_weights and WeightReport: re-exported
     Frame,
     SymmetricMatrix,
-    Tightness,
-    classify_exact_operator,
-    classify_operator,
-    integer_operator,
+    WeightReport,
+    verify_weights,
 )
 from .linalg import ordered_sum
 
@@ -548,73 +548,27 @@ def solve_scalable(lp: ScaleLP, tol: float = FEASIBILITY_TOL) -> OracleResult:
     return solve_strict(lp, tol).nonneg()
 
 
-class WeightReport(NamedTuple):
-    residual: float
-    tightness: Tightness
-
-
-def verify_weights(frame: Frame, weights, tol: float = FEASIBILITY_TOL) -> WeightReport:
-    """Independent recheck: rebuild S = sum_i w_i f_i f_i^t and compare it
-    with I; the residual is the largest entry of |S - I|.  Rational weights
-    N_i / D on a rational frame are checked on the integer image, where
-    sum_i N_i u_i u_i^t = D * L^2 * S is compared with D * L^2 * I."""
-    weights = list(weights)
-    if len(weights) != frame.count:
-        raise ValueError("weight count mismatch")
-    image = frame.integer_image
-    if image is not None and all(isinstance(w, (int, Fraction))
-                                 for w in weights):
-        d = math.lcm(*(w.denominator for w in weights))
-        t = integer_operator(image.vectors, [w.numerator * (d // w.denominator)
-                                             for w in weights])
-        scale = d * image.scale ** 2
-        worst = max(abs(t.entry(p, q) - (scale if p == q else 0))
-                    for p in range(frame.dim) for q in range(p, frame.dim))
-        return WeightReport(worst / scale, classify_exact_operator(t, scale))
-    exact = frame.is_exact and all(
-        not isinstance(w, float) for w in weights
-    )
-    zero = Fraction(0) if exact else 0.0
-
-    def entry(p, q):
-        total = zero
-        for w, v in zip(weights, frame.vectors):
-            total = total + w * (v[p] * v[q])
-        return total
-
-    s = SymmetricMatrix.from_function(frame.dim, entry)
-    residual = max(
-        abs(float(s.entry(i, j)) - (1.0 if i == j else 0.0))
-        for i in range(frame.dim)
-        for j in range(i, frame.dim)
-    )
-    return WeightReport(residual, classify_operator(s, tol))
-
-
 def verify_farkas(frame: Frame, y: SymmetricMatrix,
                   tol: float = FEASIBILITY_TOL) -> bool:
-    """True iff <f_i, y f_i> <= tol for all i and trace(y) >= 1 - tol."""
+    """True iff <f_i, y f_i> <= tol for all i and trace(y) >= 1 - tol.
+    Exact entries add exactly, and at tol == 0 the test takes their signs;
+    otherwise the entries are converted to floats once and added left to
+    right."""
     if y.order != frame.dim:
         raise ValueError("certificate order must equal the frame dimension")
+    n = frame.dim
     exact = frame.is_exact and y.is_exact()
-    for v in frame.vectors:
-        if exact:
-            quad = sum(
-                v[p] * y.entry(p, q) * v[q]
-                for p in range(frame.dim)
-                for q in range(frame.dim)
-            )
-            violated = sign(quad) > 0 if tol == 0 else float(quad) > tol
-            if violated:
-                return False
-        else:
-            quad = ordered_sum(
-                float(v[p]) * float(y.entry(p, q)) * float(v[q])
-                for p in range(frame.dim)
-                for q in range(frame.dim)
-            )
-            if quad > tol:
-                return False
-    if exact and tol == 0:
+    rows, vectors, add = y.rows(), frame.vectors, sum
+    if not exact:
+        rows = [list(map(float, r)) for r in rows]
+        vectors = [tuple(map(float, v)) for v in vectors]
+        add = ordered_sum
+    signs = exact and tol == 0
+    for v in vectors:
+        quad = add(v[p] * rows[p][q] * v[q]
+                   for p in range(n) for q in range(n))
+        if (sign(quad) > 0) if signs else (float(quad) > tol):
+            return False
+    if signs:
         return sign(y.trace() - 1) >= 0
     return float(y.trace()) >= 1.0 - tol

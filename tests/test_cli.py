@@ -124,9 +124,15 @@ class TestInputErrors:
          "invalid JSON"),
         (["filters"], None, "give a frame input or --graph"),
         (["graph"], None, "give a frame input or --graph"),
+        (["filters", "paper/M1", "--graph", "C4", "--dim", "2"], None,
+         "not both"),
+        (["graph", "paper/M1", "--graph", "C4"], None, "not both"),
+        (["filters", "paper/M1", "--exact", "--dim", "7"], None,
+         "--dim applies only to --graph"),
     ], ids=["frame_keys", "no_vectors", "empty_csv", "ragged_csv",
             "graph_not_adjacency", "graph_unreadable", "graph_bad_json",
-            "filters_no_input", "graph_no_input"])
+            "filters_no_input", "graph_no_input", "filters_frame_and_graph",
+            "graph_frame_and_graph", "filters_dim_without_graph"])
     def test_exit_2(self, tmp_path, capsys, argv, text, message):
         path = tmp_path / "input"
         if text is not None:
@@ -494,6 +500,14 @@ class TestFilters:
         report = json.loads(out)
         assert report["oracle"] == {"skipped": True}
 
+    def test_corpus_frame_as_graph(self, capsys):
+        """--graph on a corpus frame builds that frame's graph."""
+        code, out, _ = run(capsys, "filters", "--graph", "paper/M1",
+                           "--dim", "4")
+        _, frame_out, _ = run(capsys, "filters", "paper/M1", "--exact")
+        assert code == 0
+        assert json.loads(out)["graph"] == json.loads(frame_out)["graph"]
+
 
 class TestScale:
     def test_m1_certificate(self, capsys):
@@ -604,6 +618,11 @@ class TestGraphCmd:
     def test_abstract_graph(self, capsys):
         _, out, _ = run(capsys, "graph", "--graph", "C5")
         assert out.count("--") == 5
+
+    def test_corpus_frame_as_graph(self, capsys):
+        code, out, _ = run(capsys, "graph", "--graph", "canonical/mercedes")
+        assert code == 0
+        assert out == run(capsys, "graph", "canonical/mercedes", "--exact")[1]
 
 
 class TestGeneratorCalls:

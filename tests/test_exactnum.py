@@ -1,4 +1,4 @@
-"""Exact scalar helpers: quadratic-field numbers, parsing, square roots."""
+"""Exact scalar helpers: quadratic-field numbers, parsing, signs."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from framescale.exactnum import (
     exact_str,
     is_exact_scalar,
     parse_exact,
-    rational_sqrt,
     sign,
 )
 
@@ -133,11 +132,3 @@ class TestHelpers:
         assert is_exact_scalar(3)
         assert is_exact_scalar(QuadExt(3, 1, 1))
         assert not is_exact_scalar(0.5)
-
-    def test_rational_sqrt_perfect_square(self):
-        assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
-        assert rational_sqrt(Fraction(0)) == 0
-
-    def test_rational_sqrt_non_square(self):
-        assert rational_sqrt(Fraction(2)) is None
-        assert rational_sqrt(Fraction(1, 3)) is None

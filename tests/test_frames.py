@@ -10,7 +10,8 @@ from operator import truediv
 
 import pytest
 
-from framescale.corpus import load, onb
+from framescale.corpus import load, names, onb, random_frame
+from framescale.exactnum import QuadExt
 from framescale.frames import (
     Frame,
     FrameError,
@@ -21,9 +22,9 @@ from framescale.frames import (
     gram,
     is_frame,
     naimark_complement,
-    normalize_tight,
     random_parseval,
     scale_frame,
+    verify_weights,
 )
 from framescale.graphs import build_graph, zero_pattern_equal
 from framescale.linalg import symmetric_eigs
@@ -320,24 +321,54 @@ class TestTightness:
         assert classify_tightness(fr, 1e-9).kind == "parseval"
 
 
-class TestNormalizeTight:
-    def test_onb_unchanged(self):
-        fr = normalize_tight(onb(3))
-        assert fr.vectors == onb(3).vectors
+def _rotated_onbs(n, scales):
+    """Copies c * R * ONB in R^n, one per c in scales, R the rational
+    rotation by (3/5, 4/5) in the first two coordinates: tight with bound
+    the sum of the c^2, Parseval only when that sum is 1."""
+    rot = ((Fraction(3, 5), Fraction(4, 5)), (Fraction(-4, 5), Fraction(3, 5)))
+    vectors = []
+    for k, c in enumerate(scales):
+        for i in range(n):
+            v = [c if j == i else 0 for j in range(n)]
+            if k % 2 and i < 2:
+                v[:2] = [c * x for x in rot[i]]
+            vectors.append(v)
+    return Frame.from_vectors(vectors, exact=True)
 
-    def test_doubled_basis(self):
-        fr = Frame.from_vectors([[2, 0], [0, 2]], exact=True)
-        out = normalize_tight(fr)
-        assert out.is_exact
-        assert out.vectors == ((1, 0), (0, 1))
 
-    def test_mercedes_normalizes_to_parseval(self):
-        out = normalize_tight(MERCEDES)
-        assert classify_tightness(out, 1e-9).kind == "parseval"
+UNIT_WEIGHT_FRAMES = (
+    [pytest.param(load(name).frame, id=name)
+     for name in names() if load(name).frame is not None]
+    + [pytest.param(onb(n), id=f"onb{n}") for n in (1, 3)]
+    + [pytest.param(random_frame(7, 3, seed), id=f"random_frame{seed}")
+       for seed in range(3)]
+    + [pytest.param(_rotated_onbs(n, scales), id=f"rotated{n}_{i}")
+       for n in (2, 3)
+       for i, scales in enumerate([(Fraction(2, 3),),
+                                   (Fraction(1, 2), Fraction(2, 7)),
+                                   (Fraction(3, 5), Fraction(4, 5)),
+                                   (Fraction(5, 4), 3, Fraction(1, 8))])]
+    + [pytest.param(Frame.from_vectors(vectors, exact=True), id=name)
+       for name, vectors in [
+           ("sqrt2_parseval", [[QuadExt(2, 0, Fraction(1, 2))] * 2,
+                               [QuadExt(2, 0, Fraction(-1, 2)),
+                                QuadExt(2, 0, Fraction(1, 2))]]),
+           ("sqrt2_tight", [[QuadExt(2, 0, 1), 0], [0, QuadExt(2, 0, 1)]]),
+           ("sqrt2_not_tight", [[1, QuadExt(2, 0, 1)], [0, 1],
+                                [QuadExt(2, 1, 1), 2]]),
+       ]]
+    + [pytest.param(random_parseval(m, n, seed), id=f"parseval{m}_{n}_{seed}")
+       for m, n, seed in [(5, 3, 1), (9, 4, 2), (12, 6, 3)]]
+    + [pytest.param(MERCEDES.to_float(), id="float_mercedes"),
+       pytest.param(M1.to_float(), id="float_M1")]
+)
 
-    def test_not_tight_rejected(self):
-        with pytest.raises(FrameError):
-            normalize_tight(M2)
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-9])
+@pytest.mark.parametrize("frame", UNIT_WEIGHT_FRAMES)
+def test_tightness_is_the_weight_check_at_unit_weights(frame, tol):
+    assert classify_tightness(frame, tol) == verify_weights(
+        frame, [1] * frame.count, tol).tightness
 
 
 class TestScaleFrame:
@@ -409,7 +440,7 @@ class TestNaimark:
             naimark_complement(fr)
 
     def test_normalized_mercedes_complete_in_r1(self):
-        fr = normalize_tight(MERCEDES.to_float())
+        fr = scale_frame(MERCEDES.to_float(), [math.sqrt(2 / 3)] * 3)
         comp = naimark_complement(fr)
         assert comp.dim == 1
         g = build_graph(comp, 1e-10)

@@ -224,3 +224,28 @@ def test_benchmark_span_bindings_resolve():
                if not callable(getattr(importlib.import_module(row[1]),
                                        row[2], None))}
     assert targets and unbound <= _UNBOUND_SPANS
+
+
+def test_benchmark_imports_resolve():
+    """Every name the benchmark's scripts import from the package, at
+    module level or inside a function, is still bound where they import
+    it: a move that drops one breaks every benchmark run."""
+    checked, missing = set(), []
+    for path in sorted((Path(__file__).parents[1] / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imports = [(alias.name, ()) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imports = [(node.module, [a.name for a in node.names])]
+            else:
+                continue
+            for module, names in imports:
+                if module.partition(".")[0] != "framescale":
+                    continue
+                bound = importlib.import_module(module)
+                checked.update((module, name) for name in names)
+                missing += [f"{path.name}: {module}.{name}" for name in names
+                            if not hasattr(bound, name)]
+    assert {("framescale.scaler", "verify_weights"),
+            ("framescale.scaler", "verify_farkas")} <= checked
+    assert not missing

@@ -13,7 +13,7 @@ from framescale.corpus import load, names, onb, random_frame
 from framescale.exactnum import QuadExt
 from framescale.frames import (
     Frame,
-    classify_operator,
+    Tightness,
     classify_tightness,
     random_parseval,
     scale_frame,
@@ -443,6 +443,30 @@ def test_exact_feasible_residual_is_zero(frame):
             assert answer["residual"] == 0.0
 
 
+def reference_classify(s, tol):
+    """Parseval / tight / neither for a frame operator S: an exact S
+    compared with a * I, a float S within tol."""
+    n = s.order
+    if s.is_exact():
+        a = s.entry(0, 0)
+        if s == SymmetricMatrix.identity(n, one=a, zero=0):
+            if a == 1:
+                return Tightness("parseval", Fraction(1))
+            if a > 0:
+                return Tightness("tight", a / Fraction(1))
+        return Tightness("not_tight")
+    a = float(s.trace()) / n
+    dev_ident = max(abs(float(s.entry(i, j)) - (1.0 if i == j else 0.0))
+                    for i in range(n) for j in range(i, n))
+    if dev_ident < tol:
+        return Tightness("parseval", 1.0)
+    dev_tight = max(abs(float(s.entry(i, j)) - (a if i == j else 0.0))
+                    for i in range(n) for j in range(i, n))
+    if a > 0 and dev_tight < tol:
+        return Tightness("tight", a)
+    return Tightness("not_tight")
+
+
 def reference_verify_weights(frame, weights, tol=FEASIBILITY_TOL):
     """The Fraction-arithmetic weight check, kept as the reference for
     the integer-image path of verify_weights."""
@@ -466,7 +490,7 @@ def reference_verify_weights(frame, weights, tol=FEASIBILITY_TOL):
         for i in range(frame.dim)
         for j in range(i, frame.dim)
     )
-    return WeightReport(residual, classify_operator(s, tol))
+    return WeightReport(residual, reference_classify(s, tol))
 
 
 def _quad(v, y):
