@@ -1,4 +1,4 @@
-"""Command-line front end: file I/O, analysis orchestration, JSON reports.
+"""Command-line front end: resolves inputs, prints what `report` builds.
 
 Frame files are JSON objects {"dimension": n, "vectors": [[...], ...]} with
 numbers given as decimal strings or "p/q" rationals (plain JSON numbers are
@@ -22,24 +22,19 @@ import sys
 
 from . import corpus
 from .exactnum import ExactModeError, parse_exact
-from .frames import Frame, FrameError, naimark_complement, random_parseval
-from .graphs import (
-    FrameGraph,
-    GraphError,
-    build_graph,
-    export_dot,
-)
+from .frames import Frame, FrameError, random_parseval
+from .graphs import FrameGraph, GraphError, build_graph, export_dot
 from .linalg import JacobiConvergenceError
 from .report import (
-    REPORT_VERSION,
     AnalysisConfig,
     analyze_frame,
     analyze_graph,
-    edge_rows,
-    oracle_json,
+    complement_document,
+    graph_document,
+    scale_report,
     stable_dumps,
 )
-from .scaler import SolverError, build_lp, solve_strict
+from .scaler import SolverError
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -231,7 +226,7 @@ def resolve_graph(spec: str) -> FrameGraph:
         inst = corpus.load(spec)
         if inst.graph is not None:
             return inst.graph
-        return build_graph(inst.frame, 0)  # every built-in frame is exact
+        return build_graph(inst.frame)
     try:
         return corpus.named_graph(spec)
     except corpus.CorpusError:
@@ -246,81 +241,58 @@ def resolve_graph(spec: str) -> FrameGraph:
     return _graph_from_json(data)
 
 
-def _one_input(args):
-    """A frame input and --graph exclude each other: the report could
-    describe only one of them."""
+def _frame_or_graph(args, with_dim: bool):
+    """(frame, None) or, with --graph, (None, graph) for `analyze`/`filters`
+    (``with_dim``: --dim goes with --graph only) and `graph`.  The output
+    could describe only one input; the arguments are checked before either
+    is read."""
     if args.input is not None and args.graph is not None:
         raise CliError("give a frame input or --graph, not both")
+    if args.graph is not None:
+        if with_dim and args.dim is None:
+            raise CliError("--graph requires an explicit --dim")
+        return None, resolve_graph(args.graph)
+    if with_dim and args.dim is not None:
+        raise CliError("--dim applies only to --graph")
+    if args.input is None:
+        raise CliError("give a frame input or --graph NAME"
+                       + (" --dim N" if with_dim else ""))
+    return resolve_frame(args.input, args.exact, args.seed), None
 
 
 def cmd_analyze(args) -> int:
     """`analyze`, and `filters` with ``filters_only`` set: a frame input,
     or (`filters` only) an abstract graph with its dimension."""
     config = AnalysisConfig(args.tol, args.tol_zero, args.filters_only)
-    _one_input(args)
-    if args.graph is not None:
-        if args.dim is None:
-            raise CliError("--graph requires an explicit --dim")
-        graph = resolve_graph(args.graph)
-        report = analyze_graph(graph, args.dim, config, source=args.graph)
-    else:
-        if args.dim is not None:
-            raise CliError("--dim applies only to --graph")
-        if args.input is None:
-            raise CliError("give a frame input or --graph NAME --dim N")
-        frame = resolve_frame(args.input, args.exact, args.seed)
+    frame, graph = _frame_or_graph(args, with_dim=True)
+    if frame is not None:
         report = analyze_frame(frame, config, source=args.input)
+    else:
+        report = analyze_graph(graph, args.dim, config, source=args.graph)
     print(stable_dumps(report))
     return EXIT_OK
 
 
 def cmd_scale(args) -> int:
     frame = resolve_frame(args.input, args.exact, args.seed)
-    out = {
-        "report_version": REPORT_VERSION,
-        "input": {"source": args.input, "m": frame.count, "n": frame.dim,
-                  "scalar_mode": frame.scalar_mode, "tol": args.tol},
-        **oracle_json(solve_strict(build_lp(frame), args.tol)),
-    }
-    print(stable_dumps(out))
+    print(stable_dumps(scale_report(frame, args.tol, source=args.input)))
     return EXIT_OK
 
 
 def cmd_complement(args) -> int:
     frame = resolve_frame(args.input, args.exact, args.seed)
-    comp = naimark_complement(frame, args.tol)
-    out = {
-        "dimension": comp.dim,
-        "vectors": [
-            [format(float(x), ".17g") for x in vec] for vec in comp.vectors
-        ],
-    }
-    print(stable_dumps(out))
+    print(stable_dumps(complement_document(frame, args.tol)))
     return EXIT_OK
 
 
 def cmd_graph(args) -> int:
-    _one_input(args)
-    if args.graph is not None:
-        graph = resolve_graph(args.graph)
-    else:
-        if args.input is None:
-            raise CliError("give a frame input or --graph NAME")
-        frame = resolve_frame(args.input, args.exact, args.seed)
-        tol_zero = 0.0 if frame.is_exact else args.tol_zero
-        graph = build_graph(frame, tol_zero)
+    frame, graph = _frame_or_graph(args, with_dim=False)
+    if graph is None:
+        graph = build_graph(frame, args.tol_zero)
     if args.format == "dot":
         sys.stdout.write(export_dot(graph))
     else:
-        out = {
-            "vertex_count": graph.vertex_count,
-            "edges": edge_rows(graph),
-            "flags": {
-                f"v{v + 1}": sorted(flags)
-                for v, flags in sorted(graph.vertex_flags.items())
-            },
-        }
-        print(stable_dumps(out))
+        print(stable_dumps(graph_document(graph)))
     return EXIT_OK
 
 

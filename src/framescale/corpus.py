@@ -1,8 +1,11 @@
 """Built-in frames and graphs, plus seeded generators for tests and the CLI.
 
-The ``paper/*`` names are the worked examples this analysis is usually
-demonstrated on: two 4x4 matrices whose columns are non-scalable frames in
-R^4, and their 8-column concatenation that passes every necessary condition.
+Each built-in instance is stated once, as its vectors or as its graph, and
+`load` returns it as a `NamedInstance` with its frame or its graph set.  The
+``paper/*`` names are the worked examples this analysis is usually
+demonstrated on: two 4x4 matrices M1 and M2 whose columns are non-scalable
+frames in R^4, their 8-column concatenation M = [M1 | M2] that passes every
+necessary condition, and M's frame graph (K2 u K2) v K_{1,3} on its own.
 """
 
 from __future__ import annotations
@@ -37,25 +40,12 @@ class CorpusError(KeyError):
     pass
 
 
-class _NamedInstanceFields(NamedTuple):
+class NamedInstance(NamedTuple):
+    """A built-in frame or graph."""
+
     name: str
-    frame: Frame | None
-    graph: FrameGraph | None
-    provenance: str
-    expected: dict
-
-
-class NamedInstance(_NamedInstanceFields):
-    """A built-in frame or graph; each instance gets its own `expected`
-    dict."""
-
-    __slots__ = ()
-
-    def __new__(cls, name: str, frame: Frame | None = None,
-                graph: FrameGraph | None = None, provenance: str = "",
-                expected: dict | None = None):
-        return super().__new__(cls, name, frame, graph, provenance,
-                               {} if expected is None else expected)
+    frame: Frame | None = None
+    graph: FrameGraph | None = None
 
 
 def _frac_frame(columns) -> Frame:
@@ -64,100 +54,45 @@ def _frac_frame(columns) -> Frame:
     )
 
 
-def _m1() -> NamedInstance:
-    frame = _frac_frame(
-        [(1, 2, 0, 0), (1, -2, 0, 0), (0, 0, 1, 2), (0, 0, 1, -2)]
-    )
-    return NamedInstance(
-        "paper/M1",
-        frame=frame,
-        provenance="worked example M1: two orthogonal pairs in R^4",
-        expected={"conclusion": "not_scalable", "graph": "K2 u K2"},
-    )
+# the worked examples' columns
+_M1 = ((1, 2, 0, 0), (1, -2, 0, 0), (0, 0, 1, 2), (0, 0, 1, -2))
+_M2 = ((1, 1, 1, 1), (-1, 1, 1, 1), (1, -1, 1, 1), (1, 1, -1, 1))
 
 
-def _m2() -> NamedInstance:
-    frame = _frac_frame(
-        [(1, 1, 1, 1), (-1, 1, 1, 1), (1, -1, 1, 1), (1, 1, -1, 1)]
-    )
-    return NamedInstance(
-        "paper/M2",
-        frame=frame,
-        provenance="worked example M2: star-patterned frame in R^4",
-        expected={"conclusion": "not_scalable", "graph": "K_{1,3}"},
-    )
-
-
-def _m() -> NamedInstance:
-    frame = _frac_frame(
-        [
-            (1, 2, 0, 0), (1, -2, 0, 0), (0, 0, 1, 2), (0, 0, 1, -2),
-            (1, 1, 1, 1), (-1, 1, 1, 1), (1, -1, 1, 1), (1, 1, -1, 1),
-        ]
-    )
-    return NamedInstance(
-        "paper/M",
-        frame=frame,
-        provenance="worked example M = [M1 | M2]: passes all graph filters",
-        expected={"combined_filter_verdict": "inconclusive",
-                  "graph": "(K2 u K2) v K_{1,3}"},
-    )
-
-
-def _mercedes() -> NamedInstance:
+def _mercedes() -> Frame:
     # three unit vectors at 120 degrees, exact in Q(sqrt(3))
     half = Fraction(1, 2)
     s = QuadExt(3, 0, half)  # sqrt(3)/2
-    frame = Frame.from_vectors(
-        [
-            (Fraction(0), Fraction(1)),
-            (-s, -half),
-            (s, -half),
-        ],
-        exact=True,
-    )
-    return NamedInstance(
-        "canonical/mercedes",
-        frame=frame,
-        provenance="three unit vectors at 120 degrees (tight, bound 3/2)",
-        expected={"conclusion": "strictly_scalable",
-                  "weights": [Fraction(2, 3)] * 3},
-    )
+    return Frame.from_vectors(
+        [(Fraction(0), Fraction(1)), (-s, -half), (s, -half)], exact=True)
 
 
-def _k2k2_join_k13() -> NamedInstance:
-    g = graph_join(
-        graph_union(complete_graph(2), complete_graph(2)),
-        complete_bipartite_graph(1, 3),
-    )
-    return NamedInstance(
-        "paper/graph-K2K2-join-K13",
-        graph=g,
-        provenance="the join (K2 u K2) v K_{1,3} on 8 vertices",
-        expected={},
-    )
-
-
-_REGISTRY = {
-    "paper/M1": _m1,
-    "paper/M2": _m2,
-    "paper/M": _m,
+# name -> the function that builds the instance's frame
+_FRAMES = {
+    "paper/M1": lambda: _frac_frame(_M1),
+    "paper/M2": lambda: _frac_frame(_M2),
+    "paper/M": lambda: _frac_frame(_M1 + _M2),
     "canonical/mercedes": _mercedes,
-    "paper/graph-K2K2-join-K13": _k2k2_join_k13,
+}
+# name -> the function that builds the instance's graph
+_GRAPHS = {
+    "paper/graph-K2K2-join-K13": lambda: graph_join(
+        graph_union(complete_graph(2), complete_graph(2)),
+        complete_bipartite_graph(1, 3)),
 }
 
 
 def names():
-    return sorted(_REGISTRY)
+    return sorted([*_FRAMES, *_GRAPHS])
 
 
 def load(name: str) -> NamedInstance:
-    try:
-        return _REGISTRY[name]()
-    except KeyError:
-        raise CorpusError(
-            f"unknown instance {name!r}; available: {', '.join(names())}"
-        ) from None
+    if name in _FRAMES:
+        return NamedInstance(name, frame=_FRAMES[name]())
+    if name in _GRAPHS:
+        return NamedInstance(name, graph=_GRAPHS[name]())
+    raise CorpusError(
+        f"unknown instance {name!r}; available: {', '.join(names())}")
 
 
 def onb(n: int) -> Frame:
@@ -166,23 +101,21 @@ def onb(n: int) -> Frame:
     )
 
 
-def random_frame(m: int, n: int, seed: int, max_entry: int = 2) -> Frame:
-    """Seeded frame with small integer entries (exact mode); retried until
-    the vectors span R^n.  Small entries make orthogonal pairs common, which
-    is exactly what makes these interesting graph instances."""
+def random_frame(m: int, n: int, seed: int) -> Frame:
+    """Seeded frame with integer entries in [-2, 2] (exact mode); retried
+    until the vectors span R^n.  Small entries make orthogonal pairs common,
+    which is exactly what makes these interesting graph instances."""
     if n < 1:
         raise FrameError("random_frame needs dimension n >= 1")
     if m < n:
         raise FrameError("need at least n vectors to span R^n")
-    if max_entry < 1:  # every draw would be the zero vector
-        raise FrameError("random_frame needs max_entry >= 1")
     for attempt in range(RANDOM_FRAME_RETRIES):
         rng = random.Random(seed * 7919 + attempt)
         vectors = []
         for _ in range(m):
             v = [0] * n
             while all(x == 0 for x in v):
-                v = [rng.randint(-max_entry, max_entry) for _ in range(n)]
+                v = [rng.randint(-2, 2) for _ in range(n)]
             vectors.append([Fraction(x) for x in v])
         frame = Frame.from_vectors(vectors, exact=True)
         if is_frame(frame):

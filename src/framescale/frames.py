@@ -258,9 +258,9 @@ def verify_weights(frame: Frame, weights=None,
     `Frame.operator`.  An exact matrix (T, or S with c = 1) is tight when
     it equals a * I with a > 0, and Parseval when a = c.  A float S is
     Parseval when its residual max |S - I| is below tol, and tight when
-    max |S - a * I| is, for a = trace(S) / n.  The residual is a float;
-    unit weights on an exact frame skip it, since T can lie beyond the
-    float range there."""
+    max |S - a * I| is, for a = trace(S) / n.  The residual is a float,
+    math.inf when it lies beyond the float range; unit weights on an exact
+    frame leave it None."""
     n = frame.dim
     image = frame.integer_image
     if weights is not None:
@@ -294,8 +294,12 @@ def verify_weights(frame: Frame, weights=None,
         s, c = SymmetricMatrix.from_function(n, entry), 1
     residual = None
     if weights is not None or not exact:
-        residual = float(max(abs(s.entry(p, q) - (c if p == q else 0))
-                             for p in range(n) for q in range(p, n)) / c)
+        gap = max(abs(s.entry(p, q) - (c if p == q else 0))
+                  for p in range(n) for q in range(p, n))
+        try:
+            residual = float(gap / c)
+        except OverflowError:
+            residual = math.inf
     tightness = Tightness("not_tight")
     if exact:
         a = s.entry(0, 0)

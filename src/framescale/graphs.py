@@ -131,15 +131,13 @@ class FrameGraph:
 
 
 def build_graph(frame: Frame, tol_zero: float = 1e-10) -> FrameGraph:
-    """Edge (i,j) iff |<f_i, f_j>| exceeds tol_zero (exactly nonzero in exact
-    mode, where tol_zero must be 0).
+    """Edge (i,j) iff |<f_i, f_j>| exceeds tol_zero.  On an exact frame the
+    edge means <f_i, f_j> != 0, whatever tol_zero is.
 
     The float inner products use the built-in sum, the fast path here.
     From Python 3.12 on that sum compensates, so its last bits can differ
     from an older interpreter's; only an edge whose |<f_i, f_j>| lies within
     an ulp of tol_zero can then come out differently."""
-    if frame.is_exact and tol_zero != 0:
-        raise GraphError("exact mode requires tol_zero = 0")
     if tol_zero < 0:
         raise GraphError("tol_zero must be nonnegative")
     m = frame.count

@@ -1,4 +1,4 @@
-"""Analysis orchestration and byte-stable JSON reports.
+"""Analysis orchestration and every JSON document the CLI prints.
 
 Reports carry a version tag, echo the input and tolerances, and keep the
 output deterministic: keys sorted, floats printed with 17 significant
@@ -20,7 +20,7 @@ from .filters import (
     FilterBattery,
     run_all_filters,
 )
-from .frames import Frame, classify_tightness, is_frame
+from .frames import Frame, classify_tightness, is_frame, naimark_complement
 from .graphs import FrameGraph, GraphStats, build_graph, compute_stats
 from .linalg import SymmetricMatrix
 from .scaler import OracleResult, build_lp, solve_strict
@@ -30,7 +30,7 @@ REPORT_VERSION = 2
 
 class AnalysisConfig(NamedTuple):
     tol: float = 1e-8  # solver / Parseval tolerance
-    tol_zero: float = 1e-10  # adjacency threshold (0 in exact mode)
+    tol_zero: float = 1e-10  # adjacency threshold (not read in exact mode)
     filters_only: bool = False
 
 
@@ -161,21 +161,25 @@ def _conclusion(battery: FilterBattery, strict: OracleResult | None,
     }
 
 
+def _frame_input(frame: Frame, source: str, tol: float) -> dict:
+    """The input echo of a report on a frame."""
+    return {"source": source, "m": frame.count, "n": frame.dim,
+            "scalar_mode": frame.scalar_mode, "tol": tol}
+
+
 def analyze_frame(frame: Frame, config: AnalysisConfig | None = None,
                   source: str = "") -> dict:
     config = config or AnalysisConfig()
-    tol_zero = 0.0 if frame.is_exact else config.tol_zero
     warnings = []
     if not is_frame(frame, config.tol):
         warnings.append("input does not span R^n (not a frame)")
     tightness = classify_tightness(frame, config.tol)
-    inputs = {"source": source, "m": frame.count, "n": frame.dim,
-              "scalar_mode": frame.scalar_mode, "tol": config.tol,
-              "tol_zero": tol_zero,
-              "tightness": {"kind": tightness.kind,
-                            "bound": _scalar(tightness.bound)}}
-    return _report(inputs, warnings, build_graph(frame, tol_zero), config,
-                   frame)
+    inputs = dict(_frame_input(frame, source, config.tol),
+                  tol_zero=0.0 if frame.is_exact else config.tol_zero,
+                  tightness={"kind": tightness.kind,
+                             "bound": _scalar(tightness.bound)})
+    return _report(inputs, warnings, build_graph(frame, config.tol_zero),
+                   config, frame)
 
 
 def analyze_graph(graph: FrameGraph, dim: int,
@@ -210,6 +214,35 @@ def _report(inputs: dict, warnings: list, graph: FrameGraph,
         "oracle": {"skipped": True} if strict is None else oracle_json(strict),
         "conclusion": conclusion,
         "warnings": warnings,
+    }
+
+
+def scale_report(frame: Frame, tol: float, source: str = "") -> dict:
+    """The `scale` report: the input echo and both oracle answers."""
+    return {
+        "report_version": REPORT_VERSION,
+        "input": _frame_input(frame, source, tol),
+        **oracle_json(solve_strict(build_lp(frame), tol)),
+    }
+
+
+def graph_document(graph: FrameGraph) -> dict:
+    """The `graph --format json` document: edges and vertex flags."""
+    return {
+        "vertex_count": graph.vertex_count,
+        "edges": edge_rows(graph),
+        "flags": {f"v{v + 1}": sorted(flags)
+                  for v, flags in sorted(graph.vertex_flags.items())},
+    }
+
+
+def complement_document(frame: Frame, tol: float) -> dict:
+    """The `complement` document: the Naimark complement as a frame file."""
+    comp = naimark_complement(frame, tol)
+    return {
+        "dimension": comp.dim,
+        "vectors": [[format(float(x), ".17g") for x in vec]
+                    for vec in comp.vectors],
     }
 
 

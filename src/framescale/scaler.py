@@ -461,13 +461,10 @@ def _farkas_matrix(lp: ScaleLP, y) -> SymmetricMatrix:
             total = total + yv
     if (sign(total) <= 0) if lp.frame.is_exact else (float(total) <= 0):
         raise SolverError("degenerate Farkas multipliers (trace <= 0)")
-    entries = {}
-    for (p, q), yv in zip(lp.row_index, y):
-        entries[(p, q)] = _quotient(yv, total if p == q else 2 * total)
-    zero = _quotient(total * 0, total)
-    return SymmetricMatrix.from_function(
-        lp.frame.dim, lambda i, j: entries.get((min(i, j), max(i, j)), zero)
-    )
+    # row_index runs over the upper triangle in SymmetricMatrix's order
+    return SymmetricMatrix(lp.frame.dim, [
+        _quotient(yv, total if p == q else 2 * total)
+        for (p, q), yv in zip(lp.row_index, y)])
 
 
 def _scaling(w) -> float:

@@ -129,10 +129,13 @@ class TestInputErrors:
         (["graph", "paper/M1", "--graph", "C4"], None, "not both"),
         (["filters", "paper/M1", "--exact", "--dim", "7"], None,
          "--dim applies only to --graph"),
+        (["filters", "--graph", "NOPE"], None,
+         "error: --graph requires an explicit --dim\n"),
     ], ids=["frame_keys", "no_vectors", "empty_csv", "ragged_csv",
             "graph_not_adjacency", "graph_unreadable", "graph_bad_json",
             "filters_no_input", "graph_no_input", "filters_frame_and_graph",
-            "graph_frame_and_graph", "filters_dim_without_graph"])
+            "graph_frame_and_graph", "filters_dim_without_graph",
+            "filters_graph_without_dim"])
     def test_exit_2(self, tmp_path, capsys, argv, text, message):
         path = tmp_path / "input"
         if text is not None:
@@ -624,6 +627,51 @@ class TestGraphCmd:
         assert code == 0
         assert out == run(capsys, "graph", "canonical/mercedes", "--exact")[1]
 
+    @pytest.mark.parametrize("fmt", ["dot", "json"])
+    def test_exact_frame_ignores_tol_zero(self, capsys, fmt):
+        argv = ["graph", "paper/M", "--exact", "--format", fmt]
+        plain = run(capsys, *argv)
+        assert plain[0] == 0
+        assert run(capsys, *argv, "--tol-zero", "0.5") == plain
+
+
+# frame inputs of TestDocumentsAgree, and whether --exact is given: the
+# generator calls of float frames have no exact representation
+_DOCUMENT_INPUTS = [
+    (spec, exact) for spec in ("paper/M1", "paper/M2", "paper/M",
+                               "canonical/mercedes", "onb(3)",
+                               "random_frame(6,3)", "random_frame(9,4)")
+    for exact in (False, True)
+] + [("random_parseval(5,2)", False), ("cycle_pattern_frame(6,5)", False)]
+
+
+class TestDocumentsAgree:
+    """The documents of one frame state each fact alike: `scale` echoes the
+    input as `analyze` does, less its tol_zero and tightness, and gives the
+    oracle block of `analyze`; `graph --format json` gives its edges."""
+
+    @pytest.mark.parametrize("spec, exact", _DOCUMENT_INPUTS,
+                             ids=[s + "-exact" * e for s, e in _DOCUMENT_INPUTS])
+    @pytest.mark.parametrize("seed", ["0", "3"])
+    def test_agree(self, capsys, spec, exact, seed):
+        common = [spec, "--seed", seed] + (["--exact"] if exact else [])
+        code, out, _ = run(capsys, "analyze", *common)
+        assert code == 0
+        analysis = json.loads(out)
+        code, out, _ = run(capsys, "scale", *common)
+        assert code == 0
+        scale = json.loads(out)
+        code, out, _ = run(capsys, "graph", *common, "--format", "json")
+        assert code == 0
+        graph = json.loads(out)
+        inputs = dict(analysis["input"])
+        del inputs["tol_zero"], inputs["tightness"]
+        assert scale["input"] == inputs
+        assert scale["report_version"] == analysis["report_version"]
+        assert analysis["oracle"] == {"nonneg": scale["nonneg"],
+                                      "strict": scale["strict"]}
+        assert graph["edges"] == analysis["graph"]["edges"]
+
 
 class TestGeneratorCalls:
     """A generator call with the wrong number of integers, or with an
@@ -730,19 +778,6 @@ class TestNoEndlessDraw:
                        timeout=20, capture_output=True, text=True)
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error: ")
-
-    def test_zero_max_entry_raises(self):
-        script = (
-            "from framescale.corpus import random_frame\n"
-            "from framescale.frames import FrameError\n"
-            "try:\n"
-            "    random_frame(3, 2, 0, max_entry=0)\n"
-            "except FrameError as exc:\n"
-            "    print('FrameError:', exc)\n"
-        )
-        proc = _python(["-c", script], timeout=20, capture_output=True,
-                       text=True, check=True)
-        assert proc.stdout.startswith("FrameError: ")
 
 
 # One process runs every call in turn and prints each exit code and stdout.

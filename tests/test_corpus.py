@@ -23,7 +23,7 @@ class TestRegistry:
                 "paper/graph-K2K2-join-K13"} <= set(names())
 
     def test_built_in_frames_exact(self):
-        # `filters --graph NAME` builds their graphs with tol_zero 0
+        # `filters --graph NAME` builds their graphs by exact adjacency
         frames = [load(name).frame for name in names()]
         assert all(fr.is_exact for fr in frames if fr is not None)
 
@@ -50,6 +50,13 @@ class TestRegistry:
         assert t.kind == "tight" and float(t.bound) == 1.5
         for v in fr.vectors:
             assert sum(x * x for x in v) == 1
+
+    def test_instances_are_bare_inputs(self):
+        for name in names():
+            inst = load(name)
+            assert inst._fields == ("name", "frame", "graph")
+            assert inst.name == name
+            assert (inst.frame is None) != (inst.graph is None)
 
     def test_graph_only_instance(self):
         inst = load("paper/graph-K2K2-join-K13")

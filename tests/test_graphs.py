@@ -327,9 +327,17 @@ class TestBuildGraph:
         g = build_graph(fr, 0)
         assert "zero_vector" in g.vertex_flags.get(1, frozenset())
 
-    def test_exact_mode_requires_zero_tol(self):
-        with pytest.raises(GraphError):
-            build_graph(M1, 1e-10)
+    @pytest.mark.parametrize("name", ["paper/M1", "paper/M2", "paper/M",
+                                      "canonical/mercedes", "zero_vector"])
+    def test_exact_graph_ignores_tol_zero(self, name):
+        """On an exact frame an edge is an exactly nonzero inner product,
+        whatever tol_zero is."""
+        fr = (Frame.from_vectors([[1, 0], [0, 0], [1, 1]], exact=True)
+              if name == "zero_vector" else load(name).frame)
+        graphs = [build_graph(fr, t) for t in (0, 1e-10, 0.5)]
+        for g in graphs[1:]:
+            assert g.masks == graphs[0].masks
+            assert g.vertex_flags == graphs[0].vertex_flags
 
     @pytest.mark.parametrize("seed", range(20))
     def test_exact_edges_are_nonzero_inner_products(self, seed):

@@ -318,6 +318,15 @@ class TestVerifiers:
         assert rep.residual == 3  # entry (2,2): 4*(1/2+1/2) - 1
         assert rep.tightness.kind != "parseval"
 
+    @pytest.mark.parametrize("weights", [[1, 1], [Fraction(1, 3), 2]])
+    def test_verify_weights_residual_beyond_float_range(self, weights):
+        """max|T - c * I| / c beyond the float range reads math.inf; unit
+        weights, the tightness test, leave the residual None."""
+        big = Frame.from_vectors([[10 ** 999, 0], [0, 1]], exact=True)
+        rep = verify_weights(big, weights)
+        assert rep.residual == math.inf and rep.tightness.kind == "not_tight"
+        assert verify_weights(big).residual is None
+
     def test_verify_farkas_zero_matrix_fails(self):
         y = SymmetricMatrix.identity(4, one=Fraction(0), zero=Fraction(0))
         assert not verify_farkas(M1, y, 0)

@@ -1,0 +1,225 @@
+"""Compare the CLI's bytes at a git revision with those of this checkout.
+
+    python3 tools/cli_bytes.py REV [--seed N]
+
+Run from the repository root.  The sources of REV come from
+``git archive REV src``, unpacked into a temporary directory.  One list of
+calls is built, and each side runs the whole list in one fresh interpreter:
+every call is ``framescale.cli.main(argv)`` with stdout and stderr
+captured.  The list covers
+
+- every corpus instance under every command, with and without --exact, as
+  --graph, and with a nonzero --tol-zero on exact frames;
+- generator calls under every frame command, at two seeds;
+- named graphs under `filters --graph` at several --dim, and `graph --graph`;
+- the exit-2 input errors, argparse's among them;
+- the four benchmark pools of ``perfbench/run.py`` as the benchmark calls
+  them, and a prefix of each size class under `scale` (exact and float,
+  so Farkas blocks are compared), `graph --format json` and `complement`.
+
+--seed seeds the pools and the generator calls.  The script prints
+``N calls, K identical`` and the first differences, and exits 1 if any call
+differs in its exit code, stdout or stderr.
+"""
+
+from __future__ import annotations
+
+import argparse
+import difflib
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SHOWN = 5  # differences printed in full
+DERIVED = 16  # pool inputs per size class under the derived commands
+
+sys.dont_write_bytecode = True  # leave no __pycache__ in the checkout
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
+import run  # noqa: E402  (perfbench/run.py: the pools and their calls)
+from framescale.corpus import names  # noqa: E402
+
+# Runs on one side: reads the calls from argv[1], writes [code, stdout,
+# stderr] per call to argv[2].  argparse reports a bad option by SystemExit;
+# a call that raises reads "crash", with its traceback on stderr, and the
+# run goes on.
+RUNNER = """
+import contextlib, io, json, sys, traceback
+import framescale.cli as cli
+
+results = []
+for argv in json.load(open(sys.argv[1])):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            code = "crash"
+            traceback.print_exc()
+    results.append([code, out.getvalue(), err.getvalue()])
+json.dump(results, open(sys.argv[2], "w"))
+"""
+
+FRAME_COMMANDS = (["analyze"], ["analyze", "--filters-only"], ["filters"],
+                  ["scale"], ["complement"], ["graph"],
+                  ["graph", "--format", "json"])
+GENERATOR_CALLS = ("onb(3)", "onb(5)", "random_frame(4,2)",
+                   "random_frame(6,3)", "random_frame(8,4)",
+                   "random_frame(10,5)", "random_frame(12,6)",
+                   "random_parseval(5,2)", "random_parseval(6,3)",
+                   "random_parseval(9,4)", "cycle_pattern_frame(6,5)",
+                   "cycle_pattern_frame(7,6)", "cycle_pattern_frame(8,6)")
+NAMED_GRAPHS = ("K1", "K4", "K6", "C5", "C7", "C8", "P4", "P6", "E3",
+                "K_{1,3}", "K_{2,3}", "K_{3,3}")
+# (file name, contents) of the malformed input files
+BAD_FILES = (
+    ("keys.json", '{"dim": 2}'),
+    ("no_vectors.json", '{"dimension": 2, "vectors": []}'),
+    ("short.json", '{"dimension": 3, "vectors": [["1", "0"]]}'),
+    ("entry.json", '{"dimension": 2, "vectors": [[1, true], [0, 1]]}'),
+    ("zero_den.json", '{"dimension": 2, "vectors": [["1/0", 0], [0, 1]]}'),
+    ("huge.json", '{"dimension": 2, "vectors": [[%s, 0], [0, 1]]}'
+     % ("1" * 400)),
+    ("bad.json", "{not json"),
+    ("empty.csv", ""),
+    ("ragged.csv", "1,0\n1\n"),
+    ("edges.json", '{"edges": [[1, 2]]}'),
+    ("asym.json", '{"adjacency": [[0, 1], [0, 0]]}'),
+    ("loop.json", '{"adjacency": [[1]]}'),
+)
+
+
+def input_errors(d: Path) -> list:
+    calls = []
+    for name, text in BAD_FILES:
+        (d / name).write_text(text)
+        calls += [["analyze", str(d / name)], ["scale", str(d / name),
+                                                "--exact"],
+                  ["filters", "--graph", str(d / name), "--dim", "2"]]
+    missing = str(d / "missing.json")
+    return calls + [
+        ["analyze", missing], ["filters", "--graph", missing, "--dim", "2"],
+        ["filters"], ["graph"], ["filters", "--graph", "NOPE"],
+        ["filters", "paper/M1", "--graph", "C4", "--dim", "2"],
+        ["graph", "paper/M1", "--graph", "C4"],
+        ["filters", "paper/M1", "--exact", "--dim", "7"],
+        ["filters", "--graph", "K_{a,b}", "--dim", "2"],
+        ["analyze", "petersen(10)"], ["analyze", "onb()"],
+        ["analyze", "random_frame(2,0)"], ["analyze", "random_frame(2,3)"],
+        ["analyze", "random_parseval(4,2)", "--exact"],
+        ["complement", "paper/M1"], ["complement", "paper/M1", "--exact"],
+        ["complement", "random_parseval(5,2)", "--exact"],
+        ["analyze", "paper/graph-K2K2-join-K13"],
+        ["analyze", "paper/M1", "--tol=0"],
+        ["scale", "paper/M1", "--tol-zero=-1"],
+        ["filters", "--graph", "C4", "--dim=0"], ["analyze"], [],
+    ]
+
+
+def pools(seed: int, d: Path) -> list:
+    """The benchmark's calls on its pools, then a prefix of each size class
+    under the derived commands."""
+    calls, derived = [], []
+    with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
+        workloads = [w["name"] for w in json.load(fh)["workloads"]]
+    for name in workloads:
+        wd = d / name
+        wd.mkdir()
+        for cases in run.make_inputs(name, seed, wd):
+            calls += [case.argv for case in cases]
+            for case in cases[:DERIVED]:
+                path = case.argv[case.argv.index("--graph") + 1
+                                 if "--graph" in case.argv else 1]
+                if run.WORKLOADS[name].graph:
+                    derived += [["graph", "--graph", path, "--format", "json"]]
+                elif run.WORKLOADS[name].exact:
+                    derived += [["scale", path, "--exact"], ["scale", path],
+                                ["graph", path, "--exact", "--format", "json"],
+                                ["graph", path, "--format", "json"]]
+                else:
+                    derived += [["complement", path], ["graph", path]]
+    return calls + derived
+
+
+def build_calls(seed: int, d: Path) -> list:
+    calls = []
+    for name in names():
+        for cmd in FRAME_COMMANDS:
+            calls += [cmd + [name], cmd + [name, "--exact"]]
+        calls += [["graph", "--graph", name],
+                  ["graph", "--graph", name, "--format", "json"],
+                  ["graph", name, "--exact", "--tol-zero", "0.5"],
+                  ["analyze", name, "--exact", "--tol-zero", "0.5"]]
+        calls += [["filters", "--graph", name, "--dim", str(k)]
+                  for k in (2, 3, 4)]
+    for spec in GENERATOR_CALLS:
+        for s in (seed, seed + 1):
+            for cmd in FRAME_COMMANDS[1:]:
+                for exact in ([], ["--exact"]):
+                    calls.append(cmd + [spec, "--seed", str(s)] + exact)
+    for g in NAMED_GRAPHS:
+        calls += [["filters", "--graph", g, "--dim", str(k)]
+                  for k in (1, 2, 3, 5)]
+        calls += [["graph", "--graph", g],
+                  ["graph", "--graph", g, "--format", "json"]]
+    return calls + input_errors(d) + pools(seed, d)
+
+
+def run_side(src: Path, calls_path: Path, out_path: Path) -> list:
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0",
+               PYTHONDONTWRITEBYTECODE="1")
+    subprocess.run([sys.executable, "-c", RUNNER, str(calls_path),
+                    str(out_path)], env=env, cwd=calls_path.parent,
+                   check=True)
+    with open(out_path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def show(argv, before, after) -> None:
+    print(f"differs: {argv}")
+    for label, a, b in zip(("exit code", "stdout", "stderr"), before, after):
+        if a != b:
+            print(f"  {label}:")
+            lines = difflib.unified_diff(
+                str(a).splitlines(), str(b).splitlines(), "parent", "change",
+                lineterm="", n=1)
+            for line in list(lines)[:20]:
+                print(f"    {line}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("rev", help="the git revision to compare against")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed of the pools and generator calls")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        archive = subprocess.run(["git", "archive", args.rev, "src"],
+                                 cwd=ROOT, capture_output=True, check=True)
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp / "parent", filter="data")
+        inputs = tmp / "inputs"
+        inputs.mkdir()
+        calls = build_calls(args.seed, inputs)
+        calls_path = tmp / "calls.json"
+        calls_path.write_text(json.dumps(calls))
+        before = run_side(tmp / "parent" / "src", calls_path,
+                          tmp / "before.json")
+        after = run_side(ROOT / "src", calls_path, tmp / "after.json")
+    differing = [(c, a, b) for c, a, b in zip(calls, before, after) if a != b]
+    print(f"{len(calls)} calls, {len(calls) - len(differing)} identical")
+    for c, a, b in differing[:SHOWN]:
+        show(c, a, b)
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
