@@ -326,7 +326,8 @@ def _add_common(sub, input_optional=False):
     sub.add_argument("--tol-zero", type=_TOL_ZERO, default=1e-10,
                      help="adjacency zero threshold (default 1e-10)")
     sub.add_argument("--exact", action="store_true",
-                     help="exact rational arithmetic (tol-zero becomes 0)")
+                     help="exact rational arithmetic; adjacency is then "
+                          "exact and --tol-zero is not read")
     sub.add_argument("--seed", type=int, default=0,
                      help="seed for generator inputs")
 

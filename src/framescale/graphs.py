@@ -10,19 +10,20 @@ configurable vertex cap as branch and bound over bitmasks:
 - maximum independent set: a subtree is cut when its candidates, counted
   one by one or as the cliques of a greedy clique cover (an independent
   set meets each clique at most once), cannot beat the best size so far;
-- longest induced path: each path is met once, rooted at its smallest
-  vertex v with two arms leaving v; a node whose arms can still take their
-  own free neighbours C_A and C_B and the shared free vertices R bounds
-  its paths by 1 + |A| + |B| + [C_A] + [C_B] + |R|, since the step to one
-  vertex of C_A blocks the rest of C_A.
+- longest induced path: the vertices are ranked by (degree, index), and
+  each path is met once, rooted at its lowest-ranked vertex v with two arms
+  leaving v; a node whose arms can still take their own free neighbours
+  C_A and C_B and the shared free vertices R bounds its paths by
+  1 + |A| + |B| + [C_A] + [C_B] + |R|, since the step to one vertex of C_A
+  blocks the rest of C_A.
 
-Both keep the witness of the plain DFS in its branching order.  The
-independent set search replaces a best only by a strictly larger one, so
-its witness is the first maximum in DFS order, and every ancestor of that
-maximum has a bound above the best found before it, so no cut removes it.
-The path search also finds the smallest endpoint of a longest path, which
-is where the plain DFS over starts in ascending order finds its first
-longest path, and replays the witness from there.
+Both replace a best only by a strictly larger one and cut a subtree only
+when its bound is at most the best so far.  So each witness is the first
+maximum of its search order: every ancestor of that maximum has a bound
+at least its size, above the best found before it, so no cut removes it.
+The independent set is the first maximum of the plain DFS in its
+branching order; the path is the first longest path in rank order,
+written from its end of smaller index.  Both depend on the masks alone.
 """
 
 from __future__ import annotations
@@ -212,7 +213,8 @@ def _components(g: FrameGraph):
 def _diameter(g: FrameGraph) -> int:
     """Diameter of a connected graph: the most BFS layers from any vertex.
     A layer stops reading its frontier once it has reached every vertex,
-    which on dense graphs is after a vertex or two."""
+    which on dense graphs is after a vertex or two.  Masks that are not
+    symmetric can leave a vertex unreached; that raises GraphError."""
     masks = g.masks
     full = (1 << g.vertex_count) - 1
     best = 0
@@ -228,6 +230,9 @@ def _diameter(g: FrameGraph) -> int:
                 if reach == full:
                     break
             frontier = reach & ~seen
+            if not frontier:
+                raise GraphError(f"vertex {src} reaches only part of a "
+                                 "connected graph: masks not symmetric")
             seen = reach
             d += 1
         if d > best:
@@ -319,126 +324,112 @@ def _max_independent_set_masks(adj_masks):
 def _longest_induced_path(g: FrameGraph):
     """Longest induced path as (vertex count, witness tuple), exact.
 
-    The witness is the first longest path of a DFS over starts in ascending
-    order, then neighbours in ascending order.  That DFS finds no longest
-    path from a start below the smallest endpoint s of any longest path, so
-    the witness starts at s.  The length and s come from one search that
-    meets every path once, from its smallest vertex v (the root):
+    The vertices are ranked by (degree, index), ascending, and one search
+    meets every induced path once, from its lowest-ranked vertex v (the
+    root):
 
-    - arm A leaves v at a neighbour a > v;
-    - arm B, possibly empty, leaves v at a neighbour b > a adjacent to no
-      vertex of A;
-    - both arms grow through the free vertices: those above v adjacent to
-      neither v nor an arm vertex, except that a neighbour of an arm's
-      endpoint may extend that arm.
+    - arm A leaves v at a neighbour a ranked above v;
+    - arm B, possibly empty, leaves v at a neighbour b ranked above a and
+      adjacent to no vertex of A;
+    - both arms grow through the free vertices: those ranked above v and
+      adjacent to neither v nor an arm vertex, except that a neighbour of
+      an arm's endpoint may extend that arm.
 
-    A path of 1 + |A| + |B| vertices whose arm endpoints still have the
-    free neighbours C_A and C_B (the possible heads of B while B is empty),
-    with R the other free vertices, extends to at most
+    Roots, heads and arm steps go in rank order, and at each end of A the
+    search meets the path itself, then every B arm, then the longer A arms.
+    A path of 1 + |A| + |B| vertices whose arm endpoints still have the free
+    neighbours C_A and C_B (the possible heads of B while B is empty), with
+    R the other free vertices, extends to at most
     1 + |A| + |B| + [C_A] + [C_B] + |R| vertices, since an arm that steps
     to one vertex of its C blocks the rest of it.  A subtree is cut when
-    this bound cannot beat the best length found so far.  A path that only
-    ties it lowers the best s so far if an end of the path lies below s.
-    Every vertex of a path lies at or above its root, so under a root below
-    s a subtree is also searched when it can tie with an end below s, and
-    under later roots never.  The witness is then replayed from s: at each
-    step, the first neighbour in ascending order from which the rest of a
-    longest path still fits.
+    this bound is at most the best length found so far, and only a strictly
+    longer path replaces the best.
+
+    The witness is the first longest path in this order, written from its
+    end of smaller index.  No cut removes it: until it is met the best
+    length is below its length L, while every bound on the way to it is at
+    least L.  So it is also the first longest path of the same order
+    searched without cuts, and it depends on the masks alone.
     """
     n = g.vertex_count
     full = (1 << n) - 1
     adj = g.masks
+    degrees = [mask.bit_count() for mask in adj]
+    order = range(n)
+    if degrees != sorted(degrees):
+        order = sorted(order, key=degrees.__getitem__)
+        # bit s of the relabelled mask of rank r is bit order[s] of
+        # adj[order[r]].  With row r in bits n*r.., one shift and one mask
+        # move a column of every row at once.
+        rows = 0
+        for v in reversed(order):
+            rows = rows << n | adj[v]
+        column = ((1 << n * n) - 1) // full  # bit 0 of every row
+        moved = 0
+        for s, v in enumerate(order):
+            moved |= (rows >> v & column) << s
+        adj = [moved >> k & full for k in range(0, n * n, n)]
 
-    def ext(cand, rest, need):
-        """Most vertices a path can still add at an endpoint whose free
-        neighbours are cand, with rest the other free vertices: exact when
-        that is >= need, otherwise some upper bound below need."""
-        if not cand:
-            return 0
-        # the step to one candidate blocks all the others
-        bound = 1 + rest.bit_count()
-        if bound < need:
-            return bound
-        best = 0
-        need -= 1  # asked of each child, or more than its elders gave
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            nxt = adj[low.bit_length() - 1] & rest
-            r = 1 + ext(nxt, rest & ~nxt, best if best > need else need)
-            if r > best:
-                best = r
-                if best == bound:
-                    break
-        return best
+    # the arms are stacks from the root out; keep copies a longer path, B
+    # reversed (from b_end, the B vertex being tried, if any), the root, A
+    length, best = 1, [0]
+    a_arm, b_arm = [], []
 
-    # length and start: the most vertices on a path found so far, and the
-    # smallest endpoint of a path of that length found so far; below holds
-    # the vertices below start while root < start, and nothing after.  A
-    # subtree is searched if its bound beats length, or ties it while a
-    # possible end of its paths lies in below.
-    length, start, below, root = 1, 0, 0, 0
+    def keep(b_end):
+        nonlocal length, best
+        best = [*b_end, *reversed(b_arm), root, *a_arm]
+        length = len(best)
 
-    def found(size, end):
-        nonlocal length, start, below
-        if size > length or end < start:
-            length, start = size, end
-            below = (1 << start) - 1 if root < start else 0
-
-    def arm_b(cand, rest, size, end_a):
+    def grow_b(cand, rest, size):
         """Grow B from an endpoint whose free neighbours are cand, on a
-        path of size vertices whose A arm ends at end_a."""
+        path of size vertices."""
         size += 1
         while cand:
             low = cand & -cand
             cand ^= low
             x = low.bit_length() - 1
-            if size >= length:
-                found(size, x if x < end_a else end_a)
+            if size > length:
+                keep((x,))
             nxt = adj[x] & rest
             if nxt:
                 rest2 = rest & ~nxt
-                bound = size + 1 + rest2.bit_count()
-                if bound > length or (bound == length
-                                      and below & (rest | 1 << end_a)):
-                    arm_b(nxt, rest2, size, end_a)
+                if size + 1 + rest2.bit_count() > length:
+                    b_arm.append(x)
+                    grow_b(nxt, rest2, size)
+                    b_arm.pop()
 
-    def arm_a(cand, rest, heads, size, end_a):
-        """Close A at end_a, on a path of size vertices, and try every B
-        head; then grow A through cand."""
-        if size >= length:
-            found(size, root)
-        b_heads = heads
-        bound = size + 1 + rest.bit_count()
-        if bound < length or (bound == length
-                              and not below & (heads | rest | 1 << end_a)):
-            b_heads = 0
-        while b_heads:
-            low = b_heads & -b_heads
-            b_heads ^= low
-            b = low.bit_length() - 1
-            if size + 1 >= length:
-                found(size + 1, b if b < end_a else end_a)
-            nxt = adj[b] & rest
-            if nxt:
-                rest2 = rest & ~nxt
-                bound = size + 2 + rest2.bit_count()
-                if bound > length or (bound == length
-                                      and below & (rest | 1 << end_a)):
-                    arm_b(nxt, rest2, size + 1, end_a)
+    def grow_a(cand, rest, heads, size):
+        """Close A, on a path of size vertices, and try every B head; then
+        grow A through cand."""
+        if size > length:
+            keep(())
+        if size + 1 + rest.bit_count() > length:
+            b_heads = heads
+            while b_heads:
+                low = b_heads & -b_heads
+                b_heads ^= low
+                b = low.bit_length() - 1
+                if size + 1 > length:
+                    keep((b,))
+                nxt = adj[b] & rest
+                if nxt:
+                    rest2 = rest & ~nxt
+                    if size + 2 + rest2.bit_count() > length:
+                        b_arm.append(b)
+                        grow_b(nxt, rest2, size + 1)
+                        b_arm.pop()
         while cand:
             low = cand & -cand
             cand ^= low
-            x = adj[low.bit_length() - 1]
-            nxt = x & rest
+            x = low.bit_length() - 1
+            nbrs = adj[x]
+            nxt = nbrs & rest
             rest2 = rest & ~nxt
-            hb = heads & ~x
-            # without B heads, only a path that ends at the root, which
-            # lies in below, meets the bound
-            bound = size + 1 + (nxt != 0) + (hb != 0) + rest2.bit_count()
-            if bound > length or (bound == length and below and (
-                    not hb or below & (low | rest | hb))):
-                arm_a(nxt, rest2, hb, size + 1, low.bit_length() - 1)
+            hb = heads & ~nbrs
+            if size + 1 + (nxt != 0) + (hb != 0) + rest2.bit_count() > length:
+                a_arm.append(x)
+                grow_a(nxt, rest2, hb, size + 1)
+                a_arm.pop()
 
     # G[{c, ..., n-1}] is a clique, so no path rooted at v >= c beats the
     # edge (v, v + 1); this keeps complete graphs at O(n)
@@ -446,52 +437,36 @@ def _longest_induced_path(g: FrameGraph):
     while c and not (full >> c << c) & ~adj[c - 1]:
         c -= 1
     for root in range(n):
-        below = (1 << start) - 1 if root < start else 0
-        cut = length - 1 if below else length
-        if n - root <= cut:
+        if n - root <= length:
             break
         if root >= c:
-            size = min(2, n - root)
-            if size > cut:
-                length, start = size, root
+            if length < 2:
+                length, best = 2, [root, root + 1]
             break
         above = full >> (root + 1) << (root + 1)
         heads = adj[root] & above
         free = above & ~heads
         # a path rooted here holds at most 2 + |free| vertices with one arm,
-        # which ends at the root, and one more with two
+        # and one more with two
         one_arm = 2 + free.bit_count()
         while heads:
-            most = one_arm + (heads & (heads - 1) != 0)
-            if most < length or most == length and not (
-                    below and (one_arm == length or below & (heads | free))):
+            if one_arm + (heads & (heads - 1) != 0) <= length:
                 break
             low = heads & -heads
             heads ^= low
-            x = adj[low.bit_length() - 1]
-            hb = heads & ~x
-            nxt = x & free
+            a = low.bit_length() - 1
+            nbrs = adj[a]
+            hb = heads & ~nbrs
+            nxt = nbrs & free
             rest = free & ~nxt
-            bound = 2 + (nxt != 0) + (hb != 0) + rest.bit_count()
-            if bound > length or (bound == length and below and (
-                    not hb or below & (low | free | hb))):
-                arm_a(nxt, rest, hb, 2, low.bit_length() - 1)
+            if 2 + (nxt != 0) + (hb != 0) + rest.bit_count() > length:
+                a_arm.append(a)
+                grow_a(nxt, rest, hb, 2)
+                a_arm.pop()
 
-    path = [start]
-    cand, rest = adj[start], full & ~(1 << start) & ~adj[start]
-    for need in range(length - 2, -1, -1):
-        # the first neighbour, in ascending order, that still reaches length
-        while True:
-            if not cand:
-                raise AssertionError("induced path replay ran out of "
-                                     "neighbours")
-            low = cand & -cand
-            cand ^= low
-            nxt = adj[low.bit_length() - 1] & rest
-            if ext(nxt, rest & ~nxt, need) >= need:
-                break
-        path.append(low.bit_length() - 1)
-        cand, rest = nxt, rest & ~nxt
+    path = [order[v] for v in best]
+    if path[-1] < path[0]:
+        path.reverse()
     return length, tuple(path)
 
 

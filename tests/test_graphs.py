@@ -123,26 +123,59 @@ def reference_mis_mask(g: FrameGraph) -> int:
 
 
 def reference_longest_induced_path(g: FrameGraph):
-    """Unbounded DFS over every induced path, starts in ascending order,
-    then neighbours in ascending order; keeps the first longest path."""
-    adj = neighbour_masks(g)
-    best = {"len": 1, "path": (0,)}
+    """Every induced path, without cuts, met once from its lowest-ranked
+    vertex (the root), vertices ranked by (degree, index).  Roots go in rank
+    order, and each path grows an arm A from the root.  At each end of A
+    the path itself comes first, then every second arm B, whose head is a
+    neighbour of the root ranked above A's head, then the longer A arms;
+    every choice goes in rank order.  Keeps the first longest path, written
+    from its end of smaller index."""
+    adj = neighbour_sets(g)
+    ranked = sorted(range(g.vertex_count), key=lambda v: (len(adj[v]), v))
+    rank = {v: k for k, v in enumerate(ranked)}
+    # neighbourhoods over ranks: bit k is the vertex ranked k
+    nbr = [sum(1 << rank[w] for w in adj[v]) for v in ranked]
+    best = [0]
 
-    def extend(path, endpoint, blocked):
-        if len(path) > best["len"]:
-            best["len"], best["path"] = len(path), tuple(path)
-        cand = adj[endpoint] & ~blocked
+    def meet(path):
+        if len(path) > len(best):
+            best[:] = path
+
+    def steps(end, blocked):
+        """The ranks that may follow end, in rank order."""
+        cand = nbr[end] & ~blocked
         while cand:
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            path.append(v)
-            # the old endpoint's other neighbours would become chords
-            extend(path, v, blocked | (1 << v) | (adj[endpoint] & ~(1 << v)))
-            path.pop()
+            low = cand & -cand
+            cand ^= low
+            yield low.bit_length() - 1
 
-    for start in range(g.vertex_count):
-        extend([start], start, 1 << start)
-    return best["len"], best["path"]
+    # blocked: the ranks at or below the root, and the path vertices and
+    # their neighbours, except the neighbours of the end being grown
+    def grow_b(b_path, a_path, blocked):
+        meet(b_path[::-1] + a_path)
+        end = b_path[-1]
+        for x in steps(end, blocked):
+            grow_b(b_path + [x], a_path, blocked | nbr[end] | 1 << end)
+
+    # arm: the vertices of A and their neighbours
+    def grow_a(a_path, blocked, arm):
+        root, head, end = a_path[0], a_path[1], a_path[-1]
+        meet(a_path)
+        for b in steps(root, arm | (2 << head) - 1):
+            grow_b([b], a_path, blocked | arm)
+        closed = blocked | nbr[end] | 1 << end
+        for x in steps(end, blocked):
+            grow_a(a_path + [x], closed, arm | nbr[x] | 1 << x)
+
+    for root in range(g.vertex_count):
+        meet([root])
+        low = (2 << root) - 1
+        for a in steps(root, low):
+            grow_a([root, a], low | nbr[root] | 1 << root, nbr[a] | 1 << a)
+    path = [ranked[k] for k in best]
+    if path[-1] < path[0]:
+        path.reverse()
+    return len(path), tuple(path)
 
 
 def reference_components(g: FrameGraph):
@@ -512,23 +545,40 @@ class TestSearchesMatchReference:
         # a clique on the low labels, the longest path above it
         ([(i, j) for i in range(4) for j in range(i + 1, 4)]
          + [(i, i + 1) for i in range(4, 12)], 13, 4),
-        # vertex 0 inside every longest path: 7-5-3-1-0-2-4-6
+        # vertex 0 inside every longest path: 6-4-2-0-1-3-5-7, rooted at
+        # its end 6, which ranks first
         ([(0, 1), (1, 3), (3, 5), (5, 7), (0, 2), (2, 4), (4, 6)], 8, 6),
-        # two longest paths tie; the smaller endpoint lies on the odd one
+        # two longest paths tie; isolated 0 ranks first, then the ends of
+        # degree 1, so the first longest path is rooted at 1
         ([(8, 6), (6, 4), (4, 2), (1, 3), (3, 5), (5, 7)], 9, 1),
-        # a triangle with tails: the longest paths avoid vertex 0
+        # a triangle with tails: the longest path is rooted at the end 5,
+        # the lowest-ranked of degree 1, and written from it
         ([(0, 1), (0, 2), (1, 2), (1, 3), (3, 5), (2, 4), (4, 6)], 7, 5),
     ])
     def test_witness_start_above_zero(self, edges, m, start):
+        # check() compares the whole witness with the reference's
         g = FrameGraph(m, edges)
         self.check(g)
         assert compute_stats(g).induced_path_witness[0] == start
 
-    def test_replay_fails_loudly(self):
-        # asymmetric masks break the from_masks contract: the rooted search
-        # then claims a path the replay cannot rebuild, which must raise
-        # rather than loop
-        with pytest.raises(AssertionError):
+    @pytest.mark.parametrize("g, witness", [
+        # regular graphs rank in index order and are searched as they are
+        (cycle_graph(8), (1, 0, 7, 6, 5, 4, 3)),
+        (complete_bipartite_graph(3, 3), (3, 0, 4)),
+        # the same shapes off regularity rank their low degrees first: the
+        # ends of the path, the part of four
+        (path_graph(8), tuple(range(8))),
+        (complete_bipartite_graph(2, 4), (0, 2, 1)),
+    ])
+    def test_witness_in_rank_order(self, g, witness):
+        self.check(g)
+        assert compute_stats(g).induced_path_witness == witness
+
+    def test_asymmetric_masks_raise(self):
+        # asymmetric masks break the from_masks contract: a BFS from vertex
+        # 1 then stops short of the component it belongs to, which must
+        # raise rather than loop
+        with pytest.raises(GraphError):
             compute_stats(FrameGraph.from_masks([6, 0, 9, 7]))
 
     @staticmethod
