@@ -45,9 +45,8 @@ _GENERATOR = re.compile(r"^(\w+)\(([\d,\s]*)\)$")
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_INPUT):
-        super().__init__(message)
-        self.code = code
+    """Bad input that the CLI finds itself; it exits 2, as other input
+    errors do."""
 
 
 def _exact_number(x):
@@ -384,11 +383,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (FrameError, GraphError, corpus.CorpusError, ExactModeError,
-            ValueError) as exc:
+    except (CliError, FrameError, GraphError, corpus.CorpusError,
+            ExactModeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (SolverError, JacobiConvergenceError) as exc:

@@ -2,10 +2,13 @@
 
 The frame graph puts an edge between two vectors exactly when their inner
 product is nonzero (above ``tol_zero`` in float mode, exactly nonzero in
-exact mode).  All statistics are computed exactly, from the adjacency
-bitmasks the graph builds once (``FrameGraph.masks``).  The two exponential
-searches, independence number and longest induced path, run behind a
-configurable vertex cap as branch and bound over bitmasks:
+exact mode).  A graph holds the adjacency bitmasks it builds once
+(``FrameGraph.masks``) and one bitmask of the zero vectors
+(``FrameGraph.zero_vectors``); a vertex's flags, isolated or zero_vector,
+are read off those two.  All statistics are computed exactly, from the
+adjacency bitmasks.  The two exponential searches, independence number
+and longest induced path, run behind a configurable vertex cap as branch
+and bound over bitmasks:
 
 - maximum independent set: a subtree is cut when its candidates, counted
   one by one or as the cliques of a greedy clique cover (an independent
@@ -56,16 +59,18 @@ class FrameGraph:
 
     ``masks[v]`` is the neighbourhood of v as a bitmask, built once; it is
     the graph's only adjacency, and the statistics, the filters and the
-    reports all read it.  ``edges`` lists the edges (i, j), i < j, in
-    ascending order, whatever order the constructor was given them in, so
-    no certificate depends on that order: the diameter filter's distant
+    reports all read it.  Bit v of ``zero_vectors`` is set when vector v of
+    the frame the graph was built from is zero; ``flags(v)`` reads a
+    vertex's flags off these two.  ``edges`` lists the edges (i, j), i < j,
+    in ascending order, whatever order the constructor was given them in,
+    so no certificate depends on that order: the diameter filter's distant
     pair, for one, is the smallest vertex s with a vertex at distance 3,
     and the smallest vertex t at distance 3 from s.
     """
 
-    __slots__ = ("vertex_count", "masks", "vertex_flags")
+    __slots__ = ("vertex_count", "masks", "zero_vectors")
 
-    def __init__(self, vertex_count: int, edges, vertex_flags=None):
+    def __init__(self, vertex_count: int, edges):
         if vertex_count < 1:
             raise GraphError("need at least one vertex")
         masks = [0] * vertex_count
@@ -76,30 +81,38 @@ class FrameGraph:
                 raise GraphError(f"edge ({i},{j}) out of range")
             masks[i] |= 1 << j
             masks[j] |= 1 << i
-        self._init(masks, vertex_flags)
+        self.vertex_count = vertex_count
+        self.masks = tuple(masks)
+        self.zero_vectors = 0
 
     @classmethod
-    def from_masks(cls, masks, vertex_flags=None) -> "FrameGraph":
-        """Graph whose vertex v has neighbourhood ``masks[v]``; the masks
-        must be symmetric with no bit v in ``masks[v]``."""
-        if not masks:
-            raise GraphError("need at least one vertex")
-        g = cls.__new__(cls)
-        g._init(masks, vertex_flags)
-        return g
-
-    def _init(self, masks, vertex_flags):
+    def from_masks(cls, masks, zero_vectors: int = 0) -> "FrameGraph":
+        """Graph whose vertex v has neighbourhood ``masks[v]`` and is flagged
+        ``zero_vector`` when bit v of ``zero_vectors`` is set.  Raises
+        GraphError unless the masks are a graph: each a nonnegative int
+        below 2**m, with no bit v in ``masks[v]``, and bit u of
+        ``masks[v]`` set exactly when bit v of ``masks[u]`` is."""
         m = len(masks)
-        self.vertex_count = m
-        self.masks = tuple(masks)
-        flags = {i: set() for i in range(m)}
-        if vertex_flags:
-            for i, fs in vertex_flags.items():
-                flags[i] |= set(fs)
-        for i in range(m):
-            if not masks[i]:
-                flags[i].add("isolated")
-        self.vertex_flags = {i: frozenset(fs) for i, fs in flags.items()}
+        if not m:
+            raise GraphError("need at least one vertex")
+        full = (1 << m) - 1
+        if not 0 <= zero_vectors <= full:
+            raise GraphError("zero_vectors out of range")
+        for v, mask in enumerate(masks):
+            if not (0 <= mask <= full and not mask >> v & 1
+                    and all(masks[u] >> v & 1 for u in mask_vertices(mask))):
+                raise GraphError(f"masks are not a graph at vertex {v}")
+        return cls._unchecked(masks, zero_vectors)
+
+    @classmethod
+    def _unchecked(cls, masks, zero_vectors: int = 0) -> "FrameGraph":
+        """``from_masks`` without its checks, for masks that are a graph by
+        construction."""
+        g = cls.__new__(cls)
+        g.vertex_count = len(masks)
+        g.masks = tuple(masks)
+        g.zero_vectors = zero_vectors
+        return g
 
     def edge_count(self) -> int:
         return sum(mask.bit_count() for mask in self.masks) // 2
@@ -114,8 +127,17 @@ class FrameGraph:
 
     edges = property(sorted_edges)
 
+    def flags(self, v: int) -> list:
+        """The sorted flag names of vertex v: "isolated" when it has no
+        neighbour, "zero_vector" when its vector is zero.  A float vector
+        with <u, u> <= tol_zero is flagged, yet can keep an edge."""
+        out = [] if self.masks[v] else ["isolated"]
+        if self.zero_vectors >> v & 1:
+            out.append("zero_vector")
+        return out
+
     def has_flagged_vertices(self) -> bool:
-        return any(self.vertex_flags[i] for i in range(self.vertex_count))
+        return bool(self.zero_vectors) or not all(self.masks)
 
     def __eq__(self, other):
         if not isinstance(other, FrameGraph):
@@ -148,7 +170,7 @@ def build_graph(frame: Frame, tol_zero: float = 1e-10) -> FrameGraph:
     # QuadExt cannot be compared with a float
     hi = 0 if frame.is_exact else tol_zero
     masks = [0] * m
-    flags = {}
+    zero = 0
     for i, u in enumerate(vs):
         bit, row = 1 << i, 0
         for j in range(i + 1, m):
@@ -158,8 +180,8 @@ def build_graph(frame: Frame, tol_zero: float = 1e-10) -> FrameGraph:
                 masks[j] |= bit
         masks[i] |= row
         if not sum(map(mul, u, u)) > hi:  # a sum of squares is never < 0
-            flags[i] = {"zero_vector"}
-    return FrameGraph.from_masks(masks, flags)
+            zero |= bit
+    return FrameGraph._unchecked(masks, zero)
 
 
 class GraphStats(NamedTuple):
@@ -213,8 +235,7 @@ def _components(g: FrameGraph):
 def _diameter(g: FrameGraph) -> int:
     """Diameter of a connected graph: the most BFS layers from any vertex.
     A layer stops reading its frontier once it has reached every vertex,
-    which on dense graphs is after a vertex or two.  Masks that are not
-    symmetric can leave a vertex unreached; that raises GraphError."""
+    which on dense graphs is after a vertex or two."""
     masks = g.masks
     full = (1 << g.vertex_count) - 1
     best = 0
@@ -230,9 +251,6 @@ def _diameter(g: FrameGraph) -> int:
                 if reach == full:
                     break
             frontier = reach & ~seen
-            if not frontier:
-                raise GraphError(f"vertex {src} reaches only part of a "
-                                 "connected graph: masks not symmetric")
             seen = reach
             d += 1
         if d > best:
@@ -524,17 +542,15 @@ def balanced_bipartition_exists(part_sizes) -> bool:
 
 
 def unique_common_neighbor_pairs(g: FrameGraph):
-    """All non-adjacent pairs u < v with exactly one common neighbor,
-    returned as (u, v, witness)."""
+    """A generator of the non-adjacent pairs u < v with exactly one common
+    neighbour w, as (u, v, w), by u and then v ascending."""
     masks = g.masks
     full = (1 << g.vertex_count) - 1
-    out = []
     for u, mu in enumerate(masks):
         for v in mask_vertices(full & ~mu & -(2 << u)):
             common = mu & masks[v]
             if common and not common & (common - 1):
-                out.append((u, v, common.bit_length() - 1))
-    return out
+                yield u, v, common.bit_length() - 1
 
 
 def zero_pattern_equal(g1: FrameGraph, g2: FrameGraph) -> bool:
@@ -550,7 +566,7 @@ def export_dot(g: FrameGraph) -> str:
     for v in range(g.vertex_count):
         # "isolated" is derivable from the edge list; only data-quality
         # flags such as zero_vector are worth showing
-        flags = sorted(f for f in g.vertex_flags[v] if f != "isolated")
+        flags = [f for f in g.flags(v) if f != "isolated"]
         attr = f' [flags="{",".join(flags)}"]' if flags else ""
         lines.append(f"  v{v + 1}{attr};")
     for (i, j) in g.sorted_edges():
@@ -585,7 +601,7 @@ def complete_bipartite_graph(a: int, b: int) -> FrameGraph:
 
 def graph_union(g1: FrameGraph, g2: FrameGraph) -> FrameGraph:
     off = g1.vertex_count
-    return FrameGraph.from_masks(
+    return FrameGraph._unchecked(
         g1.masks + tuple(mask << off for mask in g2.masks))
 
 
@@ -593,6 +609,6 @@ def graph_join(g1: FrameGraph, g2: FrameGraph) -> FrameGraph:
     """The union plus every edge between a vertex of g1 and one of g2."""
     off = g1.vertex_count
     low, high = (1 << off) - 1, ((1 << g2.vertex_count) - 1) << off
-    return FrameGraph.from_masks(
+    return FrameGraph._unchecked(
         tuple(mask | high for mask in g1.masks)
         + tuple(mask << off | low for mask in g2.masks))

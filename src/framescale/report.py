@@ -56,50 +56,23 @@ def edge_rows(graph: FrameGraph) -> list:
             if bit == "1"]
 
 
-def _stats_json(stats: GraphStats):
-    return {
-        "components": [[v + 1 for v in c] for c in stats.components],
-        "is_connected": stats.is_connected,
-        "diameter": stats.diameter,
-        "is_bipartite": stats.is_bipartite,
-        "component_part_sizes": (
-            [list(p) for p in stats.component_part_sizes]
-            if stats.component_part_sizes is not None
-            else None
-        ),
-        "alpha": stats.alpha,
-        "max_independent_set": (
-            [v + 1 for v in stats.max_independent_set]
-            if stats.max_independent_set is not None
-            else None
-        ),
-        "bridges": [[i + 1, j + 1] for (i, j) in stats.bridges],
-        "leaves": [v + 1 for v in stats.leaves],
-        "is_complete": stats.is_complete,
-        "is_empty": stats.is_empty,
-        "is_cycle": stats.is_cycle,
-        "induced_path_vertices": stats.induced_path_vertices,
-        "induced_path_witness": (
-            [v + 1 for v in stats.induced_path_witness]
-            if stats.induced_path_witness is not None
-            else None
-        ),
-        "cap_exceeded": stats.cap_exceeded,
-    }
+def _stats_json(stats: GraphStats) -> dict:
+    """The statistics as the record holds them, its vertex-valued fields
+    made 1-based."""
+    out = stats._asdict()
+    for key in ("components", "bridges"):
+        out[key] = [[v + 1 for v in c] for c in out[key]]
+    for key in ("max_independent_set", "leaves", "induced_path_witness"):
+        if out[key] is not None:
+            out[key] = [v + 1 for v in out[key]]
+    return out
 
 
-def _battery_json(battery: FilterBattery):
-    return [
-        {
-            "filter_id": r.filter_id,
-            "citation": r.citation,
-            "applicable": r.applicable,
-            "verdict": r.verdict,
-            "certificate": r.certificate,
-            "experimental": r.experimental,
-        }
-        for r in battery.reports
-    ]
+def _battery_json(battery: FilterBattery) -> list:
+    """Each filter's report as the record holds it, without its warnings,
+    which the report lists on their own."""
+    return [{k: x for k, x in r._asdict().items() if k != "warnings"}
+            for r in battery.reports]
 
 
 def _answer_json(res: OracleResult):
@@ -231,8 +204,8 @@ def graph_document(graph: FrameGraph) -> dict:
     return {
         "vertex_count": graph.vertex_count,
         "edges": edge_rows(graph),
-        "flags": {f"v{v + 1}": sorted(flags)
-                  for v, flags in sorted(graph.vertex_flags.items())},
+        "flags": {f"v{v + 1}": graph.flags(v)
+                  for v in range(graph.vertex_count)},
     }
 
 

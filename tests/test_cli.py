@@ -635,6 +635,31 @@ class TestGraphCmd:
         assert run(capsys, *argv, "--tol-zero", "0.5") == plain
 
 
+class TestFlaggedVertexKeepsEdges:
+    """A float vector with <u, u> <= tol_zero is flagged zero_vector even
+    when its products with other vectors clear tol_zero and keep edges:
+    here <v1, v1> = 1e-12 and <v1, v2> = <v1, v4> = 1e-6."""
+
+    VECTORS = [["1e-6", "0"], ["1e6", "1"], ["0", "1"], ["1", "1"]]
+
+    def test_outputs(self, tmp_path, capsys):
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"dimension": 2, "vectors": self.VECTORS}))
+        code, dot, err = run(capsys, "graph", str(path))
+        assert code == 0 and not err
+        assert '  v1 [flags="zero_vector"];' in dot.splitlines()
+        assert "  v1 -- v2;" in dot and "  v1 -- v4;" in dot
+        _, doc, _ = run(capsys, "graph", str(path), "--format", "json")
+        assert json.loads(doc)["flags"] == {
+            "v1": ["zero_vector"], "v2": [], "v3": [], "v4": []}
+        _, out, _ = run(capsys, "filters", str(path))
+        report = json.loads(out)
+        assert report["warnings"][0] == (
+            "standing assumption violated (zero or isolated vectors: "
+            "v1(zero_vector)); scalability filters disabled")
+        assert not any(f["applicable"] for f in report["filters"]
+                       if not f["experimental"])
+
 # frame inputs of TestDocumentsAgree, and whether --exact is given: the
 # generator calls of float frames have no exact representation
 _DOCUMENT_INPUTS = [

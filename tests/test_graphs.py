@@ -312,7 +312,7 @@ class TestFrameGraph:
 
     def test_isolated_flagging(self):
         g = FrameGraph(3, [(0, 1)])
-        assert "isolated" in g.vertex_flags.get(2, frozenset())
+        assert g.flags(2) == ["isolated"]
         assert g.has_flagged_vertices()
 
     def test_edges_ascending_whatever_the_given_order(self):
@@ -332,8 +332,43 @@ class TestFrameGraph:
             g = gnp(rng, m, 0.3)
             h = FrameGraph.from_masks(g.masks)
             assert h == g and h.edges == g.edges
-            assert h.vertex_flags == g.vertex_flags
+            assert all(h.flags(v) == g.flags(v) for v in range(m))
 
+
+    @pytest.mark.parametrize("masks, zero_vectors", [
+        ([2, 0, 0], 0),  # 0 sees 1, 1 does not see 0
+        ([6, 0, 9, 7], 0),
+        ([1], 0),  # a loop
+        ([2, 3], 0),  # a loop at 1 beside the edge (0, 1)
+        ([4, 0], 0),  # a bit at m
+        ([-1], 0),
+        ([-2, 1], 0),
+        ([0, 0], 4),
+        ([0, 0], -1),
+    ])
+    def test_from_masks_rejects_non_graphs(self, masks, zero_vectors):
+        with pytest.raises(GraphError):
+            FrameGraph.from_masks(masks, zero_vectors)
+
+    def test_constructions_skip_the_mask_checks(self, monkeypatch):
+        """build_graph, graph_union and graph_join build symmetric masks
+        themselves and do not pay for from_masks' O(edges) checks."""
+        def unexpected(*args):
+            raise AssertionError("from_masks called")
+
+        monkeypatch.setattr(FrameGraph, "from_masks", unexpected)
+        assert build_graph(M1, 0).edges == [(0, 1), (2, 3)]
+        assert graph_union(complete_graph(2), path_graph(3)).edge_count() == 3
+        assert graph_join(complete_graph(2), path_graph(3)).edge_count() == 9
+
+    def test_flags_read_off_the_masks(self):
+        g = FrameGraph.from_masks([2, 1, 0], zero_vectors=0b110)
+        assert [g.flags(v) for v in range(3)] == [
+            [], ["zero_vector"], ["isolated", "zero_vector"]]
+        assert g.has_flagged_vertices()
+        # a flagged vertex can keep its edges
+        assert FrameGraph.from_masks([2, 1], 1).has_flagged_vertices()
+        assert not FrameGraph.from_masks([2, 1]).has_flagged_vertices()
 
 class TestBuildGraph:
     def test_m1_two_disjoint_edges(self):
@@ -358,7 +393,7 @@ class TestBuildGraph:
     def test_zero_vector_flagged(self):
         fr = Frame.from_vectors([[1, 0], [0, 0]], exact=True)
         g = build_graph(fr, 0)
-        assert "zero_vector" in g.vertex_flags.get(1, frozenset())
+        assert "zero_vector" in g.flags(1)
 
     @pytest.mark.parametrize("name", ["paper/M1", "paper/M2", "paper/M",
                                       "canonical/mercedes", "zero_vector"])
@@ -370,7 +405,7 @@ class TestBuildGraph:
         graphs = [build_graph(fr, t) for t in (0, 1e-10, 0.5)]
         for g in graphs[1:]:
             assert g.masks == graphs[0].masks
-            assert g.vertex_flags == graphs[0].vertex_flags
+            assert g.zero_vectors == graphs[0].zero_vectors
 
     @pytest.mark.parametrize("seed", range(20))
     def test_exact_edges_are_nonzero_inner_products(self, seed):
@@ -390,7 +425,7 @@ class TestBuildGraph:
         g = build_graph(fr, 0)
         assert g.sorted_edges() == [(i, j) for i in range(len(vs))
                                     for j in range(i + 1, len(vs)) if dot[i][j]]
-        assert [v for v in range(len(vs)) if "zero_vector" in g.vertex_flags[v]] \
+        assert [v for v in range(len(vs)) if "zero_vector" in g.flags(v)] \
             == [v for v in range(len(vs)) if not dot[v][v]]
 
     def test_float_threshold(self):
@@ -417,7 +452,7 @@ class TestBuildGraph:
         assert g.sorted_edges() == [(i, j) for i in range(m)
                                     for j in range(i + 1, m)
                                     if abs(dot[i][j]) > tol]
-        assert [v for v in range(m) if "zero_vector" in g.vertex_flags[v]] \
+        assert [v for v in range(m) if "zero_vector" in g.flags(v)] \
             == [v for v in range(m) if not dot[v][v] > tol]
 
 
@@ -575,9 +610,8 @@ class TestSearchesMatchReference:
         assert compute_stats(g).induced_path_witness == witness
 
     def test_asymmetric_masks_raise(self):
-        # asymmetric masks break the from_masks contract: a BFS from vertex
-        # 1 then stops short of the component it belongs to, which must
-        # raise rather than loop
+        # asymmetric masks are not a graph, and from_masks rejects them
+        # before any statistic reads them
         with pytest.raises(GraphError):
             compute_stats(FrameGraph.from_masks([6, 0, 9, 7]))
 
@@ -602,7 +636,7 @@ class TestSearchesMatchReference:
         assert g.edge_count() == len(g.edges)
         assert g.edges == sorted({(i, j) for (i, j) in g.edges if i < j})
         assert neighbour_masks(g) == list(g.masks)
-        assert unique_common_neighbor_pairs(g) == \
+        assert list(unique_common_neighbor_pairs(g)) == \
             reference_unique_common_neighbor_pairs(g)
 
     @pytest.mark.parametrize("m", range(1, 41))
@@ -674,7 +708,8 @@ class TestUnionAndJoin:
             expected = FrameGraph(off + g2.vertex_count, edges)
             g = graph_union(g1, g2)
             assert g == expected and g.edges == expected.edges
-            assert g.vertex_flags == expected.vertex_flags
+            assert all(g.flags(v) == expected.flags(v)
+                       for v in range(g.vertex_count))
 
     def test_join(self):
         for g1, g2 in self.pairs(random.Random("join")):
@@ -684,7 +719,8 @@ class TestUnionAndJoin:
             expected = FrameGraph(off + m2, edges)
             g = graph_join(g1, g2)
             assert g == expected and g.edges == expected.edges
-            assert g.vertex_flags == expected.vertex_flags
+            assert all(g.flags(v) == expected.flags(v)
+                       for v in range(g.vertex_count))
 
 
 class TestUniqueCommonNeighbor:
@@ -693,14 +729,14 @@ class TestUniqueCommonNeighbor:
         assert set(pairs) == {(1, 2, 0), (1, 3, 0), (2, 3, 0)}
 
     def test_c4_empty(self):
-        assert not unique_common_neighbor_pairs(cycle_graph(4))
+        assert not list(unique_common_neighbor_pairs(cycle_graph(4)))
 
     def test_p3(self):
-        assert unique_common_neighbor_pairs(path_graph(3)) == [(0, 2, 1)]
+        assert list(unique_common_neighbor_pairs(path_graph(3))) == [(0, 2, 1)]
 
     def test_c5_all_pairs(self):
         # in C5 every non-adjacent pair has exactly one common neighbor
-        assert len(unique_common_neighbor_pairs(cycle_graph(5))) == 5
+        assert len(list(unique_common_neighbor_pairs(cycle_graph(5)))) == 5
 
 
 class TestPatternAndSubgraph:

@@ -12,6 +12,10 @@ captured.  The list covers
   --graph, and with a nonzero --tol-zero on exact frames;
 - generator calls under every frame command, at two seeds;
 - named graphs under `filters --graph` at several --dim, and `graph --graph`;
+- three frames with a zero vector under `analyze`, `filters`, `graph` and
+  `graph --format json`: an exact one, a float one whose vector lies below
+  --tol-zero, and a float one whose vector is flagged zero_vector but
+  keeps two edges;
 - the exit-2 input errors, argparse's among them;
 - the four benchmark pools of ``perfbench/run.py`` as the benchmark calls
   them, and a prefix of each size class under `scale` (exact and float,
@@ -95,6 +99,28 @@ BAD_FILES = (
     ("loop.json", '{"adjacency": [[1]]}'),
 )
 
+# (file name, contents, options) of the frames with a zero vector
+ZERO_FILES = (
+    ("zero_exact.json",
+     '{"dimension": 2, "vectors": [["1", "0"], ["0", "0"], ["1", "1"]]}',
+     ["--exact"]),
+    ("zero_float.json",
+     '{"dimension": 2, "vectors": [["1", "0"], ["1e-12", "0"], ["0", "1"]]}',
+     []),
+    ("tiny.json", '{"dimension": 2, "vectors": '
+     '[["1e-6", "0"], ["1e6", "1"], ["0", "1"], ["1", "1"]]}', []),
+)
+
+
+def zero_vectors(d: Path) -> list:
+    calls = []
+    for name, text, options in ZERO_FILES:
+        (d / name).write_text(text)
+        calls += [cmd + [str(d / name)] + options for cmd in
+                  (["analyze"], ["filters"], ["graph"],
+                   ["graph", "--format", "json"])]
+    return calls
+
 
 def input_errors(d: Path) -> list:
     calls = []
@@ -169,7 +195,7 @@ def build_calls(seed: int, d: Path) -> list:
                   for k in (1, 2, 3, 5)]
         calls += [["graph", "--graph", g],
                   ["graph", "--graph", g, "--format", "json"]]
-    return calls + input_errors(d) + pools(seed, d)
+    return calls + zero_vectors(d) + input_errors(d) + pools(seed, d)
 
 
 def run_side(src: Path, calls_path: Path, out_path: Path) -> list:
