@@ -86,9 +86,8 @@ class FrameGraph:
         self.zero_vectors = 0
 
     @classmethod
-    def from_masks(cls, masks, zero_vectors: int = 0) -> "FrameGraph":
-        """Graph whose vertex v has neighbourhood ``masks[v]`` and is flagged
-        ``zero_vector`` when bit v of ``zero_vectors`` is set.  Raises
+    def from_masks(cls, masks) -> "FrameGraph":
+        """Graph whose vertex v has neighbourhood ``masks[v]``.  Raises
         GraphError unless the masks are a graph: each a nonnegative int
         below 2**m, with no bit v in ``masks[v]``, and bit u of
         ``masks[v]`` set exactly when bit v of ``masks[u]`` is."""
@@ -96,18 +95,17 @@ class FrameGraph:
         if not m:
             raise GraphError("need at least one vertex")
         full = (1 << m) - 1
-        if not 0 <= zero_vectors <= full:
-            raise GraphError("zero_vectors out of range")
         for v, mask in enumerate(masks):
             if not (0 <= mask <= full and not mask >> v & 1
                     and all(masks[u] >> v & 1 for u in mask_vertices(mask))):
                 raise GraphError(f"masks are not a graph at vertex {v}")
-        return cls._unchecked(masks, zero_vectors)
+        return cls._unchecked(masks)
 
     @classmethod
     def _unchecked(cls, masks, zero_vectors: int = 0) -> "FrameGraph":
-        """``from_masks`` without its checks, for masks that are a graph by
-        construction."""
+        """Graph on ``masks`` whose vertex v is flagged ``zero_vector`` when
+        bit v of ``zero_vectors`` is set; unlike ``from_masks`` it checks
+        nothing, for masks that are a graph by construction."""
         g = cls.__new__(cls)
         g.vertex_count = len(masks)
         g.masks = tuple(masks)

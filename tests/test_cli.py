@@ -660,6 +660,7 @@ class TestFlaggedVertexKeepsEdges:
         assert not any(f["applicable"] for f in report["filters"]
                        if not f["experimental"])
 
+
 # frame inputs of TestDocumentsAgree, and whether --exact is given: the
 # generator calls of float frames have no exact representation
 _DOCUMENT_INPUTS = [

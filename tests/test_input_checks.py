@@ -17,7 +17,6 @@ from framescale.frames import (
     verify_weights,
 )
 from framescale.graphs import (
-    FrameGraph,
     GraphError,
     build_graph,
     complete_graph,
@@ -47,10 +46,6 @@ M1 = load("paper/M1").frame  # four vectors in R^4
                  "number of upper-triangle entries", id="matrix-entries"),
     pytest.param(lambda: SymmetricMatrix.from_rows([[1, 0], [0]]),
                  ValueError, "not square", id="matrix-not-square"),
-    pytest.param(lambda: FrameGraph(0, []), GraphError, "at least one vertex",
-                 id="graph-no-vertices"),
-    pytest.param(lambda: FrameGraph.from_masks([]), GraphError,
-                 "at least one vertex", id="masks-no-vertices"),
     pytest.param(lambda: build_graph(M1, -1e-9), GraphError, "tol_zero",
                  id="graph-negative-tol-zero"),
     pytest.param(lambda: cycle_graph(2), GraphError, "at least 3 vertices",
