@@ -14,7 +14,8 @@ denominators.  These exact steps read it:
   weights N_i / D (T = D * L^2 * S), and so `classify_tightness`, which is
   that check at unit weights (T = L^2 * S);
 - the LP rows in `scaler.build_lp`;
-- the adjacency test of the graph side.
+- its Gram matrix `Frame.integer_gram`, which the adjacency test of the
+  graph side and the Gram solve `scaler.solve_gram` share.
 One L for every vector keeps all of them exact multiples of the rational
 quantities, with no Fraction arithmetic.
 """
@@ -133,6 +134,21 @@ class Frame:
         return IntegerImage(scale, tuple(
             tuple(x.numerator * (scale // x.denominator) for x in v)
             for v in self.vectors))
+
+    @cached_property
+    def integer_gram(self) -> tuple | None:
+        """The Gram matrix of the integer image, rows of ints u_i . u_j =
+        L^2 <f_i, f_j>, each product taken once; None without an image.
+        The graph side and `scaler.solve_gram` read it."""
+        image = self.integer_image
+        if image is None:
+            return None
+        vs = image.vectors
+        rows = [[0] * len(vs) for _ in vs]
+        for i, u in enumerate(vs):
+            for j in range(i, len(vs)):
+                rows[i][j] = rows[j][i] = sum(map(mul, u, vs[j]))
+        return tuple(map(tuple, rows))
 
     @cached_property
     def operator(self) -> SymmetricMatrix:

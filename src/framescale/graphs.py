@@ -61,11 +61,12 @@ class FrameGraph:
     the graph's only adjacency, and the statistics, the filters and the
     reports all read it.  Bit v of ``zero_vectors`` is set when vector v of
     the frame the graph was built from is zero; ``flags(v)`` reads a
-    vertex's flags off these two.  ``edges`` lists the edges (i, j), i < j,
-    in ascending order, whatever order the constructor was given them in,
-    so no certificate depends on that order: the diameter filter's distant
-    pair, for one, is the smallest vertex s with a vertex at distance 3,
-    and the smallest vertex t at distance 3 from s.
+    vertex's flags off these two, and graphs are equal when both are (see
+    `zero_pattern_equal` for the adjacency alone).  ``edges`` lists the
+    edges (i, j), i < j, in ascending order, whatever order the constructor
+    was given them in, so no certificate depends on that order: the
+    diameter filter's distant pair, for one, is the smallest vertex s with
+    a vertex at distance 3, and the smallest vertex t at distance 3 from s.
     """
 
     __slots__ = ("vertex_count", "masks", "zero_vectors")
@@ -140,12 +141,11 @@ class FrameGraph:
     def __eq__(self, other):
         if not isinstance(other, FrameGraph):
             return NotImplemented
-        return (
-            self.vertex_count == other.vertex_count and self.masks == other.masks
-        )
+        return ((self.vertex_count, self.masks, self.zero_vectors)
+                == (other.vertex_count, other.masks, other.zero_vectors))
 
     def __hash__(self):
-        return hash((self.vertex_count, self.masks))
+        return hash((self.vertex_count, self.masks, self.zero_vectors))
 
     def __repr__(self):
         return f"FrameGraph(m={self.vertex_count}, edges={self.edge_count()})"
@@ -153,7 +153,8 @@ class FrameGraph:
 
 def build_graph(frame: Frame, tol_zero: float = 1e-10) -> FrameGraph:
     """Edge (i,j) iff |<f_i, f_j>| exceeds tol_zero.  On an exact frame the
-    edge means <f_i, f_j> != 0, whatever tol_zero is.
+    edge means <f_i, f_j> != 0, whatever tol_zero is; a rational frame's
+    edges and zero vectors are read off `Frame.integer_gram`.
 
     The float inner products use the built-in sum, the fast path here.
     From Python 3.12 on that sum compensates, so its last bits can differ
@@ -162,8 +163,13 @@ def build_graph(frame: Frame, tol_zero: float = 1e-10) -> FrameGraph:
     if tol_zero < 0:
         raise GraphError("tol_zero must be nonnegative")
     m = frame.count
-    image = frame.integer_image
-    vs = frame.vectors if image is None else image.vectors
+    gram = frame.integer_gram
+    if gram is not None:
+        masks = [sum(1 << j for j, x in enumerate(row) if x) & ~(1 << i)
+                 for i, row in enumerate(gram)]
+        zero = sum(1 << i for i, row in enumerate(gram) if not row[i])
+        return FrameGraph._unchecked(masks, zero)
+    vs = frame.vectors
     # x > hi or x < -hi is |x| > hi; the exact zero is the int 0, since a
     # QuadExt cannot be compared with a float
     hi = 0 if frame.is_exact else tol_zero

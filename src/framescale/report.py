@@ -23,9 +23,9 @@ from .filters import (
 from .frames import Frame, classify_tightness, is_frame, naimark_complement
 from .graphs import FrameGraph, GraphStats, build_graph, compute_stats
 from .linalg import SymmetricMatrix
-from .scaler import OracleResult, build_lp, solve_strict
+from .scaler import OracleResult, build_lp, solve_gram, solve_strict
 
-REPORT_VERSION = 2
+REPORT_VERSION = 3
 
 
 class AnalysisConfig(NamedTuple):
@@ -91,7 +91,7 @@ def _answer_json(res: OracleResult):
 
 
 def oracle_json(strict: OracleResult) -> dict:
-    """Both answers of one solve_strict run: the nonneg block is its
+    """Both answers that one strict answer gives: the nonneg block is its
     projection, with the same weights or the same certificate.  The answer
     is rendered once; the nonneg block copies its top level, takes the
     projected status and drops the margin, and shares the rest."""
@@ -176,7 +176,7 @@ def _report(inputs: dict, warnings: list, graph: FrameGraph,
     warnings.extend(battery.warnings)
     strict = None
     if frame is not None and not config.filters_only:
-        strict = solve_strict(build_lp(frame), config.tol)
+        strict = _oracle(frame, config.tol)
     conclusion = _conclusion(battery, strict, warnings)
     return {
         "report_version": REPORT_VERSION,
@@ -195,8 +195,14 @@ def scale_report(frame: Frame, tol: float, source: str = "") -> dict:
     return {
         "report_version": REPORT_VERSION,
         "input": _frame_input(frame, source, tol),
-        **oracle_json(solve_strict(build_lp(frame), tol)),
+        **oracle_json(_oracle(frame, tol)),
     }
+
+
+def _oracle(frame: Frame, tol: float) -> OracleResult:
+    """The strict answer: the Gram solve's when it gives one, otherwise
+    the tableau's."""
+    return solve_gram(frame) or solve_strict(build_lp(frame), tol)
 
 
 def graph_document(graph: FrameGraph) -> dict:

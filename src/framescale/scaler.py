@@ -23,6 +23,27 @@ Weights and certificates become Fractions only when they are read out.
 LPs over Q(sqrt d) take the same pivots with exact field division; float
 LPs use normalized pivots with a zero tolerance.
 
+The report asks `solve_gram` first, on rational frames.  The trace inner
+product of sum_i w_i f_i f_i^t = I with f_j f_j^t is H w = d, H = G o G
+(entrywise square of the Gram matrix G) and d = diag G.  H is the Gram
+matrix of the f_i f_i^t, so when it is nonsingular at most one w exists.
+On the integer Gram matrix (`Frame.integer_gram`) the system reads
+H' w = b with H' = L^4 H and b = L^2 diag G' = L^4 d.  Bareiss elimination
+needs no row exchange: its k-th pivot is the leading principal k x k minor
+of H, and a PSD matrix with a singular leading block H_k is singular
+(x^t H_k x = 0 for some x != 0, so H x = 0 for x padded with zeros), so a
+zero pivot just means that the tableau has to answer.  Back substitution
+divides exactly (Cramer's rule) and gives N = det(H') w.  The residual
+R = I - sum_i w_i f_i f_i^t is orthogonal to every f_i f_i^t, hence to
+I - R, so <f_i, R f_i> = 0 and tr R = |R|_F^2.  When R != 0 the frame is
+not scalable and Y = R / tr R, the least-norm trace-one matrix with every
+<f_i, Y f_i> = 0, is the certificate; it is formed from
+det(H') L^2 I - sum_i N_i u_i u_i^t and its trace.  When R = 0 and N >= 0
+the weights are the only ones, so the answer is the tableau's to the last
+bit.  The tableau answers otherwise: no integer image, m > n(n+1)/2
+(H singular; tested before eliminating), a zero pivot, or a negative
+unique weight, whose certificate needs a second solve.
+
 The oracle checks its own answers with `verify_weights` (the residual it
 reports, computed on the integer image for a rational frame) and
 `verify_farkas` (the gate on float certificates).  `verify_weights` lives
@@ -491,6 +512,55 @@ def _scaling(w) -> float:
         if x >= sys.float_info.min:
             return x
     raise SolverError("a scaling sqrt(w) is outside the normal float range")
+
+
+def solve_gram(frame: Frame) -> OracleResult | None:
+    """The strict answer read off the Hadamard Gram system of a rational
+    frame (see the module docstring), or None when the tableau has to
+    answer: no integer image, m > n(n+1)/2, H singular, or a negative
+    unique weight.  The residual det(H') L^2 (I - sum_i w_i f_i f_i^t)
+    has the trace n det(H') L^2 - sum_i N_i |u_i|^2."""
+    gram = frame.integer_gram
+    n, m = frame.dim, frame.count
+    if gram is None or 2 * m > n * (n + 1):
+        return None
+    scale = frame.integer_image.scale ** 2
+    # row i of [H | b] from column i on: each step keeps the block still
+    # to be eliminated symmetric, so entry (i, k) is read as (k, i)
+    rows = [[x * x for x in row[i:]] + [scale * row[i]]
+            for i, row in enumerate(gram)]
+    d = 1
+    for k, prow in enumerate(rows):
+        p = prow[0]
+        if not p:  # a leading principal minor of the PSD H is 0
+            return None
+        for i in range(k + 1, m):
+            f = prow[i - k]
+            rows[i] = [(p * a - f * b) // d
+                       for a, b in zip(rows[i], prow[i - k:])]
+        d = p
+    nums = []  # N_{m-1}, N_{m-2}, ...
+    for row in reversed(rows):
+        nums.append((d * row[-1] - sum(map(mul, row[1:-1], reversed(nums))))
+                    // row[0])
+    nums.reverse()
+    trace = n * d * scale - sum(x * row[i]
+                                for i, (x, row) in enumerate(zip(nums, gram)))
+    if trace:
+        cols = tuple(zip(*frame.integer_image.vectors))
+        weighted = [tuple(map(mul, nums, col)) for col in cols]
+        return OracleResult("infeasible", farkas=SymmetricMatrix.from_function(
+            n, lambda p, q: Fraction((d * scale if p == q else 0)
+                                     - sum(map(mul, weighted[p], cols[q])),
+                                     trace)))
+    if min(nums) < 0:
+        return None
+    w = tuple(Fraction(x, d) for x in nums)
+    return OracleResult(
+        "strictly_feasible" if min(nums) else "boundary",
+        weights=w, scalings=tuple(map(_scaling, w)),
+        residual=verify_weights(frame, w).residual, margin=min(w),
+    )
 
 
 def solve_strict(lp: ScaleLP, tol: float = FEASIBILITY_TOL) -> OracleResult:

@@ -40,7 +40,7 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", "paper/M1", "--exact")
         assert code == 0
         report = json.loads(out)
-        assert report["report_version"] == 2
+        assert report["report_version"] == 3
         assert report["conclusion"]["verdict"] == "not_scalable"
         assert report["graph"]["edges"] == [[1, 2], [3, 4]]
         assert report["oracle"]["nonneg"]["status"] == "infeasible"
@@ -544,12 +544,14 @@ class TestScale:
 
     def test_pivot_cap_exit_3(self, capsys, monkeypatch):
         monkeypatch.setattr(scaler, "PIVOT_CAP_FACTOR", 0)
-        code, out, err = run(capsys, "scale", "paper/M1", "--exact")
+        code, out, err = run(capsys, "scale", "canonical/mercedes", "--exact")
         assert code == 3 and not out and "pivot cap" in err
 
 
 class TestOneSolve:
-    """One simplex run answers both oracle questions."""
+    """One solve answers both oracle questions: the Gram solve on M1, whose
+    Hadamard Gram matrix is nonsingular, and one simplex run on Mercedes,
+    whose entries lie in Q(sqrt 3)."""
 
     @pytest.mark.parametrize("command", ["analyze", "scale"])
     @pytest.mark.parametrize("frame", ["paper/M1", "canonical/mercedes"])
@@ -563,7 +565,8 @@ class TestOneSolve:
 
         monkeypatch.setattr(scaler, "_phase1", counted)
         code, _, _ = run(capsys, command, frame, "--exact")
-        assert code == 0 and len(calls) == 1
+        runs = {"paper/M1": 0, "canonical/mercedes": 1}[frame]
+        assert code == 0 and len(calls) == runs
 
 
 class TestComplement:

@@ -373,6 +373,18 @@ class TestFrameGraph:
 
 
 class TestBuildGraph:
+    def test_equality_reads_the_zero_vectors(self):
+        """Two graphs with the same masks and different zero vectors are
+        not equal; zero_pattern_equal compares the adjacency alone.  The
+        first vector is flagged zero_vector and keeps its edge to v2."""
+        fr = Frame.from_vectors([[1e-6, 0], [1e6, 1], [0, 1], [1, 1]])
+        g = build_graph(fr)
+        h = FrameGraph.from_masks(g.masks)
+        assert (g.zero_vectors, h.zero_vectors) == (1, 0) and g.masks[0]
+        assert g != h and zero_pattern_equal(g, h)
+        assert g == build_graph(fr) and hash(g) == hash(build_graph(fr))
+        assert len({g, h, build_graph(fr)}) == 2
+
     def test_m1_two_disjoint_edges(self):
         g = build_graph(M1, 0)
         assert g.sorted_edges() == [(0, 1), (2, 3)]

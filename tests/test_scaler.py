@@ -20,11 +20,12 @@ from framescale.frames import (
 )
 from framescale.linalg import SymmetricMatrix
 from framescale import scaler
-from framescale.report import oracle_json
+from framescale.report import oracle_json, scale_report
 from framescale.scaler import (
     FEASIBILITY_TOL,
     WeightReport,
     build_lp,
+    solve_gram,
     solve_scalable,
     solve_strict,
     verify_farkas,
@@ -727,6 +728,80 @@ def test_condensed_tableau_follows_the_reference(group, monkeypatch):
         reentries += sum(enter > frame.count for enter, _ in pivots)
     if group == "random_frame":
         assert reentries > 0
+
+
+def _crosses(seed):
+    """The direct sum of one to three planar blocks (a, b), (a, -b),
+    (0, 1) with rational 0 < |b| < |a|, whose unique weights 1/(2a^2),
+    1/(2a^2) and 1 - b^2/a^2 are positive."""
+    rng = random.Random(seed)
+    n = 2 * rng.randint(1, 3)
+    vecs = []
+    for k in range(0, n, 2):
+        a = Fraction(rng.randint(2, 9), rng.randint(1, 5))
+        b = a * Fraction(rng.choice((-5, -1, 1, 3, 5)), 6)
+        vecs += [[0] * k + v + [0] * (n - k - 2)
+                 for v in ([a, b], [a, -b], [0, 1])]
+    return Frame.from_vectors(vecs, exact=True)
+
+
+GRAM_FRAMES = (
+    [frame for group in sorted(REFERENCE_DRAWS)
+     for frame in REFERENCE_DRAWS[group]]
+    + [random_frame(m, n, seed)
+       for m, n in ((3, 2), (5, 3), (6, 3), (9, 4), (10, 4), (12, 6), (15, 6))
+       for seed in range(10)]
+    + [_crosses(seed) for seed in range(12)]
+    + [load(name).frame for name in names() if load(name).frame is not None]
+)
+
+
+def test_gram_solve_agrees_with_the_tableau():
+    """Where the Gram solve answers, its status is the tableau's, its
+    feasible answer is the tableau's to the last field (the weights are
+    unique), and its certificate is the normalized residual: every
+    <f_i, Y f_i> is exactly 0 and the trace 1."""
+    statuses = []
+    for frame in GRAM_FRAMES:
+        got = solve_gram(frame)
+        if got is None:
+            continue
+        want = solve_strict(build_lp(frame))
+        assert got.status == want.status
+        statuses.append(got.status)
+        if got.status != "infeasible":
+            assert got == want
+            continue
+        y = got.farkas
+        assert verify_farkas(frame, y, 0) and y.trace() == 1
+        assert all(_quad(v, y) == 0 for v in frame.vectors)
+    assert {statuses.count(s) >= 5 for s in
+            ("infeasible", "strictly_feasible", "boundary")} == {True}
+
+
+@pytest.mark.parametrize("frame, status", [
+    (Frame.from_vectors([[1, 0], [0, 0], [0, 1]], exact=True),
+     "strictly_feasible"),
+    (Frame.from_vectors([[1, 0], [1, 0], [0, 1]], exact=True),
+     "strictly_feasible"),
+    (Frame.from_vectors([[1, 0], [0, 1], [1, 1], [1, -1]], exact=True),
+     "strictly_feasible"),
+    (MERCEDES, "strictly_feasible"),
+    (M1.to_float(), "infeasible"),
+    # I = f1 f1^t / 2 - f2 f2^t + 3 f3 f3^t / 2, the unique solution
+    (Frame.from_vectors([[1, 2], [1, 1], [1, 0]], exact=True), "infeasible"),
+], ids=["zero_vector", "repeated_vector", "m_above_n(n+1)/2", "mercedes",
+        "float", "negative_weight"])
+def test_gram_solve_falls_back_to_the_tableau(frame, status):
+    """A zero or repeated vector makes H singular, as does m > n(n+1)/2;
+    Q(sqrt d) and float frames have no integer image; a negative unique
+    weight has no residual certificate.  The report is then the
+    tableau's."""
+    assert solve_gram(frame) is None
+    want = solve_strict(build_lp(frame))
+    assert want.status == status
+    report = scale_report(frame, FEASIBILITY_TOL)
+    assert {k: report[k] for k in ("nonneg", "strict")} == oracle_json(want)
 
 
 @pytest.mark.parametrize("frame", [

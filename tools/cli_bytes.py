@@ -22,8 +22,13 @@ captured.  The list covers
   so Farkas blocks are compared), `graph --format json` and `complement`.
 
 --seed seeds the pools and the generator calls.  The script prints
-``N calls, K identical`` and the first differences, and exits 1 if any call
-differs in its exit code, stdout or stderr.
+``N calls, K identical``, then, for each place in which calls differ, the
+number of differing calls that differ there, then the first differences in
+full; it exits 1 if any call differs in its exit code, stdout or stderr.
+A place is "exit code", "stderr", "stdout" when one side's stdout is not
+JSON, or else each key path whose values differ, list indices written
+``[]`` (``oracle.strict.farkas.rows[][]``), so that a change which moves
+one field in many reports shows as one path.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -208,6 +214,38 @@ def run_side(src: Path, calls_path: Path, out_path: Path) -> list:
         return json.load(fh)
 
 
+def json_paths(a, b, path: str) -> set:
+    """The key paths below ``path`` at which the JSON values a and b
+    differ: a key on one side only, a list of another length, or a
+    differing leaf."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        out = set()
+        for k in a.keys() | b.keys():
+            sub = f"{path}.{k}" if path else k
+            out |= (json_paths(a[k], b[k], sub) if k in a and k in b
+                    else {sub})
+        return out
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return set().union(*(json_paths(x, y, path + "[]")
+                             for x, y in zip(a, b)))
+    return set() if a == b else {path or "(document)"}
+
+
+def places(before, after) -> set:
+    """Where one call's results differ (see the module docstring)."""
+    out = {label for label, a, b in zip(("exit code", "stdout", "stderr"),
+                                        before, after) if a != b}
+    if "stdout" in out:
+        try:
+            paths = json_paths(json.loads(before[1]), json.loads(after[1]),
+                               "")
+        except ValueError:
+            return out
+        out.remove("stdout")
+        out |= paths or {"stdout layout"}
+    return out
+
+
 def show(argv, before, after) -> None:
     print(f"differs: {argv}")
     for label, a, b in zip(("exit code", "stdout", "stderr"), before, after):
@@ -242,6 +280,10 @@ def main(argv=None) -> int:
         after = run_side(ROOT / "src", calls_path, tmp / "after.json")
     differing = [(c, a, b) for c, a, b in zip(calls, before, after) if a != b]
     print(f"{len(calls)} calls, {len(calls) - len(differing)} identical")
+    counts = Counter(p for _, a, b in differing for p in places(a, b))
+    for place, count in sorted(counts.items(), key=lambda kv: (-kv[1],
+                                                               kv[0])):
+        print(f"  {count:6d} differ in {place}")
     for c, a, b in differing[:SHOWN]:
         show(c, a, b)
     return 1 if differing else 0
