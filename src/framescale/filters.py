@@ -104,7 +104,8 @@ def filter_square_nonempty(g: FrameGraph, m: int, n: int,
 def filter_complete_codim1(g: FrameGraph, m: int, n: int,
                            stats: GraphStats) -> FilterReport:
     """m = n + 1: a Parseval frame of n+1 vectors in R^n has a complete
-    graph, so a missing edge rules out strict scalability."""
+    graph, so a missing edge rules out strict scalability.  Implies
+    `filter_alpha`: a missing edge is an independent pair, and 2 > m - n."""
     fid, cite = "complete_codim1", (
         "a Parseval frame of n+1 vectors in R^n has all pairwise inner "
         "products nonzero (complete graph)"
@@ -155,7 +156,9 @@ def filter_alpha(g: FrameGraph, m: int, n: int,
 def filter_diameter_codim2(g: FrameGraph, m: int, n: int,
                            stats: GraphStats) -> FilterReport:
     """m = n + 2, connected graph: a strictly scalable frame has a graph of
-    diameter at most 2 (the complement lives in R^2)."""
+    diameter at most 2 (the complement lives in R^2).  Implies
+    `filter_induced_path`: a shortest path between a pair at distance 3 is
+    an induced path on 4 vertices, more than min(n, 2) + 1."""
     fid, cite = "diameter_codim2", (
         "a connected graph of a strictly scalable frame of n+2 vectors in "
         "R^n has diameter <= 2"
@@ -191,7 +194,9 @@ def _far_pair(g: FrameGraph):
 def filter_orthogonal_set_codim2(g: FrameGraph, m: int, n: int,
                                  stats: GraphStats) -> FilterReport:
     """m = n + 2: a strictly scalable frame contains no 3 pairwise
-    orthogonal vectors (no independent set of size 3)."""
+    orthogonal vectors (no independent set of size 3).  Implies
+    `filter_alpha`: three pairwise orthogonal vectors are an independent set
+    of 3 > m - n."""
     fid, cite = "orthogonal_set_codim2", (
         "a strictly scalable frame of n+2 vectors in R^n has no three "
         "pairwise orthogonal vectors"
@@ -216,7 +221,9 @@ def filter_bipartite_balance(g: FrameGraph, m: int, n: int,
                              stats: GraphStats) -> FilterReport:
     """A bipartite graph of a Parseval frame admits a balanced bipartition;
     if no sign assignment over components balances the parts, the frame is
-    not strictly scalable (odd m is the immediate special case)."""
+    not strictly scalable (odd m is the immediate special case).  Implies
+    `filter_alpha`: every bipartition then has an independent side of more
+    than m/2 vertices."""
     fid, cite = "bipartite_balance", (
         "a bipartite Parseval frame graph has a bipartition with |X| = |Y|"
     )
@@ -257,7 +264,11 @@ def filter_unique_common_neighbor(g: FrameGraph, m: int, n: int,
 def filter_leaf_bridge(g: FrameGraph, m: int, n: int,
                        stats: GraphStats) -> FilterReport:
     """A leaf vertex or bridge inside a component with >= 3 vertices rules
-    out strict scalability."""
+    out strict scalability.  Implies `filter_unique_common_neighbor`: for a
+    leaf v, its neighbour w and another neighbour u of w, u and v are
+    non-adjacent and w is their only common neighbour; for a bridge ab and
+    another neighbour c of a, c and b are non-adjacent and a is their only
+    common neighbour."""
     fid, cite = "leaf_bridge", (
         "a component with >= 3 vertices containing a leaf or a bridge cannot "
         "come from a strictly scalable frame"
@@ -285,7 +296,9 @@ def filter_leaf_bridge(g: FrameGraph, m: int, n: int,
 
 def filter_tree(g: FrameGraph, m: int, n: int,
                 stats: GraphStats) -> FilterReport:
-    """Connected acyclic graph on >= 3 vertices: not strictly scalable."""
+    """Connected acyclic graph on >= 3 vertices: not strictly scalable.
+    Implies `filter_leaf_bridge`: such a tree is one component of at least
+    3 vertices, and it has a leaf."""
     fid, cite = "tree", "a tree on >= 3 vertices is never the graph of a " \
                         "strictly scalable frame"
     if m < 3:

@@ -9,8 +9,9 @@ are 1-based (v1..vm).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import groupby
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import NamedTuple
 
 from .exactnum import QuadExt, exact_str
@@ -47,13 +48,26 @@ def _matrix_json(s: SymmetricMatrix):
     }
 
 
-def edge_rows(graph: FrameGraph) -> list:
-    """The edges as 1-based rows [i, j], i < j, in ascending order, read off
-    the adjacency masks: digit k of the reversed binary string of
-    ``masks[i - 1] >> i`` is vertex i + k + 1."""
-    return [[i, j] for i, mask in enumerate(graph.masks, 1)
+class EdgeRows(tuple):
+    """The edges of a graph as 1-based rows (i, j), i < j, in ascending
+    order, read off the adjacency masks: digit k of the reversed binary
+    string of ``masks[i - 1] >> i`` is vertex i + k + 1.
+
+    Only a graph builds one, and a copy or a pickle of one is a plain
+    tuple of the same rows, so the rows of an `EdgeRows` are a graph's
+    edges by construction: `stable_dumps` writes them without looking at
+    their types."""
+
+    __slots__ = ()
+
+    def __new__(cls, graph: FrameGraph):
+        return super().__new__(cls, [
+            (i, j) for i, mask in enumerate(graph.masks, 1)
             for j, bit in enumerate(bin(mask >> i)[:1:-1], i + 1)
-            if bit == "1"]
+            if bit == "1"])
+
+    def __reduce__(self):
+        return tuple, (tuple(self),)
 
 
 def _stats_json(stats: GraphStats) -> dict:
@@ -181,7 +195,7 @@ def _report(inputs: dict, warnings: list, graph: FrameGraph,
     return {
         "report_version": REPORT_VERSION,
         "input": inputs,
-        "graph": {"edges": edge_rows(graph), "stats": _stats_json(stats)},
+        "graph": {"edges": EdgeRows(graph), "stats": _stats_json(stats)},
         "filters": _battery_json(battery),
         "combined_filter_verdict": battery.combined_verdict,
         "oracle": {"skipped": True} if strict is None else oracle_json(strict),
@@ -209,7 +223,7 @@ def graph_document(graph: FrameGraph) -> dict:
     """The `graph --format json` document: edges and vertex flags."""
     return {
         "vertex_count": graph.vertex_count,
-        "edges": edge_rows(graph),
+        "edges": EdgeRows(graph),
         "flags": {f"v{v + 1}": graph.flags(v)
                   for v in range(graph.vertex_count)},
     }
@@ -234,7 +248,9 @@ def stable_dumps(obj) -> str:
     floats written with ``format(x, ".17g")``, 17 significant digits (so
     ``nan``, ``inf`` and ``-0`` appear as such).  Keys must be strings.
     A record (a NamedTuple, such as `OracleResult`) is not a list: it
-    raises TypeError, as ``json.dumps`` does for other objects.
+    raises TypeError, as ``json.dumps`` does for other objects.  An
+    `EdgeRows` is written as the same rows given as lists would be, one
+    first vertex at a time.
     """
     return _text(obj, "\n")
 
@@ -272,6 +288,9 @@ def _text(o, nl: str) -> str:
             items.append(encode_basestring_ascii(k) + ": "
                          + (leaf(v) if leaf is not None else _text(v, inner)))
         return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if type(o) is EdgeRows:
+        # rows of two ints that only a graph builds: no per-row type checks
+        return _edge_rows_text(o, nl)
     if isinstance(o, list) or (isinstance(o, tuple)
                                and not hasattr(o, "_fields")):
         if not o:
@@ -282,15 +301,6 @@ def _text(o, nl: str) -> str:
         leaf = _LEAF.get(next(iter(types))) if len(types) == 1 else None
         if leaf is not None:
             items = map(leaf, o)
-        elif (types == {list} and len(set(map(len, o))) == 1
-              and set(map(type, chain.from_iterable(o))) == {int} and o[0]):
-            # rows of ints of one length, such as edge lists: one %d
-            # template for the whole list, filled in one call
-            deeper = inner + "  "
-            row = ("[" + deeper + ("," + deeper).join(["%d"] * len(o[0]))
-                   + inner + "]")
-            text = "[" + inner + sep.join([row] * len(o)) + nl + "]"
-            return text % tuple(chain.from_iterable(o))
         else:
             items = [leaf(x) if (leaf := _LEAF.get(type(x))) is not None
                      else _text(x, inner) for x in o]
@@ -304,3 +314,25 @@ def _text(o, nl: str) -> str:
         return _float_text(o)
     raise TypeError(
         f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _edge_rows_text(rows: EdgeRows, nl: str) -> str:
+    """The text of ``rows``, as `_text` writes the same rows given as
+    lists, read from the rows alone, one first vertex at a time.  The rows
+    (i, j) of a vertex i are one join of the pieces NUL + j + the row's
+    close, from a table indexed by j; one replace then puts the row's
+    opening, up to i, in place of each NUL, which no other part of the
+    text holds."""
+    if not rows:
+        return "[]"
+    inner = nl + "  "
+    deeper = inner + "  "
+    sep = "," + inner
+    close = inner + "]"
+    second = itemgetter(1)
+    piece = ["\0" + str(j) + close
+             for j in range(max(map(second, rows)) + 1)].__getitem__
+    return "[" + inner + sep.join([
+        sep.join(map(piece, map(second, group))).replace(
+            "\0", "[" + deeper + str(i) + "," + deeper)
+        for i, group in groupby(rows, itemgetter(0))]) + nl + "]"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
 from framescale.corpus import load, named_graph, onb
@@ -413,6 +414,59 @@ class TestRunAll:
             "unique_common_neighbor", "leaf_bridge", "tree", "cycle",
             "induced_path",
         ]
+
+
+# (premise, consequence): every graph and dimension on which the premise
+# fires, the consequence fires too; each premise's docstring has the proof
+IMPLICATIONS = [
+    ("bipartite_balance", "alpha"),
+    ("complete_codim1", "alpha"),
+    ("orthogonal_set_codim2", "alpha"),
+    ("diameter_codim2", "induced_path"),
+    ("tree", "leaf_bridge"),
+    ("leaf_bridge", "unique_common_neighbor"),
+]
+
+
+def lattice_graphs():
+    """Every atlas graph on at most 7 vertices and 300 seeded G(m, p) draws
+    with m = 8..14, all without an isolated vertex and so under the cap."""
+    for nxg in nx.graph_atlas_g()[1:]:
+        m = nxg.number_of_nodes()
+        if m <= 7 and min(d for _, d in nxg.degree()) > 0:
+            yield FrameGraph(m, nxg.edges())
+    rng = random.Random(15)
+    drawn = 0
+    while drawn < 300:
+        m = rng.randint(8, 14)
+        p = rng.choice([0.15, 0.25, 0.35, 0.5, 0.7])
+        g = FrameGraph(m, [(i, j) for i in range(m) for j in range(i + 1, m)
+                           if rng.random() < p])
+        if all(g.masks):
+            drawn += 1
+            yield g
+
+
+def test_implication_lattice():
+    """Six filters never fire without the filter their proof implies, at
+    any dimension n from 1 to m; each premise fires somewhere."""
+    fired_premises = set()
+    violations = []
+    pairs = 0
+    for g in lattice_graphs():
+        stats = compute_stats(g)
+        for n in range(1, g.vertex_count + 1):
+            pairs += 1
+            fired = {r.filter_id for r in run_all_filters(g, n, stats=stats)
+                     .reports if r.verdict != INCONCLUSIVE}
+            for premise, consequence in IMPLICATIONS:
+                if premise in fired:
+                    fired_premises.add(premise)
+                    if consequence not in fired:
+                        violations.append((g.masks, n, premise, consequence))
+    assert pairs > 10_000
+    assert violations == []
+    assert fired_premises == {premise for premise, _ in IMPLICATIONS}
 
 
 def ldl_frame(rng: random.Random):

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import ast
+import copy
 import importlib
 import io
 import json
+import pickle
 import random
 import re
 from contextlib import redirect_stderr, redirect_stdout
@@ -21,8 +23,16 @@ from framescale.filters import (
     NOT_STRICTLY_SCALABLE,
     FilterBattery,
 )
+from framescale.frames import Frame
 from framescale.graphs import FrameGraph
-from framescale.report import _conclusion, edge_rows, stable_dumps
+from framescale.report import (
+    EdgeRows,
+    _conclusion,
+    analyze_frame,
+    analyze_graph,
+    graph_document,
+    stable_dumps,
+)
 from framescale.scaler import OracleResult
 
 _FLOAT_TOKEN = re.compile(r'"\\u0001F(\d+)\\u0001"')
@@ -183,26 +193,83 @@ def test_conclusion_flags_filter_oracle_contradiction(verdict):
     assert warnings == []
 
 
-def sorted_edge_rows(g: FrameGraph) -> list:
-    return [[i + 1, j + 1] for (i, j) in g.sorted_edges()]
+def sorted_edge_rows(g: FrameGraph) -> tuple:
+    return tuple((i + 1, j + 1) for (i, j) in g.sorted_edges())
 
 
-@pytest.mark.parametrize("name", ["K1", "K2", "K7", "K40", "K64", "K70",
-                                  "C3", "C9", "P2", "P33", "E1", "E65",
-                                  "K_{1,3}", "K_{2,5}", "K_{31,33}"])
+EDGE_ROW_NAMES = ["K1", "K2", "K7", "K40", "K64", "K70", "C3", "C9", "P2",
+                  "P33", "E1", "E65", "K_{1,3}", "K_{2,5}", "K_{31,33}"]
+
+
+def random_mask_graph(seed: int) -> FrameGraph:
+    rng = random.Random(seed)
+    m = rng.randint(1, 80)
+    p = rng.choice([0.0, 0.05, 0.3, 0.5, 0.9, 1.0])
+    return FrameGraph(m, [(i, j) for i in range(m) for j in range(i + 1, m)
+                          if rng.random() < p])
+
+
+@pytest.mark.parametrize("name", EDGE_ROW_NAMES)
 def test_edge_rows_of_named_graphs(name):
     g = named_graph(name)
-    assert edge_rows(g) == sorted_edge_rows(g)
+    assert EdgeRows(g) == sorted_edge_rows(g)
 
 
 @pytest.mark.parametrize("seed", range(30))
 def test_edge_rows_of_random_masks(seed):
-    rng = random.Random(seed)
-    m = rng.randint(1, 80)
-    p = rng.choice([0.0, 0.05, 0.3, 0.5, 0.9, 1.0])
-    g = FrameGraph(m, [(i, j) for i in range(m) for j in range(i + 1, m)
-                       if rng.random() < p])
-    assert edge_rows(g) == sorted_edge_rows(g)
+    g = random_mask_graph(seed)
+    assert EdgeRows(g) == sorted_edge_rows(g)
+
+
+@pytest.mark.parametrize("graph", [
+    *(pytest.param(named_graph(name), id=name) for name in EDGE_ROW_NAMES),
+    *(pytest.param(random_mask_graph(seed), id=f"seed{seed}")
+      for seed in range(30)),
+])
+def test_edge_rows_write_as_lists(graph):
+    """The edge-list writer gives the generic writer's text for the same
+    rows as lists, at the depth of a report, of a graph document and of
+    the top level."""
+    rows = EdgeRows(graph)
+    lists = [list(row) for row in rows]
+    for place in (lambda e: {"graph": {"edges": e, "stats": {}}},
+                  lambda e: {"edges": e, "vertex_count": 1},
+                  lambda e: e):
+        text = stable_dumps(place(rows))
+        assert text == stable_dumps(place(lists))
+        assert text == reference_dumps(place(lists))
+
+
+def test_edge_rows_are_immutable_tuples():
+    rows = EdgeRows(named_graph("C9"))
+    assert isinstance(rows, tuple) and {type(row) for row in rows} == {tuple}
+    assert not hasattr(rows, "append")
+    with pytest.raises(TypeError):
+        rows[0] = (1, 3)
+    assert EdgeRows(named_graph("K1")) == EdgeRows(named_graph("E65")) == ()
+
+
+def test_edge_rows_copies_are_plain_tuples():
+    """A copy or a pickle is not an `EdgeRows`: only a graph builds one."""
+    rows = EdgeRows(random_mask_graph(3))
+    assert rows
+    copies = [copy.copy(rows), copy.deepcopy(rows),
+              copy.deepcopy({"edges": rows})["edges"]]
+    copies += [pickle.loads(pickle.dumps(rows, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for clone in copies:
+        assert type(clone) is tuple and clone == rows
+        assert stable_dumps({"edges": clone}) == stable_dumps({"edges": rows})
+
+
+def test_documents_hold_edge_rows():
+    frame = Frame.from_vectors([(1, 0), (0, 1), (1, 1)], exact=True)
+    graph = named_graph("P33")
+    frame_rows = analyze_frame(frame)["graph"]["edges"]
+    for rows in (frame_rows, analyze_graph(graph, 3)["graph"]["edges"],
+                 graph_document(graph)["edges"]):
+        assert type(rows) is EdgeRows
+    assert frame_rows == ((1, 3), (2, 3))
 
 
 # the one row of perfbench/spans.py whose callee the package no longer binds
