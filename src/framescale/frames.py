@@ -310,8 +310,7 @@ def verify_weights(frame: Frame, weights=None,
         s, c = SymmetricMatrix.from_function(n, entry), 1
     residual = None
     if weights is not None or not exact:
-        gap = max(abs(s.entry(p, q) - (c if p == q else 0))
-                  for p in range(n) for q in range(p, n))
+        gap = s.deviation(c)
         try:
             residual = float(gap / c)
         except OverflowError:
@@ -326,8 +325,7 @@ def verify_weights(frame: Frame, weights=None,
         tightness = Tightness("parseval", 1.0)
     else:
         a = s.trace() / n
-        if a > 0 and max(abs(s.entry(p, q) - (a if p == q else 0.0))
-                         for p in range(n) for q in range(p, n)) < tol:
+        if a > 0 and s.deviation(a) < tol:
             tightness = Tightness("tight", a)
     return WeightReport(residual, tightness)
 

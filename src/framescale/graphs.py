@@ -2,13 +2,17 @@
 
 The frame graph puts an edge between two vectors exactly when their inner
 product is nonzero (above ``tol_zero`` in float mode, exactly nonzero in
-exact mode).  A graph holds the adjacency bitmasks it builds once
-(``FrameGraph.masks``) and one bitmask of the zero vectors
-(``FrameGraph.zero_vectors``); a vertex's flags, isolated or zero_vector,
-are read off those two.  All statistics are computed exactly, from the
-adjacency bitmasks.  The two exponential searches, independence number
-and longest induced path, run behind a configurable vertex cap as branch
-and bound over bitmasks:
+exact mode).  A float inner product is the left-to-right sum of the rounded
+products; `build_graph` screens each pair from the vectors' squared norms
+and one ``math.dist``, with a proven bound on the screen's error, and sums
+the products only for the pairs within that bound of ``tol_zero``, so the
+edges are those of the pairwise rule.  A graph holds the adjacency
+bitmasks it builds once (``FrameGraph.masks``) and one bitmask of the zero
+vectors (``FrameGraph.zero_vectors``); a vertex's flags, isolated or
+zero_vector, are read off those two.  All statistics are computed
+exactly, from the adjacency bitmasks.  The two exponential searches,
+independence number and longest induced path, run behind a configurable
+vertex cap as branch and bound over bitmasks:
 
 - maximum independent set: a subtree is cut when its candidates, counted
   one by one or as the cliques of a greedy clique cover (an independent
@@ -31,13 +35,27 @@ written from its end of smaller index.  Both depend on the masks alone.
 
 from __future__ import annotations
 
-from itertools import combinations
-from operator import mul
+import math
+import sys
+from bisect import bisect_left
+from itertools import accumulate, combinations, compress, repeat
+from math import dist
+from operator import mul, sub
 from typing import NamedTuple
 
 from .frames import Frame
+from .linalg import ordered_sum
 
 DEFAULT_VERTEX_CAP = 32
+
+# The float screen of build_graph: unit roundoff, the smallest normal
+# float, and the caps above which a row takes the exact test throughout.
+_UNIT, _TINY = 2.0 ** -53, 2.0 ** -1022
+_SCREEN_MAX, _DIST_MAX = 2.0 ** 1000, 2.0 ** 511
+# bisect_left over a row's four bounds gives 0-4: 0 and 4 are edges, 2 is
+# not, and 1 and 3 are left to the exact test
+_SCREEN_EDGE = bytes.maketrans(b"\0\1\2\3\4", b"10001")
+_SCREEN_OPEN = bytes.maketrans(b"\0\1\2\3\4", b"\0\1\0\1\0")
 
 
 class GraphError(ValueError):
@@ -152,16 +170,56 @@ class FrameGraph:
 
 
 def build_graph(frame: Frame, tol_zero: float = 1e-10) -> FrameGraph:
-    """Edge (i,j) iff |<f_i, f_j>| exceeds tol_zero.  On an exact frame the
-    edge means <f_i, f_j> != 0, whatever tol_zero is; a rational frame's
-    edges and zero vectors are read off `Frame.integer_gram`.
+    """Edge (i,j) iff |<f_i, f_j>| exceeds tol_zero, a finite number >= 0.
+    On an exact frame the edge means <f_i, f_j> != 0, whatever tol_zero is;
+    a rational frame's edges and zero vectors are read off
+    `Frame.integer_gram`.  Vector i is flagged zero_vector when
+    <f_i, f_i> is not above tol_zero (above 0 on an exact frame).
 
-    The float inner products use the built-in sum, the fast path here.
-    From Python 3.12 on that sum compensates, so its last bits can differ
-    from an older interpreter's; only an edge whose |<f_i, f_j>| lies within
-    an ulp of tol_zero can then come out differently."""
-    if tol_zero < 0:
-        raise GraphError("tol_zero must be nonnegative")
+    On a float frame <f_i, f_j> is the float x_ij that `ordered_sum` adds
+    left to right from the rounded products, the same bits on every
+    interpreter, and the edge test is ``x > t or x < -t`` for t = tol_zero.
+    That exact test decides only the pairs a screen leaves open.  Row i is
+    screened from N_j = x_jj, already summed for the zero flags, and
+    d_ij = math.dist(f_i, f_j), one C call per pair: a_ij = N_i + N_j -
+    d_ij**2 is 2<f_i, f_j> up to rounding, and with
+
+        sigma_i = 2*((2n + 48)*u*(N_i + M_i + t) + (n + 8)*2**-1022),
+
+    u = 2**-53 and M_i the largest N_j over j > i, a pair with |a_ij| >=
+    2t + sigma_i is an edge and one with |a_ij| <= 2t - sigma_i is not.
+
+    Why: write S = |f_i|**2 + |f_j|**2 and eta = 2**-1074.  A float sum of
+    n rounded products errs by at most gamma_n*sum|u_k v_k| + n*eta,
+    gamma_n = n*u/(1 - n*u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 3.1; a product below the normal range errs by eta/2 at
+    most, a sum is exact there), so |x_ij - <f_i, f_j>| <= gamma_n*S/2 +
+    n*eta and |N_i - |f_i|**2| <= gamma_n*|f_i|**2 + n*eta.  math.dist is
+    only assumed to return |f_i - f_j|*(1 + theta) + e with |theta| <= 8u
+    and |e| <= eta: each difference rounds by u at most and CPython's norm
+    is good to about one ulp, so correct rounding is not needed.  Then
+    d**2 rounded is within 38.2u*S + 1.01eta of |f_i - f_j|**2 <= 2S, the
+    identity |f_i|**2 + |f_j|**2 - |f_i - f_j|**2 = 2<f_i, f_j> gives
+    |a_ij - 2<f_i, f_j>| <= (gamma_n + 41.3u)*S + (2n + 2)*eta, and so
+    |a_ij - 2x_ij| <= (2n + 43)*u*S + (4n + 2)*eta.  With S <= (1 +
+    2gamma_n)*(N_i + M_i) + 4n*eta that is at most sigma_i/2 - 4u*(N_i +
+    M_i) - (2n + 48)*u*t for n <= 2**24, which leaves room for the
+    rounding of the bounds below: |a_ij| >= 2t + sigma_i then gives |2x_ij|
+    > 2t, and |a_ij| <= 2t - sigma_i gives |2x_ij| < 2t.  The code
+    compares b = N_j - d**2 with the four bounds -+(2t + sigma_i) - N_i
+    and -+l - N_i, l = max(2t - sigma_i, 0), with one bisect per pair;
+    when l = 0 (t = 0 among others) no pair is a proven non-edge, and every
+    pair with |a_ij| < 2t + sigma_i takes the exact test.  A row with N_i
+    + M_i + t above 2**1000, or distances summing to 2**511 or more, takes
+    the exact test throughout, so every N, d, b and bound screened is
+    finite.  So the screen keeps every edge the exact test gives.  Q(sqrt
+    d) frames take the exact test for every pair, through the same loop.
+
+    Rows are written as ASCII 0/1 bytes into row i and column i of an m x
+    m matrix, so row i read backwards is vertex i's mask in binary, and no
+    Python step runs per screened pair."""
+    if not 0 <= tol_zero <= sys.float_info.max:  # NaN fails both
+        raise GraphError("tol_zero must be a finite number >= 0")
     m = frame.count
     gram = frame.integer_gram
     if gram is not None:
@@ -170,21 +228,40 @@ def build_graph(frame: Frame, tol_zero: float = 1e-10) -> FrameGraph:
         zero = sum(1 << i for i, row in enumerate(gram) if not row[i])
         return FrameGraph._unchecked(masks, zero)
     vs = frame.vectors
+    screen = not frame.is_exact
     # x > hi or x < -hi is |x| > hi; the exact zero is the int 0, since a
     # QuadExt cannot be compared with a float
-    hi = 0 if frame.is_exact else tol_zero
-    masks = [0] * m
-    zero = 0
-    for i, u in enumerate(vs):
-        bit, row = 1 << i, 0
-        for j in range(i + 1, m):
-            x = sum(map(mul, u, vs[j]))
+    hi = tol_zero if screen else 0
+    norms = [ordered_sum(map(mul, u, u)) for u in vs]
+    # a sum of squares is never < 0
+    zero = sum(1 << i for i, x in enumerate(norms) if not x > hi)
+    if screen:
+        tops = list(accumulate(reversed(norms), max))[::-1]  # max(norms[j:])
+        two_t = 2 * tol_zero
+        rel, floor = (2 * frame.dim + 48) * _UNIT, (frame.dim + 8) * _TINY
+    adj = bytearray(b"0" * (m * m))
+    for i, u in enumerate(vs[:-1]):
+        pairs = range(i + 1, m)
+        # s = inf sends every pair of an exact frame to the exact test
+        s = norms[i] + tops[i + 1] + tol_zero if screen else math.inf
+        if s <= _SCREEN_MAX:
+            d = list(map(dist, repeat(u), vs[i + 1:]))
+            if sum(d) < _DIST_MAX:
+                sigma, ni = 2 * (rel * s + floor), norms[i]
+                far, near = two_t + sigma, max(two_t - sigma, 0.0)
+                codes = bytes(map(bisect_left,
+                                  repeat((-far - ni, -near - ni,
+                                          near - ni, far - ni)),
+                                  map(sub, norms[i + 1:], map(mul, d, d))))
+                row = codes.translate(_SCREEN_EDGE)
+                adj[i * m + i + 1:(i + 1) * m] = row
+                adj[(i + 1) * m + i::m] = row
+                pairs = compress(pairs, codes.translate(_SCREEN_OPEN))
+        for j in pairs:
+            x = ordered_sum(map(mul, u, vs[j]))
             if x > hi or x < -hi:
-                row |= 1 << j
-                masks[j] |= bit
-        masks[i] |= row
-        if not sum(map(mul, u, u)) > hi:  # a sum of squares is never < 0
-            zero |= bit
+                adj[i * m + j] = adj[j * m + i] = 49  # b"1"
+    masks = [int(adj[r:r + m][::-1], 2) for r in range(0, m * m, m)]
     return FrameGraph._unchecked(masks, zero)
 
 

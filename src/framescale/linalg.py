@@ -9,6 +9,7 @@ small orders (<= 64) this package targets.
 from __future__ import annotations
 
 import math
+from operator import itemgetter, sub
 from typing import NamedTuple
 
 from .exactnum import EXACT_TYPES, ExactModeError
@@ -82,7 +83,26 @@ class SymmetricMatrix:
         return self._upper[self._index(i, j)]
 
     def rows(self):
-        return [[self.entry(i, j) for j in range(self.order)] for i in range(self.order)]
+        """The full matrix as a list of row lists, read off the stored
+        triangle in one pass: row i is column i of the rows before it,
+        then its own stored entries."""
+        n, upper = self.order, self._upper
+        out, start = [], 0
+        for i in range(n):
+            out.append(list(map(itemgetter(i), out))
+                       + list(upper[start:start + n - i]))
+            start += n - i
+        return out
+
+    def deviation(self, c):
+        """max |a_pq - c*[p == q]| over p <= q, the distance in the max
+        norm from c times the identity, read off the stored triangle in one
+        pass; off the diagonal that is |a_pq - 0|."""
+        shift, start = [0] * len(self._upper), 0
+        for width in range(self.order, 0, -1):
+            shift[start] = c
+            start += width
+        return max(map(abs, map(sub, self._upper, shift)))
 
     def trace(self):
         total = self.entry(0, 0)
@@ -142,7 +162,7 @@ def jacobi_eigensystem(a: SymmetricMatrix, tol: float):
             "eigendecomposition produces irrational output; use float mode"
         )
     n = a.order
-    m = [[float(a.entry(i, j)) for j in range(n)] for i in range(n)]
+    m = [list(map(float, row)) for row in a.rows()]
     v = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
     if n == 1:
         return [m[0][0]], [[1.0]], 0.0

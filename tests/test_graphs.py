@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -28,6 +30,7 @@ from framescale.graphs import (
     unique_common_neighbor_pairs,
     zero_pattern_equal,
 )
+from framescale.linalg import ordered_sum
 
 M1 = load("paper/M1").frame
 M2 = load("paper/M2").frame
@@ -459,7 +462,7 @@ class TestBuildGraph:
                     for _ in range(n)] for _ in range(rng.randint(2, 12))]
         fr = Frame.from_vectors(vectors)
         vs, m = fr.vectors, len(vectors)
-        dot = [[sum(a * b for a, b in zip(u, v)) for v in vs] for u in vs]
+        dot = [[ordered_sum(map(mul, u, v)) for v in vs] for u in vs]
         tol = rng.choice([0.0] + [abs(dot[i][j]) for i in range(m)
                                   for j in range(i + 1, m)])
         g = build_graph(fr, tol)
@@ -468,6 +471,86 @@ class TestBuildGraph:
                                     if abs(dot[i][j]) > tol]
         assert [v for v in range(m) if "zero_vector" in g.flags(v)] \
             == [v for v in range(m) if not dot[v][v] > tol]
+
+
+def pairwise_rule(fr: Frame, tol: float):
+    """The float edge rule pair by pair, with no screen: the masks and the
+    zero-vector mask for |x| > tol, x the left-to-right sum of the rounded
+    products."""
+    vs, m = fr.vectors, fr.count
+    dot = [[ordered_sum(map(mul, u, v)) for v in vs] for u in vs]
+    masks = [sum(1 << j for j in range(m)
+                 if j != i and (dot[i][j] > tol or dot[i][j] < -tol))
+             for i in range(m)]
+    return masks, sum(1 << i for i in range(m) if not dot[i][i] > tol)
+
+
+def ulps_away(x: float, k: int) -> float:
+    """x moved k floats up (k > 0) or down."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def band_case(seed: int):
+    """A float frame and the tol_zero values to build it at.  Kinds, by
+    seed % 5: products within a few ulps of tol_zero on both sides (near
+    copies of one vector, so that most pairs straddle at once); random
+    products, tol_zero a few ulps from one of them; exact zeros at tol_zero
+    0 (u and u with two coordinates turned); entries of 1e+-150 and
+    subnormal ones; entries near 1e154, whose norms overflow."""
+    rng = random.Random(seed)
+    kind, n, m = seed % 5, rng.randint(1, 6), rng.randint(1, 12)
+    gauss = [[rng.gauss(0, 1) for _ in range(n)] for _ in range(m)]
+    if kind == 0:
+        base = gauss[0]
+        vs = [[ulps_away(x, rng.randint(-2, 2)) for x in base]
+              for _ in range(m)] + gauss[:2]
+    elif kind == 1:
+        vs = gauss
+    elif kind == 2:
+        vs = [[rng.choice([0.0, 0.1, -0.2, 0.3, 1 / 3, 7.0]) for _ in range(n)]
+              for _ in range(m)]
+        if n >= 2:
+            vs += [[u[1], -u[0]] + u[2:] for u in vs]
+    elif kind == 3:
+        vs = [[x * 10.0 ** rng.choice([-150, 150]) if rng.random() < 0.7
+               else rng.choice([5e-324, -3e-320, 1e-310, 2.2e-308])
+               for x in u] for u in gauss]
+    else:
+        vs = [[x * 1e154 if rng.random() < 0.6 else x for x in u]
+              for u in gauss]
+    products = [abs(ordered_sum(map(mul, u, v))) for u, v in
+                itertools.combinations(vs, 2)]
+    products = [x for x in products if 0 < x < math.inf]
+    tols = [0.0, 1e-10]
+    for x in rng.sample(products, min(2, len(products))):
+        tols += [ulps_away(x, k) for k in range(-3, 4)]
+    return vs, [t for t in tols if t >= 0]
+
+
+class TestFloatScreen:
+    """build_graph screens float pairs with math.dist and decides only the
+    pairs in its error band with the exact test; it must agree with the
+    plain pairwise rule everywhere, band edges included."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_pairwise_rule(self, seed):
+        vs, tols = band_case(seed)
+        fr = Frame.from_vectors(vs)
+        for tol in tols:
+            g = build_graph(fr, tol)
+            assert (list(g.masks), g.zero_vectors) == pairwise_rule(fr, tol)
+
+    @pytest.mark.parametrize("vectors", [
+        [[0.3]], [[0.3, -0.4, 1e154]], [[2.0], [-1e-3], [0.0], [5e-324]],
+        [[1e154, 1e154], [1e154, -1e154], [1.0, 1.0], [-1e154, 3.0]],
+    ], ids=["m1n1", "m1", "n1", "norms-overflow"])
+    def test_small_and_overflowing_frames(self, vectors):
+        fr = Frame.from_vectors(vectors)
+        for tol in (0.0, 1e-10, 1.0, 1e300):
+            g = build_graph(fr, tol)
+            assert (list(g.masks), g.zero_vectors) == pairwise_rule(fr, tol)
 
 
 class TestStats:

@@ -48,6 +48,12 @@ M1 = load("paper/M1").frame  # four vectors in R^4
                  ValueError, "not square", id="matrix-not-square"),
     pytest.param(lambda: build_graph(M1, -1e-9), GraphError, "tol_zero",
                  id="graph-negative-tol-zero"),
+    pytest.param(lambda: build_graph(M1, float("nan")), GraphError,
+                 "tol_zero", id="graph-nan-tol-zero"),
+    pytest.param(lambda: build_graph(M1, float("inf")), GraphError,
+                 "tol_zero", id="graph-inf-tol-zero"),
+    pytest.param(lambda: build_graph(M1, 10 ** 400), GraphError,
+                 "tol_zero", id="graph-tol-zero-beyond-floats"),
     pytest.param(lambda: cycle_graph(2), GraphError, "at least 3 vertices",
                  id="cycle-2"),
     pytest.param(lambda: zero_pattern_equal(complete_graph(2),

@@ -51,6 +51,21 @@ class TestSymmetricMatrix:
         i3 = SymmetricMatrix.identity(3)
         assert i3.rows() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_one_pass_reads_match_entry(self, n):
+        """rows() and deviation() read the stored triangle in one pass and
+        give what entry() gives, object for object."""
+        upper = [Fraction(k, 3) - 2 for k in range(n * (n + 1) // 2)]
+        s = SymmetricMatrix(n, upper)
+        assert s.rows() == [[s.entry(i, j) for j in range(n)]
+                            for i in range(n)]
+        assert all(x is s.entry(i, j) for i, row in enumerate(s.rows())
+                   for j, x in enumerate(row))
+        for c in (0, 1, Fraction(-7, 2)):
+            assert s.deviation(c) == max(
+                abs(s.entry(p, q) - (c if p == q else 0))
+                for p in range(n) for q in range(p, n))
+
     def test_exactness_detection(self):
         assert SymmetricMatrix.from_rows([[Fraction(1), Fraction(0)],
                                           [Fraction(0), Fraction(2)]]).is_exact()

@@ -16,6 +16,11 @@ captured.  The list covers
   `graph --format json`: an exact one, a float one whose vector lies below
   --tol-zero, and a float one whose vector is flagged zero_vector but
   keeps two edges;
+- float frames whose inner products straddle --tol-zero by a few ulps
+  (near copies of one vector, the float Mercedes frame, a seeded random
+  frame) and one with entries near 1e154, whose norms overflow, under
+  `analyze`, `filters` and `graph --format json`, with --tol-zero set to
+  some of their products and to the floats up to two away;
 - the exit-2 input errors, argparse's among them;
 - the four benchmark pools of ``perfbench/run.py`` as the benchmark calls
   them, and a prefix of each size class under `scale` (exact and float,
@@ -37,7 +42,9 @@ import argparse
 import difflib
 import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import tarfile
@@ -53,6 +60,7 @@ sys.dont_write_bytecode = True  # leave no __pycache__ in the checkout
 sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
 import run  # noqa: E402  (perfbench/run.py: the pools and their calls)
 from framescale.corpus import names  # noqa: E402
+from framescale.linalg import ordered_sum  # noqa: E402
 
 # Runs on one side: reads the calls from argv[1], writes [code, stdout,
 # stderr] per call to argv[2].  argparse reports a bad option by SystemExit;
@@ -125,6 +133,43 @@ def zero_vectors(d: Path) -> list:
         calls += [cmd + [str(d / name)] + options for cmd in
                   (["analyze"], ["filters"], ["graph"],
                    ["graph", "--format", "json"])]
+    return calls
+
+
+def band_frames(seed: int) -> list:
+    """(file name, vectors) of the float frames whose inner products are
+    compared with --tol-zero to the last bit."""
+    rng = random.Random(seed)
+    base = [rng.gauss(0, 1) for _ in range(4)]
+    half = math.sqrt(3) / 2
+    return [
+        ("band_near.json", [[x + rng.randint(-2, 2) * math.ulp(x)
+                             for x in base] for _ in range(7)]),
+        ("band_mercedes.json", [[0.0, 1.0], [-half, -0.5], [half, -0.5]]),
+        ("band_random.json", [[rng.gauss(0, 1) for _ in range(3)]
+                              for _ in range(8)]),
+        ("band_huge.json", [[1e154, 1e154], [1e154, -1e154],
+                            [3e153, 1.0], [1.0, 1.0]]),
+    ]
+
+
+def band_calls(seed: int, d: Path) -> list:
+    calls = []
+    for name, vectors in band_frames(seed):
+        (d / name).write_text(json.dumps(
+            {"dimension": len(vectors[0]),
+             "vectors": [[repr(x) for x in v] for v in vectors]}))
+        products = sorted({abs(ordered_sum(a * b for a, b in zip(u, v)))
+                           for i, u in enumerate(vectors)
+                           for v in vectors[i + 1:]} - {0.0, math.inf})
+        tols = []
+        for x in products[:1] + products[-1:]:
+            down, up = math.nextafter(x, 0), math.nextafter(x, math.inf)
+            tols += [math.nextafter(down, 0), down, x, up,
+                     math.nextafter(up, math.inf)]
+        calls += [cmd + [str(d / name), "--tol-zero", repr(t)]
+                  for t in tols for cmd in
+                  (["analyze"], ["filters"], ["graph", "--format", "json"])]
     return calls
 
 
@@ -201,7 +246,8 @@ def build_calls(seed: int, d: Path) -> list:
                   for k in (1, 2, 3, 5)]
         calls += [["graph", "--graph", g],
                   ["graph", "--graph", g, "--format", "json"]]
-    return calls + zero_vectors(d) + input_errors(d) + pools(seed, d)
+    return (calls + zero_vectors(d) + band_calls(seed, d) + input_errors(d)
+            + pools(seed, d))
 
 
 def run_side(src: Path, calls_path: Path, out_path: Path) -> list:
