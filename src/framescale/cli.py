@@ -19,6 +19,7 @@ import math
 import os
 import re
 import sys
+from itertools import chain
 
 from . import corpus
 from .exactnum import ExactModeError, parse_exact
@@ -193,18 +194,53 @@ def resolve_frame(spec: str, exact: bool, seed: int) -> Frame:
     return frame
 
 
+# bytes 0 and 1 as the ASCII digits that int(..., 2) reads
+_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
 def _graph_from_json(data) -> FrameGraph:
+    """The graph of an adjacency matrix, given bare or as the value of
+    "adjacency": a non-empty square list of rows of the ints 0 and 1 (JSON
+    true and 1.0 compare equal to 1 and are rejected), symmetric, with a
+    zero diagonal.
+
+    The whole matrix is checked by C-level calls: the types and lengths of
+    the rows, the types of the entries, ``bytes`` of all m*m entries (it
+    raises on values outside 0-255), then the 0/1 values, the diagonal and
+    the symmetry of row i with column i on those bytes.  Each mask is one
+    row of them read as binary digits.  When a check fails,
+    `_first_bad_entry` scans the rows in order to name the first bad row or
+    entry."""
     if isinstance(data, dict) and "adjacency" in data:
         data = data["adjacency"]
     if not isinstance(data, list) or not data:
         raise GraphError("graph file needs an adjacency matrix")
     m = len(data)
-    edges = []
+    flat = None
+    if (set(map(type, data)) == {list} and set(map(len, data)) == {m}
+            and set(map(type, chain.from_iterable(data))) == {int}):
+        try:
+            flat = bytes(chain.from_iterable(data))
+        except ValueError:
+            pass
+    if (flat is None or flat.translate(None, b"\0\1") or any(flat[::m + 1])
+            or any(flat[i::m] != flat[i * m:(i + 1) * m] for i in range(m))):
+        _first_bad_entry(data)
+    # reversed, the matrix lists row m-1 first, each row from column m-1
+    bits = flat[::-1].translate(_BINARY_DIGITS)
+    return FrameGraph._unchecked(
+        [int(bits[k:k + m], 2) for k in range(m * m - m, -1, -m)])
+
+
+def _first_bad_entry(data) -> None:
+    """Raise the GraphError of the first bad row or entry of a matrix that
+    failed a check of `_graph_from_json`, scanning row by row and each row
+    left to right, then its diagonal entry."""
+    m = len(data)
     for i, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != m:
+        if type(row) is not list or len(row) != m:
             raise GraphError("adjacency matrix must be square")
         for j, x in enumerate(row):
-            # exact ints only: JSON true and 1.0 compare equal to 1
             if type(x) is not int or x not in (0, 1):
                 raise GraphError(
                     f"adjacency entry ({i + 1},{j + 1}) must be 0 or 1")
@@ -214,8 +250,6 @@ def _graph_from_json(data) -> FrameGraph:
         if row[i]:
             raise GraphError(
                 f"adjacency diagonal entry ({i + 1},{i + 1}) must be 0")
-        edges += [(i, j) for j in range(i + 1, m) if row[j]]
-    return FrameGraph(m, edges)
 
 
 def resolve_graph(spec: str) -> FrameGraph:

@@ -412,9 +412,9 @@ def filter_adjacent_dependence(frame: Frame, g: FrameGraph) -> FilterReport:
 
 def _parallel(u, v) -> bool:
     """All 2x2 minors of the float vectors u, v vanish, within 1e-12 times
-    the square of the largest |entry| (at least 1)."""
-    scale = max(max(map(abs, u)), max(map(abs, v)), 1.0)
-    tol = 1e-12 * scale * scale
+    max|u_p| * max|v_q|, which bounds every product in a minor: a tolerance
+    on the larger vector alone would call it parallel to every small one."""
+    tol = 1e-12 * max(map(abs, u)) * max(map(abs, v))
     return all(
         abs(u[p] * v[q] - u[q] * v[p]) <= tol
         for p in range(len(u))

@@ -241,7 +241,14 @@ def bareiss_rank(vectors, div=floordiv) -> int:
 def is_frame(frame: Frame, tol: float = DEFAULT_TOL) -> bool:
     """True iff the vectors span R^n.  An exact frame is ranked on the
     n x m transpose of its vectors (of its integer image when rational):
-    n rows take fewer row updates than m >= n rows."""
+    n rows take fewer row updates than m >= n rows.  A float frame spans
+    when the least eigenvalue of its operator S is above tol.  When S
+    overflows, that is decided on the copy 2**-k f_i whose largest |entry|
+    is in [1/2, 1), against 4**-k * tol: a power of two scales floats
+    exactly (up to underflow), so the copy's S is 4**-k times the S of
+    unbounded floats.  Jacobi runs on the copy, whose entries are at most
+    m, to its usual off-diagonal tolerance: scaled by 4**-k, that
+    tolerance would lie below the float range, and sweeps never reach it."""
     if frame.count < frame.dim:
         return False
     if frame.is_exact:
@@ -249,8 +256,14 @@ def is_frame(frame: Frame, tol: float = DEFAULT_TOL) -> bool:
         if image is None:
             return bareiss_rank(zip(*frame.vectors), truediv) == frame.dim
         return bareiss_rank(zip(*image.vectors)) == frame.dim
-    values, _, _ = jacobi_eigensystem(frame.operator, min(tol, 1e-12))
-    return min(values) > tol
+    operator, k = frame.operator, 0
+    # |S_pq| <= (S_pp + S_qq) / 2, so S is finite when its trace is
+    if not math.isfinite(operator.trace()):
+        k = math.frexp(max(map(abs, chain.from_iterable(frame.vectors))))[1]
+        operator = Frame(frame.dim, [[math.ldexp(x, -k) for x in v]
+                                     for v in frame.vectors]).operator
+    values, _, _ = jacobi_eigensystem(operator, min(tol, 1e-12))
+    return min(values) > math.ldexp(tol, -2 * k)
 
 
 class Tightness(NamedTuple):

@@ -17,20 +17,30 @@ vertex cap as branch and bound over bitmasks:
 - maximum independent set: a subtree is cut when its candidates, counted
   one by one or as the cliques of a greedy clique cover (an independent
   set meets each clique at most once), cannot beat the best size so far;
+  the best size starts at g - 1, g the size of the greedy independent set
+  taken in ascending (degree, index) order;
 - longest induced path: the vertices are ranked by (degree, index), and
   each path is met once, rooted at its lowest-ranked vertex v with two arms
   leaving v; a node whose arms can still take their own free neighbours
   C_A and C_B and the shared free vertices R bounds its paths by
   1 + |A| + |B| + [C_A] + [C_B] + |R|, since the step to one vertex of C_A
-  blocks the rest of C_A.
+  blocks the rest of C_A.  A step to a vertex with no free neighbour and
+  no B head left closes both ends: its one path is kept or dropped in
+  place, without a call.
 
 Both replace a best only by a strictly larger one and cut a subtree only
 when its bound is at most the best so far.  So each witness is the first
 maximum of its search order: every ancestor of that maximum has a bound
 at least its size, above the best found before it, so no cut removes it.
-The independent set is the first maximum of the plain DFS in its
-branching order; the path is the first longest path in rank order,
-written from its end of smaller index.  Both depend on the masks alone.
+The greedy start keeps this true, since g <= alpha puts it below alpha;
+a start at g would cut every set when g = alpha.  The independent set is
+the first maximum of the plain DFS in its branching order; the path is
+the first longest path in rank order, written from its end of smaller
+index.  Both depend on the masks alone.
+
+A set difference x - y is written x ^ y when y is a subset of x, and
+x ^ (x & y) otherwise, never x & ~y: ~y is a negative int, and CPython
+takes a slower path for bitwise operations on negative ints.
 """
 
 from __future__ import annotations
@@ -302,11 +312,11 @@ def _components(g: FrameGraph):
                 reach |= masks[v]
             if reach & frontier:
                 parts = None
-            frontier = reach & ~comp
+            frontier = reach ^ (reach & comp)
             comp |= frontier
             parity ^= 1
             sides[parity] |= frontier
-        left &= ~comp
+        left ^= comp
         comps.append(tuple(mask_vertices(comp)))
         if parts is not None:
             parts.append((sides[0].bit_count(), sides[1].bit_count()))
@@ -331,7 +341,7 @@ def _diameter(g: FrameGraph) -> int:
                 reach |= masks[low.bit_length() - 1]
                 if reach == full:
                     break
-            frontier = reach & ~seen
+            frontier = reach ^ seen
             seen = reach
             d += 1
         if d > best:
@@ -378,9 +388,17 @@ def _max_independent_set_masks(adj_masks):
     Branches on the lowest-index candidate of maximum degree among the
     candidates, include branch first, and cuts a subtree when the popcount
     of its candidates, or the clique count of a greedy clique cover of
-    them, cannot beat the best size so far.
+    them, cannot beat the best size so far.  The best size starts one below
+    the size g of a greedy independent set, taken in ascending (degree,
+    index) order: g <= alpha, so a maximum set still replaces it.
     """
-    best_size = best_mask = 0
+    degrees = list(map(int.bit_count, adj_masks))
+    greedy = blocked = 0
+    for v in sorted(range(len(adj_masks)), key=degrees.__getitem__):
+        if not blocked >> v & 1:
+            greedy += 1
+            blocked |= adj_masks[v]
+    best_size, best_mask = greedy - 1, 0
 
     def grow(candidates, chosen, size):
         nonlocal best_size, best_mask
@@ -413,8 +431,9 @@ def _max_independent_set_masks(adj_masks):
             if d > pick_deg:
                 pick, pick_deg = v, d
         bit = 1 << pick
-        grow(candidates & ~(bit | adj_masks[pick]), chosen | bit, size + 1)
-        grow(candidates & ~bit, chosen, size)
+        grow(candidates ^ (candidates & (bit | adj_masks[pick])),
+             chosen | bit, size + 1)
+        grow(candidates ^ bit, chosen, size)
 
     grow((1 << len(adj_masks)) - 1, 0, 0)
     return best_mask
@@ -491,7 +510,7 @@ def _longest_induced_path(g: FrameGraph):
                 keep((x,))
             nxt = adj[x] & rest
             if nxt:
-                rest2 = rest & ~nxt
+                rest2 = rest ^ nxt
                 if size + 1 + rest2.bit_count() > length:
                     b_arm.append(x)
                     grow_b(nxt, rest2, size)
@@ -512,7 +531,7 @@ def _longest_induced_path(g: FrameGraph):
                     keep((b,))
                 nxt = adj[b] & rest
                 if nxt:
-                    rest2 = rest & ~nxt
+                    rest2 = rest ^ nxt
                     if size + 2 + rest2.bit_count() > length:
                         b_arm.append(b)
                         grow_b(nxt, rest2, size + 1)
@@ -523,8 +542,15 @@ def _longest_induced_path(g: FrameGraph):
             x = low.bit_length() - 1
             nbrs = adj[x]
             nxt = nbrs & rest
-            rest2 = rest & ~nxt
-            hb = heads & ~nbrs
+            hb = heads ^ (heads & nbrs)
+            if not (nxt or hb):
+                # a closed end: the path plus x is all this step gives
+                if size + 1 > length:
+                    a_arm.append(x)
+                    keep(())
+                    a_arm.pop()
+                continue
+            rest2 = rest ^ nxt
             if size + 1 + (nxt != 0) + (hb != 0) + rest2.bit_count() > length:
                 a_arm.append(x)
                 grow_a(nxt, rest2, hb, size + 1)
@@ -544,7 +570,7 @@ def _longest_induced_path(g: FrameGraph):
             break
         above = full >> (root + 1) << (root + 1)
         heads = adj[root] & above
-        free = above & ~heads
+        free = above ^ heads
         # a path rooted here holds at most 2 + |free| vertices with one arm,
         # and one more with two
         one_arm = 2 + free.bit_count()
@@ -555,9 +581,9 @@ def _longest_induced_path(g: FrameGraph):
             heads ^= low
             a = low.bit_length() - 1
             nbrs = adj[a]
-            hb = heads & ~nbrs
+            hb = heads ^ (heads & nbrs)
             nxt = nbrs & free
-            rest = free & ~nxt
+            rest = free ^ nxt
             if 2 + (nxt != 0) + (hb != 0) + rest.bit_count() > length:
                 a_arm.append(a)
                 grow_a(nxt, rest, hb, 2)

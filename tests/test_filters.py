@@ -516,14 +516,14 @@ def test_battery_quiet_on_strictly_scalable_ldl_frames():
 
 def reference_parallel(frame: Frame, i: int, j: int) -> bool:
     """All 2x2 minors of f_i, f_j vanish: exactly on the frame's own
-    entries, or within 1e-12 * (largest |entry|, at least 1)^2 in float."""
+    entries, or within 1e-12 * max|f_i| * max|f_j| in float."""
     u, v = frame.vectors[i], frame.vectors[j]
     minors = [u[p] * v[q] - u[q] * v[p]
               for p in range(len(u)) for q in range(p + 1, len(u))]
     if frame.is_exact:
         return not any(minors)
-    scale = max(max(map(abs, u)), max(map(abs, v)), 1.0)
-    return all(abs(x) <= 1e-12 * scale * scale for x in minors)
+    scale = max(map(abs, u)) * max(map(abs, v))
+    return all(abs(x) <= 1e-12 * scale for x in minors)
 
 
 def reference_adjacent_warnings(frame: Frame, g: FrameGraph):
@@ -597,6 +597,26 @@ class TestAdjacentDependence:
         frames = [_frame_with_parallels(rng, True, _QUADRATIC_FACTORS)
                   for _ in range(150)]
         assert sum(fr.integer_image is None for fr in frames) >= 50
+
+    def test_tolerance_scales_with_both_vectors(self):
+        # v1 is 1e13 times longer than v2 and v3, which are orthogonal: a
+        # tolerance on the larger vector alone called v1 parallel to both
+        fr = Frame.from_vectors([[1e13, 1.0], [1.0, 1.0], [1.0, -1.0]])
+        g = build_graph(fr, 1e-10)
+        assert g.has_edge(0, 1) and g.has_edge(0, 2)
+        assert not reference_parallel(fr, 0, 1)
+        assert not filter_adjacent_dependence(fr, g).warnings
+
+    def test_parallel_at_different_scales(self):
+        # v3 meets v2 below tol_zero and v1 = 1e150 * v2 above it
+        fr = Frame.from_vectors([[1e150, 2e150], [1.0, 2.0],
+                                 [2.0, -1.0 + 1e-11]])
+        g = build_graph(fr, 1e-10)
+        assert g.has_edge(0, 2) and not g.has_edge(1, 2)
+        assert reference_parallel(fr, 0, 1)
+        assert filter_adjacent_dependence(fr, g).warnings == (
+            "parallel adjacent vectors v1, v2 have different closed "
+            "neighborhoods; check tol_zero",)
 
     def test_equal_neighbourhoods_no_warning(self):
         fr = Frame.from_vectors([[1, 0], [2, 0], [1, 1], [-1, 1]])

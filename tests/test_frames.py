@@ -154,6 +154,23 @@ class TestIsFrame:
         assert is_frame(M1.to_float())
         assert not is_frame(Frame.from_vectors([[1.0, 0.0], [2.0, 0.0]]))
 
+    def test_operator_overflow(self):
+        # S overflows to inf on the diagonal (1e308 + 1e308); the copy
+        # scaled by a power of two decides, against the scaled tolerance
+        fr = Frame.from_vectors([[1e154, 1e154], [1e154, -1e154],
+                                 [3e153, 1.0], [1.0, 1.0]])
+        assert not math.isfinite(fr.operator.entry(0, 0))
+        assert is_frame(fr)
+        assert not is_frame(Frame.from_vectors([[1e200, 0.0], [3e200, 0.0],
+                                                [-1e154, 0.0]]))
+        # scaling the vectors by 2**k and tol by 4**k keeps the answer, and
+        # at k = 520 S overflows
+        for k in (0, 200, 520):
+            scaled = Frame.from_vectors([[math.ldexp(x, k) for x in v]
+                                         for v in ([1.0, 0.0], [0.0, 1e-5])])
+            assert is_frame(scaled, math.ldexp(1e-11, 2 * k))
+            assert not is_frame(scaled, math.ldexp(1e-9, 2 * k))
+
 
 def fraction_rank(vectors) -> int:
     """Reference: Gaussian elimination over Fractions."""

@@ -706,6 +706,44 @@ class TestSearchesMatchReference:
         self.check(g)
         assert compute_stats(g).induced_path_witness == witness
 
+    @staticmethod
+    def greedy_size(g: FrameGraph) -> int:
+        """The size of the greedy independent set in ascending (degree,
+        index) order, one above where the library's MIS search starts."""
+        size = blocked = 0
+        for v in sorted(range(g.vertex_count),
+                        key=lambda v: g.masks[v].bit_count()):
+            if not blocked >> v & 1:
+                size += 1
+                blocked |= g.masks[v]
+        return size
+
+    def test_greedy_below_alpha(self):
+        # the greedy set takes 4 (degree 1), then 1, and blocks {2, 3, 4}
+        g = FrameGraph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3)])
+        assert self.greedy_size(g) == 2
+        assert compute_stats(g).max_independent_set == (2, 3, 4)
+        self.check(g)
+
+    def test_greedy_at_alpha(self):
+        # a search that started at the greedy size would find no set
+        graphs = [empty_graph(1), complete_graph(5), path_graph(7),
+                  cycle_graph(6), complete_bipartite_graph(2, 5)]
+        rng = random.Random("reference:greedy")
+        graphs += [gnp(rng, m, p) for m in (8, 16, 24, 32)
+                   for p in (0.1, 0.3, 0.5) for _ in range(2)]
+        at_alpha = 0
+        for g in graphs:
+            self.check(g)
+            at_alpha += self.greedy_size(g) == compute_stats(g).alpha
+        assert at_alpha >= 10
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sparse_closed_ends(self, seed):
+        # on sparse graphs many arm steps end with no free neighbour and no
+        # B head left, and are kept without a call
+        self.check(gnp(random.Random(f"reference:sparse:{seed}"), 24, 0.1))
+
     def test_asymmetric_masks_raise(self):
         # asymmetric masks are not a graph, and from_masks rejects them
         # before any statistic reads them

@@ -21,7 +21,9 @@ captured.  The list covers
   frame) and one with entries near 1e154, whose norms overflow, under
   `analyze`, `filters` and `graph --format json`, with --tol-zero set to
   some of their products and to the floats up to two away;
-- the exit-2 input errors, argparse's among them;
+- the exit-2 input errors, argparse's among them, with adjacency files
+  bad at one entry, row or pair each, and one well-formed frame whose
+  vectors differ in length by a factor of 1e13;
 - the four benchmark pools of ``perfbench/run.py`` as the benchmark calls
   them, and a prefix of each size class under `scale` (exact and float,
   so Farkas blocks are compared), `graph --format json` and `complement`.
@@ -111,6 +113,25 @@ BAD_FILES = (
     ("edges.json", '{"edges": [[1, 2]]}'),
     ("asym.json", '{"adjacency": [[0, 1], [0, 0]]}'),
     ("loop.json", '{"adjacency": [[1]]}'),
+    # adjacency matrices with one bad entry, row or pair each, bare or
+    # under "adjacency", for the first-bad-entry messages
+    ("adj_true.json", '{"adjacency": [[0, true, 0], [1, 0, 1], [0, 1, 0]]}'),
+    ("adj_two.json", "[[0, 1, 0], [1, 0, 2], [0, 2, 0]]"),
+    ("adj_minus.json", '{"adjacency": [[0, -1], [-1, 0]]}'),
+    ("adj_256.json", '{"adjacency": [[0, 1, 0], [1, 0, 1], [0, 1, 256]]}'),
+    ("adj_float.json", '{"adjacency": [[0, 1.0], [1.0, 0]]}'),
+    ("adj_string.json", '{"adjacency": [[0, "1"], ["1", 0]]}'),
+    ("adj_null.json", "[[0, null], [null, 0]]"),
+    ("adj_nested.json", '{"adjacency": [[0, [1]], [[1], 0]]}'),
+    ("adj_short.json", '{"adjacency": [[0, 1, 0], [1, 0], [0, 1, 0]]}'),
+    ("adj_extra.json", '{"adjacency": [[0, 1], [1, 0], [0, 0]]}'),
+    ("adj_not_row.json", '{"adjacency": [[0, 1], 7]}'),
+    ("adj_asym_late.json", "[[0, 1, 0], [1, 0, 1], [0, 0, 0]]"),
+    ("adj_diag_late.json", "[[0, 1, 0], [1, 0, 1], [0, 1, 1]]"),
+    # not malformed: a frame whose first vector is 1e13 times longer than
+    # the two orthogonal others, once read as parallel to both
+    ("parallel_scale.json",
+     '{"dimension": 2, "vectors": [["1e13", "1"], ["1", "1"], ["1", "-1"]]}'),
 )
 
 # (file name, contents, options) of the frames with a zero vector
