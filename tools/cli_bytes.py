@@ -24,6 +24,11 @@ captured.  The list covers
 - the exit-2 input errors, argparse's among them, with adjacency files
   bad at one entry, row or pair each, and one well-formed frame whose
   vectors differ in length by a factor of 1e13;
+- exact integer frames that the Gram solve leaves to the simplex tableau,
+  at two seeds, under `scale --exact` and `analyze --exact`: m above
+  n(n+1)/2, m = n(n+1)/2 (mostly a negative unique weight), and (12, 6)
+  frames with 20-bit entries and a repeated vector (a zero Gram pivot),
+  whose tableau entries run to hundreds of bits;
 - the four benchmark pools of ``perfbench/run.py`` as the benchmark calls
   them, and a prefix of each size class under `scale` (exact and float,
   so Farkas blocks are compared), `graph --format json` and `complement`.
@@ -194,6 +199,54 @@ def band_calls(seed: int, d: Path) -> list:
     return calls
 
 
+def tableau_frames(seed: int) -> list:
+    """(file name, integer vectors) of the frames of one seed that the
+    Gram solve declines (m > n(n+1)/2, H singular, or mostly a negative
+    unique weight); a "coords" frame has the coordinate vectors in place
+    of the last n vectors of the frame before it, so it is scalable and
+    phase 2 runs."""
+    rng = random.Random(seed)
+
+    def draw(m, n, bound):
+        vecs = []
+        while len(vecs) < m:
+            v = [rng.randint(-bound, bound) for _ in range(n)]
+            if any(v):
+                vecs.append(v)
+        return vecs
+
+    def coordinates(vecs, length):
+        n = len(vecs[0])
+        return vecs[:-n] + [[length * (i == j) for j in range(n)]
+                            for i in range(n)]
+
+    out = []
+    for m, n in ((8, 3), (12, 4), (24, 5)):
+        vecs = draw(m, n, 2)
+        out += [(f"above_{m}_{n}", vecs),
+                (f"above_{m}_{n}_coords", coordinates(vecs, 1))]
+    for n in (2, 3, 4):
+        out += [(f"square_{n}_{k}", draw(n * (n + 1) // 2, n, 3))
+                for k in range(3)]
+    vecs = draw(11, 6, 2 ** 20)
+    vecs.insert(1, vecs[0])
+    out += [("wide_12_6", vecs),
+            ("wide_12_6_coords", coordinates(vecs, 2 ** 20 - 3))]
+    return out
+
+
+def tableau_calls(seed: int, d: Path) -> list:
+    calls = []
+    for s in (seed, seed + 1):
+        for name, vectors in tableau_frames(s):
+            path = d / f"tableau_{s}_{name}.json"
+            path.write_text(json.dumps({"dimension": len(vectors[0]),
+                                        "vectors": vectors}))
+            calls += [["scale", str(path), "--exact"],
+                      ["analyze", str(path), "--exact"]]
+    return calls
+
+
 def input_errors(d: Path) -> list:
     calls = []
     for name, text in BAD_FILES:
@@ -267,8 +320,8 @@ def build_calls(seed: int, d: Path) -> list:
                   for k in (1, 2, 3, 5)]
         calls += [["graph", "--graph", g],
                   ["graph", "--graph", g, "--format", "json"]]
-    return (calls + zero_vectors(d) + band_calls(seed, d) + input_errors(d)
-            + pools(seed, d))
+    return (calls + zero_vectors(d) + band_calls(seed, d)
+            + tableau_calls(seed, d) + input_errors(d) + pools(seed, d))
 
 
 def run_side(src: Path, calls_path: Path, out_path: Path) -> list:
