@@ -242,13 +242,16 @@ def is_frame(frame: Frame, tol: float = DEFAULT_TOL) -> bool:
     """True iff the vectors span R^n.  An exact frame is ranked on the
     n x m transpose of its vectors (of its integer image when rational):
     n rows take fewer row updates than m >= n rows.  A float frame spans
-    when the least eigenvalue of its operator S is above tol.  When S
-    overflows, that is decided on the copy 2**-k f_i whose largest |entry|
-    is in [1/2, 1), against 4**-k * tol: a power of two scales floats
-    exactly (up to underflow), so the copy's S is 4**-k times the S of
-    unbounded floats.  Jacobi runs on the copy, whose entries are at most
-    m, to its usual off-diagonal tolerance: scaled by 4**-k, that
-    tolerance would lie below the float range, and sweeps never reach it."""
+    when the least eigenvalue of its operator S is above tol.  When the
+    trace of S is above 2**200 (inf when S overflows), that is decided on
+    the copy 2**-k f_i whose largest |entry| is in [1/2, 1), against
+    4**-k * tol: a power of two scales floats exactly (up to underflow), so
+    the copy's S is 4**-k times the S of unbounded floats.  Jacobi runs on
+    the copy, whose entries are at most m, to its usual off-diagonal
+    tolerance: scaled by 4**-k, that tolerance would lie below the float
+    range.  On S itself Jacobi stalls long before S overflows: its
+    tau = (S_qq - S_pp) / (2 S_pq) squares to inf once |S| / tol nears
+    2**511, and a rotation by tan 0 is the identity."""
     if frame.count < frame.dim:
         return False
     if frame.is_exact:
@@ -257,8 +260,8 @@ def is_frame(frame: Frame, tol: float = DEFAULT_TOL) -> bool:
             return bareiss_rank(zip(*frame.vectors), truediv) == frame.dim
         return bareiss_rank(zip(*image.vectors)) == frame.dim
     operator, k = frame.operator, 0
-    # |S_pq| <= (S_pp + S_qq) / 2, so S is finite when its trace is
-    if not math.isfinite(operator.trace()):
+    # |S_pq| <= (S_pp + S_qq) / 2, so the trace bounds every entry
+    if operator.trace() > 2.0 ** 200:
         k = math.frexp(max(map(abs, chain.from_iterable(frame.vectors))))[1]
         operator = Frame(frame.dim, [[math.ldexp(x, -k) for x in v]
                                      for v in frame.vectors]).operator

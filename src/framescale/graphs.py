@@ -233,8 +233,9 @@ def build_graph(frame: Frame, tol_zero: float = 1e-10) -> FrameGraph:
     m = frame.count
     gram = frame.integer_gram
     if gram is not None:
-        masks = [sum(1 << j for j, x in enumerate(row) if x) & ~(1 << i)
-                 for i, row in enumerate(gram)]
+        # bit i of row i's sum is set when its diagonal entry is nonzero
+        masks = [sum(1 << j for j, x in enumerate(row) if x)
+                 ^ (bool(row[i]) << i) for i, row in enumerate(gram)]
         zero = sum(1 << i for i, row in enumerate(gram) if not row[i])
         return FrameGraph._unchecked(masks, zero)
     vs = frame.vectors
@@ -373,8 +374,8 @@ def _bridges(g: FrameGraph):
             stack.pop()
             if stack:
                 p = stack[-1]
-                sub = subtree[v]
-                if (reach[v] & ~sub == 1 << p
+                sub, r = subtree[v], reach[v]
+                if (r ^ (r & sub) == 1 << p
                         and (masks[p] & sub).bit_count() == 1):
                     out.append((min(p, v), max(p, v)))
                 subtree[p] |= sub
@@ -559,7 +560,7 @@ def _longest_induced_path(g: FrameGraph):
     # G[{c, ..., n-1}] is a clique, so no path rooted at v >= c beats the
     # edge (v, v + 1); this keeps complete graphs at O(n)
     c = n - 1
-    while c and not (full >> c << c) & ~adj[c - 1]:
+    while c and adj[c - 1] >> c == full >> c:
         c -= 1
     for root in range(n):
         if n - root <= length:
@@ -654,7 +655,7 @@ def unique_common_neighbor_pairs(g: FrameGraph):
     masks = g.masks
     full = (1 << g.vertex_count) - 1
     for u, mu in enumerate(masks):
-        for v in mask_vertices(full & ~mu & -(2 << u)):
+        for v in mask_vertices((full ^ mu) & -(2 << u)):
             common = mu & masks[v]
             if common and not common & (common - 1):
                 yield u, v, common.bit_length() - 1

@@ -13,13 +13,10 @@ Exact LPs are solved by fraction-free integer pivoting.  A rational frame
 hands the simplex the integer products u_i[p] * u_i[q] of its integer image
 u_i = L * f_i (see `frames`), that is L^2 * [A | b]; one factor for all of
 [A | b] leaves Bland's pivot path, the weights and the normalized
-certificate as they are.  The tableau then holds Python ints over one
-common denominator D, so no pivot builds a Fraction or takes a gcd.
-Each integer row is packed into one Python int, in fields of W bits that
-a Hadamard bound on the minors of the system keeps every entry inside, so
-a pivot updates a row with a few big-int operations instead of one per
-entry; LPs whose W exceeds PACKED_WIDTH_MAX keep their rows as lists.
-Weights and certificates become Fractions only when they are read out.
+certificate as they are.  The tableau then holds lists of Python ints
+over one common denominator D, so no pivot builds a Fraction or takes a
+gcd.  Weights and certificates become Fractions only when they are read
+out.
 LPs over Q(sqrt d) take the same pivots with exact field division; float
 LPs use normalized pivots with a zero tolerance.
 
@@ -57,7 +54,7 @@ import contextlib
 import math
 import sys
 from fractions import Fraction
-from operator import itemgetter, lshift, mul
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .exactnum import QuadExt, magnitude, sign
@@ -72,12 +69,6 @@ from .linalg import ordered_sum
 FEASIBILITY_TOL = 1e-8
 PIVOT_TOL = 1e-10
 PIVOT_CAP_FACTOR = 50  # pivots per tableau row plus column
-# Widest packed field, in bits.  A packed row costs its full width from the
-# first pivot on, while list entries cost what they hold.  Solving the same
-# random integer LPs with packed and with list rows, packing breaks even at
-# about 300 bits on (8, 4) frames and at 370-410 bits on (12, 6) to (20, 7)
-# frames; the cap is the lowest of these break-even widths.
-PACKED_WIDTH_MAX = 300
 
 
 class SolverError(RuntimeError):
@@ -142,7 +133,7 @@ class _Tableau:
     """Condensed simplex tableau over [A | b] with Bland's rule (Avis, lrs,
     2000): row i belongs to basic column basis[i], slot s of every row holds
     nonbasic column cols[s], and the rhs comes last.  Basic columns are not
-    stored.
+    stored.  Every row, objective row included, is a list.
 
     Exact mode is fraction-free (Bareiss 1968, Edmonds 1967).  The rows are
     T = D * B^-1 [A | b] for the basis B and one common denominator D > 0,
@@ -159,42 +150,9 @@ class _Tableau:
     LPs take the same steps with the field's exact `/`.  Since D > 0 scales
     every row alike, Bland's rule picks the same pivots as on B^-1 [A | b].
 
-    Integer rows are packed, one Python int per row (Kronecker
-    substitution; Harvey, J. Symb. Comput. 2009), when W below is at most
-    PACKED_WIDTH_MAX; wider LPs keep list rows.  Field j, bits W*j to
-    W*(j+1) - 1, holds entry + 2^(W-1), with the rhs in field 0 and slot s
-    in field s + 1.  With E_i the signed packing, sum over the fields j of
-    the entry of field j times 2^(W*j), and Bias the packing of zeros, row
-    i is R_i = E_i + Bias, and the pivot above is, on whole rows,
-
-        R_i <- (p * R_i - f * R_r - (p - f - D) * Bias) / D
-               + g * f * 2^(W*(c+1)),
-
-    f = T_i[c], g = -1 (+1 after negating row r, R_r <- 2*Bias - R_r).
-    The numerator is p * E_i - f * E_r + D * Bias, and p * E_i - f * E_r is
-    D times the packing of the new row (field c + 1 of it is p*f - f*p =
-    0), so the division is exact on the packed int.  Only the new entries
-    have to fit their fields, not the products on the way.
-
-    W = bits(isqrt(H)) + 2, H = prod_j max(1, |col_j|^2) over the columns
-    of [A | b] as the tableau is built (D = 1, artificial basis).  Every
-    stored value, D included, is up to sign a minor of [A | I | b]
-    (Cramer's rule; the negation of a pivot row negates a whole row of
-    it), and by Hadamard's inequality a minor is at most the product of the
-    norms of its columns, at most sqrt(H), as unit columns have norm 1.  So
-    |T_i[j]| < 2^(W-2) and every field lies in (2^(W-2), 3 * 2^(W-2))
-    inside [0, 2^W).  Deleting a redundant row keeps the other rows as they
-    are and removes a basic artificial column, so the rows pivoted after it
-    are still the rows of a tableau of the whole system.  The objective
-    row is not a minor and stays a list, built before the rows are packed;
-    `row` and `column` read the packed rows as lists.  The ratio test
-    reads the entering column once, the rhs field only of the rows with a
-    positive entry in it, and the pivot takes its row multipliers f from
-    that column.
-
     Float mode keeps D = 1 and divides row r by p, so the leaving column is
     1/p in row r and -T_i[c] / p in row i; entries within PIVOT_TOL of zero
-    count as zero.  Float and Q(sqrt d) rows are lists.
+    count as zero.
 
     The objective row holds D times the reduced costs and is updated by
     every pivot.  Exact Bland pivoting cannot cycle; the pivot cap stops a
@@ -206,88 +164,40 @@ class _Tableau:
         self.basis = basis
         self.exact = exact
         self.zero_tol = 0 if exact else PIVOT_TOL
-        # (slot, column) read by the last ratio test; pivot() takes its row
-        # multipliers from it instead of unpacking the column again, which
-        # costs 5-9% of an integer (12, 6) solve
-        self.entering = None
         self.d = rows[0][-1] * 0 + 1
         # rows plus all columns, basic ones included
         self.pivots_left = PIVOT_CAP_FACTOR * (2 * len(rows) + len(cols))
-        self.width = None
         self.t = rows
-        self.set_objective(cost)  # from the list rows, before they are packed
-        if exact and isinstance(self.d, int):
-            h = 1
-            for col in zip(*rows):
-                h *= max(1, sum(map(mul, col, col)))
-            width = math.isqrt(h).bit_length() + 2
-            if width <= PACKED_WIDTH_MAX:
-                self.width, self.mask = width, (1 << width) - 1
-                self.half = 1 << (width - 1)
-                self._layout()
-                self.t = [sum(map(lshift, row, self.shifts)) + self.bias
-                          for row in rows]
-
-    def _layout(self):
-        """The shift of the field of each slot, then of the rhs (row[-1]
-        sits at shift 0), and the packing of zeros."""
-        w, half = self.width, self.half
-        self.shifts = [w * s for s in range(1, len(self.cols) + 1)] + [0]
-        self.bias = sum(half << s for s in self.shifts)
-
-    def row(self, i: int) -> list:
-        """Row i as a list: one entry per slot, then the rhs."""
-        r = self.t[i]
-        if self.width is None:
-            return r
-        mask, half = self.mask, self.half
-        return [((r >> s) & mask) - half for s in self.shifts]
-
-    def column(self, slot: int):
-        """The entries of one slot in every row, slot -1 the rhs: a list
-        for packed rows, an iterator over list rows."""
-        if self.width is None:
-            return map(itemgetter(slot), self.t)
-        s, mask, half = self.shifts[slot], self.mask, self.half
-        return [((r >> s) & mask) - half for r in self.t]
+        self.set_objective(cost)
 
     def set_objective(self, cost):
         """Objective row D*c - sum_i c_B(i) T_i for costs c, one per original
         column; its rhs entry is not read.  When every costed column is basic
         at cost 1, as in phase 1 on the artificial basis, this is minus the
-        column sums of T; the tableau takes them from its list rows before
-        packing them, with floats added left to right, which gives the bits
-        of the subtraction loop."""
+        column sums of T, with floats added left to right, which gives the
+        bits of the subtraction loop."""
         zero = self.d * 0
-        if (self.width is None and not any(cost[j] for j in self.cols)
+        if (not any(cost[j] for j in self.cols)
                 and all(cost[j] == 1 for j in self.basis)):
             add = sum if self.exact else ordered_sum
             self.obj = [zero - add(col, zero) for col in zip(*self.t)]
             return
         obj = [self.d * cost[j] for j in self.cols] + [zero]
-        for i, j in enumerate(self.basis):
+        for row, j in zip(self.t, self.basis):
             cb = cost[j]
             if cb:
-                obj = [a - cb * b for a, b in zip(obj, self.row(i))]
+                obj = [a - cb * b for a, b in zip(obj, row)]
         self.obj = obj
 
     def pivot(self, row: int, slot: int):
         t, c, d = self.t, slot, self.d
-        entering, self.entering = self.entering, None
-        if self.width is None:
-            piv = t[row][c]
-        else:  # the row multipliers f: the entering column, as the ratio
-            # test of bland_step read it, or read here for a drive-out pivot
-            col = (entering[1] if entering and entering[0] == c
-                   else self.column(c))
-            piv = col[row]
+        piv = t[row][c]
         if self.exact:
             g = -1  # leaving column: -g * D in row r, g * T_i[c] in row i
             if piv < 0:
-                t[row] = ([-x for x in t[row]] if self.width is None
-                          else 2 * self.bias - t[row])
+                t[row] = [-x for x in t[row]]
                 piv, g = -piv, 1
-            prow = self.row(row)
+            prow = t[row]
             if isinstance(d, int):
                 def update(r):
                     f = r[c]
@@ -319,21 +229,8 @@ class _Tableau:
                 r[c] = -f * leave
                 return r
 
-        if self.width is None:
-            t[:] = [r if i == row else update(r) for i, r in enumerate(t)]
-            prow[c] = leave
-        else:
-            # the packed update of the docstring as (p R_i - f q - k) / D,
-            # q = R_r - Bias - g D 2^(W(c+1)), k = (p - D) Bias; a row
-            # with f = 0 is unchanged when p = D, as in the list path; row
-            # r is updated along with the others and then put back
-            sh, packed = self.shifts[c], t[row]
-            q = packed - self.bias - (g * d << sh)
-            k = (piv - d) * self.bias
-            same = piv == d
-            t[:] = [r if same and not f else (piv * r - f * q - k) // d
-                    for r, f in zip(t, col)]
-            t[row] = packed + ((leave - piv) << sh)
+        t[:] = [r if i == row else update(r) for i, r in enumerate(t)]
+        prow[c] = leave
         if self.obj is not None:
             self.obj = update(self.obj)
         self.basis[row], self.cols[c] = self.cols[c], self.basis[row]
@@ -349,31 +246,16 @@ class _Tableau:
         enter = self.cols.index(min(candidates))
         # min ratio T_i[-1] / T_i[enter] over T_i[enter] > 0, smallest basic
         # index on ties; exact ratios are compared by cross-multiplying
-        col, t, basis = self.column(enter), self.t, self.basis
-        self.entering = enter, col
+        t, basis, exact = self.t, self.basis, self.exact
         leave = None
-        if self.width is not None:
-            mask, half = self.mask, self.half
-            for i, a in enumerate(col):
-                if a > 0:
-                    num = (t[i] & mask) - half
-                    if leave is not None:
-                        lhs, rhs = num * best_den, best_num * a
-                        if lhs > rhs or (lhs == rhs
-                                         and basis[i] > basis[leave]):
-                            continue
-                    leave, best_num, best_den = i, num, a
-        else:
-            exact = self.exact
-            for i, a in enumerate(col):
-                if a > tol:
-                    num, den = (t[i][-1], a) if exact else (t[i][-1] / a, 1.0)
-                    if leave is not None:
-                        lhs, rhs = num * best_den, best_num * den
-                        if lhs > rhs or (lhs == rhs
-                                         and basis[i] > basis[leave]):
-                            continue
-                    leave, best_num, best_den = i, num, den
+        for i, a in enumerate(map(itemgetter(enter), t)):
+            if a > tol:
+                num, den = (t[i][-1], a) if exact else (t[i][-1] / a, 1.0)
+                if leave is not None:
+                    lhs, rhs = num * best_den, best_num * den
+                    if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
+                        continue
+                leave, best_num, best_den = i, num, den
         if leave is None:
             raise SolverError("unbounded direction in simplex")
         if self.pivots_left == 0:
@@ -386,57 +268,30 @@ class _Tableau:
         """Drive the basic columns k and above (the artificials) out of the
         basis, each on the lowest real column with a nonzero entry in its
         row, or delete its row when there is none (a redundant equation);
-        then drop the slots of the columns k and above.  A packed row is
-        zero on the real slots when (R ^ Bias) & real = 0, real the mask of
-        their fields, so only the rows that pivot are unpacked; the dropped
-        fields are cut out of each packed row one run of kept fields at a
-        time."""
+        then drop the slots of the columns k and above."""
         self.obj = None
-        cols, packed = self.cols, self.width is not None
-        if packed:
-            real = sum(self.mask << self.shifts[c]
-                       for c, j in enumerate(cols) if j < k)
+        cols = self.cols
         for i in range(len(self.basis) - 1, -1, -1):
             if self.basis[i] < k:
                 continue
-            slot = None
-            if not packed or (self.t[i] ^ self.bias) & real:
-                row = self.row(i)
-                slot = min((c for c, j in enumerate(cols)
-                            if j < k and abs(row[c]) > self.zero_tol),
-                           key=cols.__getitem__, default=None)
+            row = self.t[i]
+            slot = min((c for c, j in enumerate(cols)
+                        if j < k and abs(row[c]) > self.zero_tol),
+                       key=cols.__getitem__, default=None)
             if slot is None:
                 del self.t[i], self.basis[i]
-                continue
-            self.pivot(i, slot)
-            if packed:  # the artificial that left now sits in this slot
-                real &= ~(self.mask << self.shifts[slot])
+            else:
+                self.pivot(i, slot)
         keep = [c for c, j in enumerate(cols) if j < k]
         self.cols = [cols[c] for c in keep]
-        if not packed:
-            self.t = [[r[c] for c in keep] + [r[-1]] for r in self.t]
-            return
-        # the kept fields, 0 (the rhs) and 1 + c for c in keep, move down
-        # in runs of consecutive fields: [first old, first new, count]
-        runs = []
-        for new, old in enumerate([0] + [c + 1 for c in keep]):
-            if runs and old == runs[-1][0] + runs[-1][2]:
-                runs[-1][2] += 1
-            else:
-                runs.append([old, new, 1])
-        w = self.width
-        cuts = [(w * old, w * new, (1 << w * count) - 1)
-                for old, new, count in runs]
-        self.t = [sum((r >> old & mask) << new for old, new, mask in cuts)
-                  for r in self.t]
-        self._layout()
+        self.t = [[r[c] for c in keep] + [r[-1]] for r in self.t]
 
     def solution(self, nvars: int):
         """Values T_i[-1] / D of the first nvars variables."""
         x = [_quotient(self.d * 0, self.d)] * nvars
-        for v, j in zip(self.column(-1), self.basis):
+        for row, j in zip(self.t, self.basis):
             if j < nvars:
-                x[j] = _quotient(v, self.d)
+                x[j] = _quotient(row[-1], self.d)
         return x
 
 
@@ -463,7 +318,7 @@ def _phase1(rows, rhs, exact: bool, tol: float):
         pass
 
     add = sum if exact else ordered_sum
-    opt = add(x for x, j in zip(tab.column(-1), tab.basis) if j >= k)
+    opt = add(row[-1] for row, j in zip(tab.t, tab.basis) if j >= k)
     if opt > (0 if exact else tol):
         # y_i = D - obj[k+i]: D times (1 - reduced cost of artificial i),
         # whose reduced cost is 0 while it is basic

@@ -171,6 +171,18 @@ class TestIsFrame:
             assert is_frame(scaled, math.ldexp(1e-11, 2 * k))
             assert not is_frame(scaled, math.ldexp(1e-9, 2 * k))
 
+    def test_large_finite_entries(self):
+        # Jacobi on S itself stalled (exit 3) for many k in 75..153, where
+        # S is finite; a trace above 2**200 sends the frame to the copy
+        spans = [[1, 2, 0], [0, 1, 3], [2, 0, 1], [1, 1, 1]]
+        plane = [[1, 2, 0], [0, 1, 0], [2, 0, 0], [1, 1, 0]]
+        for k in range(155):
+            def scaled(vectors):
+                return Frame.from_vectors([[float(f"{x}e{k}") for x in v]
+                                           for v in vectors])
+            assert is_frame(scaled(spans))
+            assert not is_frame(scaled(plane))
+
 
 def fraction_rank(vectors) -> int:
     """Reference: Gaussian elimination over Fractions."""

@@ -677,8 +677,8 @@ REFERENCE_DRAWS = {
     "scalable": [_coordinates_plus(n, seed)
                  for n in (2, 3, 4) for seed in range(17)],
     "mixed": [mixed_frame(seed) for seed in range(40)],
-    # packed fields of 140-250 bits holding entries past 128 bits, and
-    # integer LPs too wide to pack (entries up to 2^40)
+    # integer LPs whose tableau entries run past 2^128, from input entries
+    # up to 2^40 and from a denominator lcm L > 2^40
     "wide": [_wide_integer(m, n, bits, seed, coordinates=m == n)
              for m, n, bits in ((4, 2, 24), (5, 3, 14), (6, 3, 12),
                                 (2, 2, 24), (3, 3, 12), (4, 2, 40), (6, 3, 40))
@@ -834,8 +834,7 @@ def test_stored_slots_and_basis_partition_the_columns(frame, monkeypatch):
         else:
             assert both == set(range(phases[-1]))
             assert len(tab.obj) == len(tab.cols) + 1
-        assert all(len(tab.row(i)) == len(tab.cols) + 1
-                   for i in range(len(tab.t)))
+        assert all(len(row) == len(tab.cols) + 1 for row in tab.t)
         checked.append((row, slot))
 
     monkeypatch.setattr(scaler._Tableau, "set_objective", recorded_objective)
@@ -845,20 +844,20 @@ def test_stored_slots_and_basis_partition_the_columns(frame, monkeypatch):
 
 
 def unpacked_objective(tab, cost):
-    """D*c - sum_i c_B(i) T_i over the stored rows read back as lists, one
-    row at a time, floats subtracted left to right."""
+    """D*c - sum_i c_B(i) T_i over the stored rows, one row at a time,
+    floats subtracted left to right."""
     obj = [tab.d * cost[j] for j in tab.cols] + [tab.d * 0]
     for i, j in enumerate(tab.basis):
         if cost[j]:
-            obj = [a - cost[j] * b for a, b in zip(obj, tab.row(i))]
+            obj = [a - cost[j] * b for a, b in zip(obj, tab.t[i])]
     return obj
 
 
 @pytest.mark.parametrize("group", sorted(REFERENCE_DRAWS))
 def test_phase1_objective_from_the_input_rows(group, monkeypatch):
     """The phase-1 objective row, taken as minus the column sums of the
-    rows before they are packed, equals the one built from the stored rows,
-    on every reference LP and on its float copy (to the bit)."""
+    rows, equals the one built row by row from the stored rows, on every
+    reference LP and on its float copy (to the bit)."""
     checked = []
     init = scaler._Tableau.__init__
 
@@ -866,15 +865,13 @@ def test_phase1_objective_from_the_input_rows(group, monkeypatch):
         init(tab, rows, cols, basis, exact, cost)
         want = unpacked_objective(tab, cost)
         assert list(map(repr, tab.obj)) == list(map(repr, want))
-        checked.append(tab.width is not None)
+        checked.append(tab.exact)
 
     monkeypatch.setattr(scaler._Tableau, "__init__", recorded)
     frames = REFERENCE_DRAWS[group]
     for frame in frames + [fr.to_float() for fr in frames]:
         solve_strict(build_lp(frame))
-    assert len(checked) == 2 * len(frames)
-    if group == "random_frame":
-        assert all(checked[:len(frames)])  # every exact LP packed
+    assert checked == [True] * len(frames) + [False] * len(frames)
 
 
 def test_float_t_column_adds_left_to_right(monkeypatch):

@@ -18,8 +18,9 @@ captured.  The list covers
   keeps two edges;
 - float frames whose inner products straddle --tol-zero by a few ulps
   (near copies of one vector, the float Mercedes frame, a seeded random
-  frame) and one with entries near 1e154, whose norms overflow, under
-  `analyze`, `filters` and `graph --format json`, with --tol-zero set to
+  frame), one with entries near 1e154, whose norms overflow, and one
+  with entries near 1e150, whose operator is finite but too large for
+  Jacobi to run on, under `analyze`, `filters` and `graph --format json`, with --tol-zero set to
   some of their products and to the floats up to two away;
 - the exit-2 input errors, argparse's among them, with adjacency files
   bad at one entry, row or pair each, and one well-formed frame whose
@@ -176,6 +177,8 @@ def band_frames(seed: int) -> list:
                               for _ in range(8)]),
         ("band_huge.json", [[1e154, 1e154], [1e154, -1e154],
                             [3e153, 1.0], [1.0, 1.0]]),
+        ("band_large.json", [[1e150, 2e150, 0.0], [0.0, 1e150, 3e150],
+                             [2e150, 0.0, 1e150], [1e150, 1e150, 1e150]]),
     ]
 
 
