@@ -184,7 +184,7 @@ def _far_pair(g: FrameGraph):
             reach = 0
             for v in mask_vertices(frontier):
                 reach |= masks[v]
-            frontier = reach & ~seen
+            frontier = reach ^ (reach & seen)
             seen |= frontier
         if frontier:
             return s, (frontier & -frontier).bit_length() - 1
@@ -372,7 +372,7 @@ def _cycle_order(g: FrameGraph):
     order, back = [0], 0
     while len(order) < g.vertex_count:
         v = order[-1]
-        nxt = masks[v] & ~back
+        nxt = masks[v] ^ back  # back, the vertex before v, is a neighbour
         order.append((nxt & -nxt).bit_length() - 1)
         back = 1 << v
     return order
@@ -399,7 +399,8 @@ def filter_adjacent_dependence(frame: Frame, g: FrameGraph) -> FilterReport:
     vectors = frame.vectors
     warnings = []
     for i, mask in enumerate(g.masks):
-        for j in mask_vertices(mask & ~same[closed[i]] & -(2 << i)):
+        later = mask >> (i + 1) << (i + 1)
+        for j in mask_vertices(later ^ (later & same[closed[i]])):
             if _parallel(vectors[i], vectors[j]):
                 warnings.append(
                     f"parallel adjacent vectors v{_v(i)}, v{_v(j)} have "

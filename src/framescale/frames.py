@@ -9,10 +9,11 @@ construction) refuse exact mode.
 An exact rational frame has one integer image, built once per frame: the
 vectors u_i = L * f_i for the least common multiple L of all its entry
 denominators.  These exact steps read it:
-- the rank in `is_frame`;
+- its frame operator `Frame.integer_operator`, T = sum_i u_i u_i^t =
+  L^2 * S, which `is_frame` eliminates and `classify_tightness` (the
+  weight check at unit weights) compares with L^2 * I;
 - the weight check `verify_weights`, on T = sum_i N_i u_i u_i^t for
-  weights N_i / D (T = D * L^2 * S), and so `classify_tightness`, which is
-  that check at unit weights (T = L^2 * S);
+  weights N_i / D (T = D * L^2 * S);
 - the LP rows in `scaler.build_lp`;
 - its Gram matrix `Frame.integer_gram`, which the adjacency test of the
   graph side and the Gram solve `scaler.solve_gram` share.
@@ -27,7 +28,7 @@ import random
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from operator import floordiv, mul, truediv
+from operator import mul
 from typing import NamedTuple
 
 from .exactnum import (
@@ -35,7 +36,12 @@ from .exactnum import (
     is_exact_scalar,
     sign,
 )
-from .linalg import SymmetricMatrix, jacobi_eigensystem, ordered_sum
+from .linalg import (
+    SymmetricMatrix,
+    eliminate,
+    jacobi_eigensystem,
+    ordered_sum,
+)
 
 FLOAT_MODE = "float64"
 EXACT_MODE = "exact_rational"
@@ -151,13 +157,25 @@ class Frame:
         return tuple(map(tuple, rows))
 
     @cached_property
+    def integer_operator(self) -> SymmetricMatrix | None:
+        """T = sum_i u_i u_i^t = L^2 S on the integer image, built once per
+        frame: `is_frame` and `verify_weights` at unit weights both read
+        it; None without an image."""
+        image = self.integer_image
+        if image is None:
+            return None
+        cols = tuple(zip(*image.vectors))
+        return SymmetricMatrix.from_function(
+            self.dim, lambda p, q: sum(map(mul, cols[p], cols[q])))
+
+    @cached_property
     def operator(self) -> SymmetricMatrix:
-        """The frame operator S = sum_i f_i f_i^t, built once per frame:
-        `is_frame` and `verify_weights` at unit weights both read it.  Each
-        entry adds its products left to right over the vectors in a plain
-        loop, which keeps the bits of float entries and printed tight
-        bounds on every interpreter: the float `sum` of Python 3.12
-        compensates."""
+        """The frame operator S = sum_i f_i f_i^t, built once per frame: on
+        a frame without an integer image, `is_frame` and `verify_weights`
+        at unit weights both read it.  Each entry adds its products left to
+        right over the vectors in a plain loop, which keeps the bits of
+        float entries and printed tight bounds on every interpreter: the
+        float `sum` of Python 3.12 compensates."""
         vectors = self.vectors
         zero = Fraction(0) if self.is_exact else 0.0
 
@@ -211,54 +229,26 @@ def frame_operator(frame: Frame) -> SymmetricMatrix:
     return frame.operator
 
 
-def bareiss_rank(vectors, div=floordiv) -> int:
-    """Rank by fraction-free Gaussian elimination (Bareiss 1968).
-
-    After k pivots every entry below the pivot rows is a (k+1)-minor of the
-    input, and the update (p * a - f * b) / d divides exactly by the
-    previous pivot d.  Integer rows stay on ints with the default floor
-    division; rows over Q(sqrt d) take div = truediv, the field's exact
-    division.
-    """
-    rows = [list(v) for v in vectors]
-    rank, d = 0, 1
-    for col in range(len(rows[0])):
-        k = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if k is None:
-            continue
-        rows[rank], rows[k] = rows[k], rows[rank]
-        prow = rows[rank]
-        p = prow[col]
-        for i in range(rank + 1, len(rows)):
-            r = rows[i]
-            f = r[col]
-            rows[i] = [div(p * a - f * b, d) for a, b in zip(r, prow)]
-        d = p
-        rank += 1
-    return rank
-
-
 def is_frame(frame: Frame, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the vectors span R^n.  An exact frame is ranked on the
-    n x m transpose of its vectors (of its integer image when rational):
-    n rows take fewer row updates than m >= n rows.  A float frame spans
-    when the least eigenvalue of its operator S is above tol.  When the
-    trace of S is above 2**200 (inf when S overflows), that is decided on
-    the copy 2**-k f_i whose largest |entry| is in [1/2, 1), against
-    4**-k * tol: a power of two scales floats exactly (up to underflow), so
-    the copy's S is 4**-k times the S of unbounded floats.  Jacobi runs on
-    the copy, whose entries are at most m, to its usual off-diagonal
-    tolerance: scaled by 4**-k, that tolerance would lie below the float
-    range.  On S itself Jacobi stalls long before S overflows: its
+    """True iff the vectors span R^n, that is, iff the frame operator S is
+    positive definite.  An exact frame spans when the fraction-free
+    elimination of its PSD operator (`linalg.eliminate`; T = L^2 S on the
+    integer image of a rational frame) meets no zero pivot.  A float frame
+    spans when the least eigenvalue of S is above tol.  When the trace of S
+    is above 2**200 (inf when S overflows), that is decided on the copy
+    2**-k f_i whose largest |entry| is in [1/2, 1), against 4**-k * tol:
+    a power of two scales floats exactly (up to underflow), so the copy's
+    S is 4**-k times the S of unbounded floats.  Jacobi runs on the copy,
+    whose entries are at most m, to its usual off-diagonal tolerance:
+    scaled by 4**-k, that tolerance would lie below the float range.  On
+    S itself Jacobi stalls long before S overflows: its
     tau = (S_qq - S_pp) / (2 S_pq) squares to inf once |S| / tol nears
     2**511, and a rotation by tan 0 is the identity."""
     if frame.count < frame.dim:
         return False
     if frame.is_exact:
-        image = frame.integer_image
-        if image is None:
-            return bareiss_rank(zip(*frame.vectors), truediv) == frame.dim
-        return bareiss_rank(zip(*image.vectors)) == frame.dim
+        s = frame.integer_operator or frame.operator
+        return bool(eliminate([r[p:][::-1] for p, r in enumerate(s.rows())]))
     operator, k = frame.operator, 0
     # |S_pq| <= (S_pp + S_qq) / 2, so the trace bounds every entry
     if operator.trace() > 2.0 ** 200:
@@ -285,14 +275,14 @@ def verify_weights(frame: Frame, weights=None,
     weights=None means w_i = 1, the tightness test.
 
     Rational weights N_i / D (or unit weights) on a rational frame are read
-    on the integer image: T = sum_i N_i u_i u_i^t is c * S for c = D * L^2.
-    Every other S adds its terms left to right; at unit weights that is
-    `Frame.operator`.  An exact matrix (T, or S with c = 1) is tight when
-    it equals a * I with a > 0, and Parseval when a = c.  A float S is
-    Parseval when its residual max |S - I| is below tol, and tight when
-    max |S - a * I| is, for a = trace(S) / n.  The residual is a float,
-    math.inf when it lies beyond the float range; unit weights on an exact
-    frame leave it None."""
+    on the integer image: T = sum_i N_i u_i u_i^t is c * S for c = D * L^2,
+    and at unit weights T is `Frame.integer_operator`.  Every other S adds
+    its terms left to right; at unit weights that is `Frame.operator`.  An
+    exact matrix (T, or S with c = 1) is tight when it equals a * I with
+    a > 0, and Parseval when a = c.  A float S is Parseval when its
+    residual max |S - I| is below tol, and tight when max |S - a * I| is,
+    for a = trace(S) / n.  The residual is a float, math.inf when it lies
+    beyond the float range; unit weights on an exact frame leave it None."""
     n = frame.dim
     image = frame.integer_image
     if weights is not None:
@@ -301,14 +291,15 @@ def verify_weights(frame: Frame, weights=None,
             raise ValueError("weight count mismatch")
     if image is not None and (weights is None or all(
             isinstance(w, (int, Fraction)) for w in weights)):
-        cols = tuple(zip(*image.vectors))
-        d, left = 1, cols
-        if weights is not None:
+        if weights is None:
+            d, s = 1, frame.integer_operator
+        else:
+            cols = tuple(zip(*image.vectors))
             d = math.lcm(*(w.denominator for w in weights))
             nums = [w.numerator * (d // w.denominator) for w in weights]
             left = [tuple(map(mul, nums, col)) for col in cols]
-        s = SymmetricMatrix.from_function(
-            n, lambda p, q: sum(map(mul, left[p], cols[q])))
+            s = SymmetricMatrix.from_function(
+                n, lambda p, q: sum(map(mul, left[p], cols[q])))
         exact, c = True, d * image.scale ** 2
     elif weights is None:
         s, exact, c = frame.operator, frame.is_exact, 1

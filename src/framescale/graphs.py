@@ -40,7 +40,9 @@ index.  Both depend on the masks alone.
 
 A set difference x - y is written x ^ y when y is a subset of x, and
 x ^ (x & y) otherwise, never x & ~y: ~y is a negative int, and CPython
-takes a slower path for bitwise operations on negative ints.
+takes a slower path for bitwise operations on negative ints.  For the
+same reason the vertices of x above i are x >> (i + 1) << (i + 1), not
+x & -(2 << i).
 """
 
 from __future__ import annotations
@@ -150,7 +152,7 @@ class FrameGraph:
 
     def sorted_edges(self) -> list:
         return [(i, j) for i, mask in enumerate(self.masks)
-                for j in mask_vertices(mask & -(2 << i))]
+                for j in mask_vertices(mask >> (i + 1) << (i + 1))]
 
     edges = property(sorted_edges)
 
@@ -655,7 +657,7 @@ def unique_common_neighbor_pairs(g: FrameGraph):
     masks = g.masks
     full = (1 << g.vertex_count) - 1
     for u, mu in enumerate(masks):
-        for v in mask_vertices((full ^ mu) & -(2 << u)):
+        for v in mask_vertices((full ^ mu) >> (u + 1) << (u + 1)):
             common = mu & masks[v]
             if common and not common & (common - 1):
                 yield u, v, common.bit_length() - 1

@@ -1,9 +1,13 @@
-"""Dense symmetric matrices and a cyclic Jacobi eigensolver.
+"""Dense symmetric matrices, fraction-free elimination and a cyclic Jacobi
+eigensolver.
 
 Matrices are stored as one triangle, so symmetry holds by construction.
-The eigensolver is a row-cyclic Jacobi iteration: unconditionally convergent
-for symmetric input and dependency-free, which is all that is needed at the
-small orders (<= 64) this package targets.
+Exact matrices are eliminated fraction-free (Bareiss 1968): one row step,
+`bareiss_step`, serves the symmetric elimination `eliminate` here and the
+exact simplex pivots of `scaler`.  The eigensolver is a row-cyclic Jacobi
+iteration: unconditionally convergent for symmetric input and
+dependency-free, which is all that is needed at the small orders (<= 64)
+this package targets.
 """
 
 from __future__ import annotations
@@ -38,6 +42,51 @@ def ordered_sum(values, start=0):
     for x in values:
         total = total + x
     return total
+
+
+def bareiss_step(p, d, prow, rows, fs):
+    """Bareiss's fraction-free row step: (p * row - f * prow) / d for each
+    row of `rows`, with f its entry in the pivot column, taken from `fs` in
+    the same order; p is the pivot, prow its row and d the pivot before p.
+    Entries are paired from the start of the rows, as zip pairs them.
+    Every entry the step makes is a minor of the input (Sylvester's
+    identity), so each division is exact: ints divide with // and stay
+    ints, and field entries (Fraction, Q(sqrt d)) take the field's /.  A
+    row with f = 0 comes back as it is when p = d."""
+    if isinstance(d, int):
+        return [row if not f and p == d else
+                [(p * a - f * b) // d for a, b in zip(row, prow)]
+                for row, f in zip(rows, fs)]
+    return [row if not f and p == d else
+            [(p * a - f * b) / d for a, b in zip(row, prow)]
+            for row, f in zip(rows, fs)]
+
+
+def eliminate(rows):
+    """Eliminate a symmetric positive semidefinite system in place, with
+    no row exchanges, and return its determinant; stop at the first zero
+    pivot and return 0, leaving the rows below it as the step before left
+    them.
+
+    rows[k] is row k of [A | B], for the matrix A and any right-hand-side
+    columns B, from its diagonal entry on and in reverse order: every row
+    ends in its diagonal entry, and zip pairs two rows column by column.
+    Each step keeps the block still to be eliminated symmetric, so the
+    entry of row i in the pivot column k is read from row k, as its entry
+    in column i.  Afterwards rows[k][-1] is the k-th pivot, the leading
+    principal (k+1) x (k+1) minor.  No row exchange is needed: a PSD
+    matrix A whose leading block A_k is singular is singular, since
+    x^t A_k x = 0 for some x != 0, and a PSD form vanishes only on its
+    kernel, so A x = 0 for x padded with zeros."""
+    d = rows[0][-1] * 0 + 1  # 1 of the entries' type: ints stay on //
+    for k, prow in enumerate(rows):
+        p = prow[-1]
+        if not p:
+            return p
+        # entries (k, k+1), (k, k+2), ... of row k: the f of the rows below
+        rows[k + 1:] = bareiss_step(p, d, prow, rows[k + 1:], prow[-2::-1])
+        d = p
+    return d
 
 
 class SymmetricMatrix:

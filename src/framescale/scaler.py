@@ -25,12 +25,11 @@ product of sum_i w_i f_i f_i^t = I with f_j f_j^t is H w = d, H = G o G
 (entrywise square of the Gram matrix G) and d = diag G.  H is the Gram
 matrix of the f_i f_i^t, so when it is nonsingular at most one w exists.
 On the integer Gram matrix (`Frame.integer_gram`) the system reads
-H' w = b with H' = L^4 H and b = L^2 diag G' = L^4 d.  Bareiss elimination
-needs no row exchange: its k-th pivot is the leading principal k x k minor
-of H, and a PSD matrix with a singular leading block H_k is singular
-(x^t H_k x = 0 for some x != 0, so H x = 0 for x padded with zeros), so a
-zero pivot just means that the tableau has to answer.  Back substitution
-divides exactly (Cramer's rule) and gives N = det(H') w.  The residual
+H' w = b with H' = L^4 H and b = L^2 diag G' = L^4 d.  H' is positive
+semidefinite, so `linalg.eliminate` takes [H' | b] fraction-free without
+row exchanges, and a zero pivot means that H is singular and the tableau
+has to answer.  Back substitution divides exactly (Cramer's rule) and
+gives N = det(H') w.  The residual
 R = I - sum_i w_i f_i f_i^t is orthogonal to every f_i f_i^t, hence to
 I - R, so <f_i, R f_i> = 0 and tr R = |R|_F^2.  When R != 0 the frame is
 not scalable and Y = R / tr R, the least-norm trace-one matrix with every
@@ -64,7 +63,7 @@ from .frames import (  # verify_weights and WeightReport: re-exported
     WeightReport,
     verify_weights,
 )
-from .linalg import ordered_sum
+from .linalg import bareiss_step, eliminate, ordered_sum
 
 FEASIBILITY_TOL = 1e-8
 PIVOT_TOL = 1e-10
@@ -144,8 +143,10 @@ class _Tableau:
 
     and the leaving column moves into slot c: the old D in row r and
     -T_i[c] in row i.  A negative pivot (driving artificials out) first
-    negates row r, which keeps D > 0 and flips both signs.  By Cramer's rule
-    every entry is a minor of the integer input, so each division is exact:
+    negates row r, which keeps D > 0 and flips both signs.  The update is
+    `linalg.bareiss_step`, with slot c of row r set so that the step itself
+    leaves the leaving column in the other rows.  By Cramer's rule every
+    entry is a minor of the integer input, so each division is exact:
     integer LPs stay on Python ints (floor division, no gcd), and Q(sqrt d)
     LPs take the same steps with the field's exact `/`.  Since D > 0 scales
     every row alike, Bland's rule picks the same pivots as on B^-1 [A | b].
@@ -198,23 +199,16 @@ class _Tableau:
                 t[row] = [-x for x in t[row]]
                 piv, g = -piv, 1
             prow = t[row]
-            if isinstance(d, int):
-                def update(r):
-                    f = r[c]
-                    if not f:
-                        return r if piv == d else [piv * a // d for a in r]
-                    r = [(piv * a - f * b) // d for a, b in zip(r, prow)]
-                    r[c] = g * f
-                    return r
-            else:
-                def update(r):
-                    f = r[c]
-                    if not f:
-                        return r if piv == d else [piv * a / d for a in r]
-                    r = [(piv * a - f * b) / d for a, b in zip(r, prow)]
-                    r[c] = g * f
-                    return r
-
+            # the step then leaves (piv * f - f * (piv - g * D)) / D = g * f
+            # in slot c of a row with T_i[c] = f
+            prow[c] = piv - g * d
+            rest = t[:row] + t[row + 1:]
+            if self.obj is not None:
+                rest.append(self.obj)
+            rest = bareiss_step(piv, d, prow, rest, [r[c] for r in rest])
+            if self.obj is not None:
+                self.obj = rest.pop()
+            t[:] = rest[:row] + [prow] + rest[row:]
             leave, self.d = -g * d, piv
         else:
             leave = 1.0 / piv
@@ -229,10 +223,10 @@ class _Tableau:
                 r[c] = -f * leave
                 return r
 
-        t[:] = [r if i == row else update(r) for i, r in enumerate(t)]
+            t[:] = [r if i == row else update(r) for i, r in enumerate(t)]
+            if self.obj is not None:
+                self.obj = update(self.obj)
         prow[c] = leave
-        if self.obj is not None:
-            self.obj = update(self.obj)
         self.basis[row], self.cols[c] = self.cols[c], self.basis[row]
 
     def bland_step(self) -> bool:
@@ -380,24 +374,15 @@ def solve_gram(frame: Frame) -> OracleResult | None:
     if gram is None or 2 * m > n * (n + 1):
         return None
     scale = frame.integer_image.scale ** 2
-    # row i of [H | b] from column i on: each step keeps the block still
-    # to be eliminated symmetric, so entry (i, k) is read as (k, i)
-    rows = [[x * x for x in row[i:]] + [scale * row[i]]
+    # row i of [H' | b] from column i on, reversed: see `eliminate`
+    rows = [[scale * row[i]] + [x * x for x in reversed(row[i:])]
             for i, row in enumerate(gram)]
-    d = 1
-    for k, prow in enumerate(rows):
-        p = prow[0]
-        if not p:  # a leading principal minor of the PSD H is 0
-            return None
-        for i in range(k + 1, m):
-            f = prow[i - k]
-            rows[i] = [(p * a - f * b) // d
-                       for a, b in zip(rows[i], prow[i - k:])]
-        d = p
+    d = eliminate(rows)  # det(H')
+    if not d:  # H is singular
+        return None
     nums = []  # N_{m-1}, N_{m-2}, ...
     for row in reversed(rows):
-        nums.append((d * row[-1] - sum(map(mul, row[1:-1], reversed(nums))))
-                    // row[0])
+        nums.append((d * row[0] - sum(map(mul, row[1:-1], nums))) // row[-1])
     nums.reverse()
     trace = n * d * scale - sum(x * row[i]
                                 for i, (x, row) in enumerate(zip(nums, gram)))

@@ -6,7 +6,6 @@ import math
 import random
 from fractions import Fraction
 from functools import cached_property
-from operator import truediv
 
 import pytest
 
@@ -16,7 +15,6 @@ from framescale.frames import (
     Frame,
     FrameError,
     Tightness,
-    bareiss_rank,
     classify_tightness,
     frame_operator,
     gram,
@@ -27,7 +25,7 @@ from framescale.frames import (
     verify_weights,
 )
 from framescale.graphs import build_graph, zero_pattern_equal
-from framescale.linalg import symmetric_eigs
+from framescale.linalg import eliminate, symmetric_eigs
 from framescale.report import AnalysisConfig, analyze_frame
 
 M1 = load("paper/M1").frame
@@ -265,6 +263,10 @@ class TestIntegerImage:
 
 
 class TestBareissRank:
+    """Exact spanning: `is_frame` eliminates the frame operator fraction-free
+    (T on the integer image, S over Q(sqrt d)); ranks over Fractions are
+    the reference."""
+
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_fraction_elimination(self, seed):
         rng = random.Random(seed)
@@ -274,24 +276,42 @@ class TestBareissRank:
         fr = mixed_frame(rng, m, n, rank=rank,
                          zero_vectors=rng.randint(0, m // 3))
         want = fraction_rank(fr.vectors)
-        assert bareiss_rank(fr.integer_image.vectors) == want
-        assert bareiss_rank(fr.vectors, truediv) == want
+        assert is_frame(fr) == (want == n)
+        # the Fraction operator S = T / L^2 takes the field's division
+        s = fr.operator.rows()
+        assert bool(eliminate([r[p:][::-1] for p, r in enumerate(s)])) == (
+            want == n)
         if rank is not None:
             assert want <= rank
 
     def test_fewer_vectors_than_dimensions(self):
-        assert bareiss_rank([(0, 2, 1), (0, 4, 2)]) == 1
-        assert bareiss_rank([(3, 0, 0, 1)]) == 1
+        # each matrix read both ways: its rows as vectors, then its columns
+        def frame(vectors):
+            return Frame.from_vectors(vectors, exact=True)
+
+        assert not is_frame(frame([(0, 2, 1), (0, 4, 2)]))
+        assert not is_frame(frame([(0, 0), (2, 4), (1, 2)]))
+        assert not is_frame(frame([(3, 0, 0, 1)]))
+        assert is_frame(frame([(3,), (0,), (0,), (1,)]))
 
     def test_zero_vectors(self):
-        assert bareiss_rank([(0, 0), (0, 0), (0, 0)]) == 0
-        assert bareiss_rank([(0, 0), (2, -1), (0, 0), (-4, 2)]) == 1
+        assert not is_frame(Frame.from_vectors([(0, 0)] * 3, exact=True))
+        assert not is_frame(Frame.from_vectors(
+            [(0, 0), (2, -1), (0, 0), (-4, 2)], exact=True))
+        assert is_frame(Frame.from_vectors(
+            [(0, 0), (2, -1), (0, 0), (1, 2)], exact=True))
+        # a zero first pivot: no vector has a first coordinate
+        assert not is_frame(Frame.from_vectors([(0, 1), (0, 2), (0, 3)],
+                                               exact=True))
 
     def test_quadratic_field(self):
-        assert bareiss_rank(MERCEDES.vectors, truediv) == 2
-        assert bareiss_rank(MERCEDES.vectors[:1] * 3, truediv) == 1
         assert is_frame(MERCEDES)
         assert not is_frame(Frame(2, MERCEDES.vectors[:1] * 3, MERCEDES.scalar_mode))
+        # f_2 = f_1 * sqrt(3): parallel over Q(sqrt 3), not over Q
+        f = MERCEDES.vectors[1]
+        r3 = QuadExt(3, 0, 1)
+        assert not is_frame(Frame(2, [f, tuple(r3 * x for x in f), f],
+                                  MERCEDES.scalar_mode))
 
 
 class TestTightness:

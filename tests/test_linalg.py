@@ -9,9 +9,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from framescale.exactnum import ExactModeError
+from framescale.exactnum import ExactModeError, QuadExt
 from framescale.linalg import (
     SymmetricMatrix,
+    eliminate,
     jacobi_eigensystem,
     ordered_sum,
     symmetric_eigs,
@@ -136,6 +137,70 @@ class TestRank:
             (np.array(s.rows()) @ np.array(s.rows()).T).tolist()
         )
         assert count_positive_eigenvalues(g) == 4
+
+
+def field_det(rows):
+    """Reference determinant: Gaussian elimination with row exchanges over
+    Fractions, or over Q(sqrt 3) for QuadExt entries."""
+    a = [[x if isinstance(x, QuadExt) else Fraction(x) for x in r]
+         for r in rows]
+    det = Fraction(1)
+    for k in range(len(a)):
+        i = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if i is None:
+            return Fraction(0)
+        if i != k:
+            a[k], a[i], det = a[i], a[k], -det
+        det = det * a[k][k]
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return det
+
+
+class TestEliminate:
+    """The fraction-free elimination of PSD Gram matrices G = V V^t of n
+    vectors in R^k: of rank k < n, or with a repeated vector, G is singular
+    and must read exactly 0."""
+
+    @pytest.mark.parametrize("kind", ["int", "fraction", "sqrt3"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_determinant_of_gram_matrices(self, kind, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 6)
+        k = rng.randint(max(n - 2, 1), n + 2)
+
+        def draw():
+            a = rng.randint(-3, 3)
+            if kind == "fraction":
+                return Fraction(a, rng.randint(1, 6))
+            if kind == "sqrt3":
+                return QuadExt(3, a, Fraction(rng.randint(-3, 3), 2))
+            return a
+
+        vs = [[draw() for _ in range(k)] for _ in range(n)]
+        if seed % 4 == 0 and n > 1:  # a zero pivot at row 1
+            vs[1] = vs[0]
+        g = [[sum((x * y for x, y in zip(u, v)), draw() * 0) for v in vs]
+             for u in vs]
+        want = field_det(g)
+        if k < n or (seed % 4 == 0 and n > 1):
+            assert want == 0
+        rhs = [draw() for _ in range(n)]
+        for extra in ([], [[b, draw()] for b in rhs]):
+            rows = [(g[i][i:] + (extra[i] if extra else []))[::-1]
+                    for i in range(n)]
+            assert eliminate(rows) == want
+            # pivot i is the leading principal minor of order i + 1; from
+            # the first zero pivot z on, the elimination stops, and row
+            # i > z keeps the minor on rows and columns 0..z-1 and i
+            z = next((i for i, row in enumerate(rows) if not row[-1]), n)
+            for i, row in enumerate(rows):
+                idx = list(range(min(i, z))) + [i]
+                assert row[-1] == field_det([[g[a][b] for b in idx]
+                                             for a in idx])
+        if kind == "int":
+            assert all(type(x) is int for row in rows for x in row)
 
 
 def test_ordered_sum_adds_left_to_right():

@@ -16,6 +16,9 @@ captured.  The list covers
   `graph --format json`: an exact one, a float one whose vector lies below
   --tol-zero, and a float one whose vector is flagged zero_vector but
   keeps two edges;
+- three exact frames with m >= n that do not span R^n (integer, mixed
+  denominators, and one with a zero vector) under `analyze`, `filters`
+  and `scale`, all with --exact;
 - float frames whose inner products straddle --tol-zero by a few ulps
   (near copies of one vector, the float Mercedes frame, a seeded random
   frame), one with entries near 1e154, whose norms overflow, and one
@@ -151,6 +154,29 @@ ZERO_FILES = (
     ("tiny.json", '{"dimension": 2, "vectors": '
      '[["1e-6", "0"], ["1e6", "1"], ["0", "1"], ["1", "1"]]}', []),
 )
+
+
+# (file name, contents) of exact frames with m >= n vectors that do not
+# span R^n: in a plane of R^3 over the integers and over mixed
+# denominators, and a parallel pair with a zero vector
+NONSPANNING_FILES = (
+    ("plane_int.json", '{"dimension": 3, "vectors": [["1", "-1", "0"], '
+     '["0", "1", "-1"], ["1", "0", "-1"], ["2", "-1", "-1"]]}'),
+    ("plane_mixed.json", '{"dimension": 3, "vectors": '
+     '[["1/2", "1/3", "-5/6"], ["2/7", "-1/7", "-1/7"], '
+     '["11/14", "4/21", "-41/42"], ["1/6", "1/9", "-5/18"]]}'),
+    ("line_zero.json", '{"dimension": 2, "vectors": [["1/2", "1"], '
+     '["0", "0"], ["-3", "-6"]]}'),
+)
+
+
+def nonspanning(d: Path) -> list:
+    calls = []
+    for name, text in NONSPANNING_FILES:
+        (d / name).write_text(text)
+        calls += [[cmd, str(d / name), "--exact"]
+                  for cmd in ("analyze", "filters", "scale")]
+    return calls
 
 
 def zero_vectors(d: Path) -> list:
@@ -323,7 +349,7 @@ def build_calls(seed: int, d: Path) -> list:
                   for k in (1, 2, 3, 5)]
         calls += [["graph", "--graph", g],
                   ["graph", "--graph", g, "--format", "json"]]
-    return (calls + zero_vectors(d) + band_calls(seed, d)
+    return (calls + zero_vectors(d) + nonspanning(d) + band_calls(seed, d)
             + tableau_calls(seed, d) + input_errors(d) + pools(seed, d))
 
 
