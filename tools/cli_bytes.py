@@ -33,6 +33,11 @@ captured.  The list covers
   n(n+1)/2, m = n(n+1)/2 (mostly a negative unique weight), and (12, 6)
   frames with 20-bit entries and a repeated vector (a zero Gram pivot),
   whose tableau entries run to hundreds of bits;
+- exact frames with fractional entries (L > 1), at two seeds, under
+  `scale --exact` and `analyze --exact`: frames whose Gram solve answers
+  strictly_feasible, boundary or infeasible (a nonzero residual), and
+  frames that it leaves to the tableau (m above n(n+1)/2, a repeated
+  vector, a negative unique weight);
 - the four benchmark pools of ``perfbench/run.py`` as the benchmark calls
   them, and a prefix of each size class under `scale` (exact and float,
   so Farkas blocks are compared), `graph --format json` and `complement`.
@@ -61,6 +66,7 @@ import sys
 import tarfile
 import tempfile
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -276,6 +282,68 @@ def tableau_calls(seed: int, d: Path) -> list:
     return calls
 
 
+def rational_frames(seed: int) -> list:
+    """(file name, Fraction vectors) of the frames of one seed with
+    fractional entries.  A "pair" frame holds e_1, (x, y, 0, ...),
+    (x, -y, 0, ...) and e_3, ..., e_n, whose one weight vector puts
+    1 - x^2 / y^2 on e_1, 1 / (2 y^2) on the pair and 1 elsewhere: strictly
+    positive for |x| < |y|, zero at |x| = |y| and negative beyond.  Each is
+    turned by rational Givens rotations and each vector scaled by its own
+    p/q, which keeps the weights' signs.  A "residual" frame is drawn at
+    random with 2n - 2 < n(n+1)/2 vectors, so that I is off the span of
+    its f_i f_i^t."""
+    rng = random.Random(seed)
+
+    def frac():
+        return Fraction(rng.randint(1, 9), rng.randint(2, 9))
+
+    def draw(m, n):
+        return [[rng.choice((-1, 1)) * frac() for _ in range(n)]
+                for _ in range(m)]
+
+    def pair(n, x, y):
+        vecs = [[Fraction(i == j) for j in range(n)] for i in range(n)]
+        vecs[1][:2] = [x, -y]
+        return vecs + [[x, y] + [Fraction(0)] * (n - 2)]
+
+    def turn(vecs):
+        n = len(vecs[0])
+        for _ in range(2 * n):
+            p, q = rng.sample(range(n), 2)
+            a, b = rng.randint(1, 5), rng.randint(1, 5)
+            c, s = (Fraction(a * a - b * b, a * a + b * b),
+                    Fraction(2 * a * b, a * a + b * b))
+            for v in vecs:
+                v[p], v[q] = c * v[p] - s * v[q], s * v[p] + c * v[q]
+        return [[k * x for x in v] for k, v in ((frac(), v) for v in vecs)]
+
+    out = []
+    for n in (2, 3, 4):
+        y = frac()
+        x = y * Fraction(rng.randint(1, 8), 9)
+        out += [(f"strict_{n}", turn(pair(n, x, y))),
+                (f"boundary_{n}", turn(pair(n, y, y))),
+                (f"negative_{n}", turn(pair(n, y, x)))]
+        strict = turn(pair(n, x, y))
+        out += [(f"repeated_{n}", strict + strict[-1:]),
+                (f"above_{n}", strict + draw(n * (n + 1) // 2 + 1 - n, n)),
+                (f"residual_{n}", draw(2 * n - 2, n))]
+    return out
+
+
+def rational_calls(seed: int, d: Path) -> list:
+    calls = []
+    for s in (seed, seed + 1):
+        for name, vectors in rational_frames(s):
+            path = d / f"rational_{s}_{name}.json"
+            path.write_text(json.dumps({
+                "dimension": len(vectors[0]),
+                "vectors": [[str(x) for x in v] for v in vectors]}))
+            calls += [["scale", str(path), "--exact"],
+                      ["analyze", str(path), "--exact"]]
+    return calls
+
+
 def input_errors(d: Path) -> list:
     calls = []
     for name, text in BAD_FILES:
@@ -350,7 +418,8 @@ def build_calls(seed: int, d: Path) -> list:
         calls += [["graph", "--graph", g],
                   ["graph", "--graph", g, "--format", "json"]]
     return (calls + zero_vectors(d) + nonspanning(d) + band_calls(seed, d)
-            + tableau_calls(seed, d) + input_errors(d) + pools(seed, d))
+            + tableau_calls(seed, d) + rational_calls(seed, d)
+            + input_errors(d) + pools(seed, d))
 
 
 def run_side(src: Path, calls_path: Path, out_path: Path) -> list:
