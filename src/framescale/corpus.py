@@ -10,7 +10,6 @@ necessary condition, and M's frame graph (K2 u K2) v K_{1,3} on its own.
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 from operator import mul
@@ -28,7 +27,7 @@ from .graphs import (
     cycle_graph,
     empty_graph,
 )
-from .linalg import ordered_sum
+from .linalg import ordered_sum, project_out
 
 
 RANDOM_FRAME_RETRIES = 64  # seeded draws random_frame tries
@@ -166,21 +165,12 @@ def cycle_pattern_frame(m: int, n: int, seed: int) -> Frame:
 
 
 def _draw_in_complement(rng, n, others):
-    # float sums left to right (ordered_sum), the same on every interpreter
     basis = []
     for u in others:
-        w = list(u)
-        for b in basis:
-            proj = ordered_sum(map(mul, w, b))
-            w = [a - proj * c for a, c in zip(w, b)]
-        norm = math.sqrt(ordered_sum(map(mul, w, w)))
+        w, norm = project_out(u, basis)
         if norm > 1e-10:
             basis.append([a / norm for a in w])
-    v = [rng.gauss(0.0, 1.0) for _ in range(n)]
-    for b in basis:
-        proj = ordered_sum(map(mul, v, b))
-        v = [a - proj * c for a, c in zip(v, b)]
-    norm = math.sqrt(ordered_sum(map(mul, v, v)))
+    v, norm = project_out([rng.gauss(0.0, 1.0) for _ in range(n)], basis)
     if norm < 1e-6:
         return None
     return tuple(a / norm for a in v)

@@ -8,17 +8,24 @@ construction) refuse exact mode.
 
 An exact rational frame has one integer image, built once per frame: the
 vectors u_i = L * f_i for the least common multiple L of all its entry
-denominators.  These exact steps read it:
-- its frame operator `Frame.integer_operator`, T = sum_i u_i u_i^t =
-  L^2 * S, which `is_frame` eliminates and `classify_tightness` (the
-  weight check at unit weights) compares with L^2 * I;
-- the weight check `verify_weights`, on T = sum_i N_i u_i u_i^t for
-  weights N_i / D (T = D * L^2 * S);
-- the LP rows in `scaler.build_lp`;
-- its Gram matrix `Frame.integer_gram`, which the adjacency test of the
-  graph side and the Gram solve `scaler.solve_gram` share.
-One L for every vector keeps all of them exact multiples of the rational
-quantities, with no Fraction arithmetic.
+denominators.  One L for every vector keeps every exact step below an
+exact multiple of the rational quantity, with no Fraction arithmetic.
+
+Every frame has one product table, `Frame.outer_products`: row (p, q),
+p <= q, holds the m products c * f_i[p] * f_i[q], ints with c = L^2 on
+the integer image of a rational frame and c = 1 on any other frame.  It
+is the linear map w -> c * sum_i w_i f_i f_i^t, and these read it:
+- the LP rows of `scaler.build_lp`, which are the table itself;
+- `Frame.integer_operator`, its row sums T = sum_i u_i u_i^t = L^2 * S,
+  which `is_frame` eliminates and `classify_tightness` (the weight check
+  at unit weights) compares with L^2 * I;
+- the weight check `verify_weights` at rational weights N_i / D, which
+  forms T = sum_i N_i u_i u_i^t = D * L^2 * S row by row;
+- the certificate of the Gram solve `scaler.solve_gram`.
+An exact frame also has one Gram matrix, `Frame.exact_gram` (on the
+integer image of a rational frame), which the adjacency test of the graph
+side and the Gram solve share.  A float frame keeps its own left-to-right
+loops for the frame operator and the weight check.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from .linalg import (
     eliminate,
     jacobi_eigensystem,
     ordered_sum,
+    project_out,
 )
 
 FLOAT_MODE = "float64"
@@ -142,14 +150,29 @@ class Frame:
             for v in self.vectors))
 
     @cached_property
-    def integer_gram(self) -> tuple | None:
-        """The Gram matrix of the integer image, rows of ints u_i . u_j =
-        L^2 <f_i, f_j>, each product taken once; None without an image.
-        The graph side and `scaler.solve_gram` read it."""
+    def outer_products(self) -> tuple:
+        """The product table: row (p, q), for p <= q in SymmetricMatrix's
+        upper-triangle order, holds the m products c * f_i[p] * f_i[q], the
+        ints u_i[p] * u_i[q] with c = L^2 on the integer image of a rational
+        frame and c = 1 on any other frame.  It is the matrix c * A of the
+        scaling LP and the map w -> c * sum_i w_i f_i f_i^t."""
         image = self.integer_image
-        if image is None:
+        cols = tuple(zip(*(self.vectors if image is None else image.vectors)))
+        n = self.dim
+        return tuple(tuple(map(mul, cols[p], cols[q]))
+                     for p in range(n) for q in range(p, n))
+
+    @cached_property
+    def exact_gram(self) -> tuple | None:
+        """The exact Gram matrix, each product taken once: rows of ints
+        u_i . u_j = L^2 <f_i, f_j> on the integer image of a rational
+        frame, and of <f_i, f_j> on a frame with an entry in Q(sqrt d);
+        None on a float frame.  The graph side and `scaler.solve_gram`
+        read it."""
+        if not self.is_exact:
             return None
-        vs = image.vectors
+        image = self.integer_image
+        vs = self.vectors if image is None else image.vectors
         rows = [[0] * len(vs) for _ in vs]
         for i, u in enumerate(vs):
             for j in range(i, len(vs)):
@@ -158,15 +181,12 @@ class Frame:
 
     @cached_property
     def integer_operator(self) -> SymmetricMatrix | None:
-        """T = sum_i u_i u_i^t = L^2 S on the integer image, built once per
-        frame: `is_frame` and `verify_weights` at unit weights both read
-        it; None without an image."""
-        image = self.integer_image
-        if image is None:
+        """T = sum_i u_i u_i^t = L^2 S on the integer image, the row sums
+        of the product table: `is_frame` and `verify_weights` at unit
+        weights both read it; None without an image."""
+        if self.integer_image is None:
             return None
-        cols = tuple(zip(*image.vectors))
-        return SymmetricMatrix.from_function(
-            self.dim, lambda p, q: sum(map(mul, cols[p], cols[q])))
+        return SymmetricMatrix(self.dim, map(sum, self.outer_products))
 
     @cached_property
     def operator(self) -> SymmetricMatrix:
@@ -208,19 +228,13 @@ class Frame:
         return cls(len(vectors[0]), vectors, EXACT_MODE if exact else FLOAT_MODE)
 
 
-def inner(u, v):
-    total = u[0] * v[0]
-    for a, b in zip(u[1:], v[1:]):
-        total = total + a * b
-    return total
-
-
 def gram(frame: Frame) -> SymmetricMatrix:
-    """m x m matrix of pairwise inner products."""
+    """m x m matrix of pairwise inner products, each added left to right
+    from the first product on."""
     vs = frame.vectors
     return SymmetricMatrix.from_function(
-        frame.count, lambda i, j: inner(vs[i], vs[j])
-    )
+        frame.count, lambda i, j: ordered_sum(map(mul, vs[i][1:], vs[j][1:]),
+                                              vs[i][0] * vs[j][0]))
 
 
 def frame_operator(frame: Frame) -> SymmetricMatrix:
@@ -276,8 +290,9 @@ def verify_weights(frame: Frame, weights=None,
 
     Rational weights N_i / D (or unit weights) on a rational frame are read
     on the integer image: T = sum_i N_i u_i u_i^t is c * S for c = D * L^2,
-    and at unit weights T is `Frame.integer_operator`.  Every other S adds
-    its terms left to right; at unit weights that is `Frame.operator`.  An
+    one sum over the N_i per row of `Frame.outer_products`, and at unit
+    weights T is `Frame.integer_operator`.  Every other S adds its terms
+    left to right; at unit weights that is `Frame.operator`.  An
     exact matrix (T, or S with c = 1) is tight when it equals a * I with
     a > 0, and Parseval when a = c.  A float S is Parseval when its
     residual max |S - I| is below tol, and tight when max |S - a * I| is,
@@ -294,12 +309,10 @@ def verify_weights(frame: Frame, weights=None,
         if weights is None:
             d, s = 1, frame.integer_operator
         else:
-            cols = tuple(zip(*image.vectors))
             d = math.lcm(*(w.denominator for w in weights))
             nums = [w.numerator * (d // w.denominator) for w in weights]
-            left = [tuple(map(mul, nums, col)) for col in cols]
-            s = SymmetricMatrix.from_function(
-                n, lambda p, q: sum(map(mul, left[p], cols[q])))
+            s = SymmetricMatrix(n, [sum(map(mul, nums, row))
+                                    for row in frame.outer_products])
         exact, c = True, d * image.scale ** 2
     elif weights is None:
         s, exact, c = frame.operator, frame.is_exact, 1
@@ -376,11 +389,7 @@ def random_parseval(m: int, n: int, seed: int) -> Frame:
         ortho = []
         degenerate = False
         for col in cols:
-            w = list(col)
-            for u in ortho:  # float sums left to right, see ordered_sum
-                proj = ordered_sum(map(mul, w, u))
-                w = [a - proj * b for a, b in zip(w, u)]
-            norm = math.sqrt(ordered_sum(map(mul, w, w)))
+            w, norm = project_out(col, ortho)
             if norm < 1e-8:
                 degenerate = True
                 break

@@ -47,7 +47,6 @@ x & -(2 << i).
 
 from __future__ import annotations
 
-import math
 import sys
 from bisect import bisect_left
 from itertools import accumulate, combinations, compress, repeat
@@ -183,9 +182,8 @@ class FrameGraph:
 
 def build_graph(frame: Frame, tol_zero: float = 1e-10) -> FrameGraph:
     """Edge (i,j) iff |<f_i, f_j>| exceeds tol_zero, a finite number >= 0.
-    On an exact frame the edge means <f_i, f_j> != 0, whatever tol_zero is;
-    a rational frame's edges and zero vectors are read off
-    `Frame.integer_gram`.  Vector i is flagged zero_vector when
+    On an exact frame the edge means <f_i, f_j> != 0, whatever tol_zero is,
+    and its edges and zero vectors are read off `Frame.exact_gram`.  Vector i is flagged zero_vector when
     <f_i, f_i> is not above tol_zero (above 0 on an exact frame).
 
     On a float frame <f_i, f_j> is the float x_ij that `ordered_sum` adds
@@ -224,8 +222,7 @@ def build_graph(frame: Frame, tol_zero: float = 1e-10) -> FrameGraph:
     pair with |a_ij| < 2t + sigma_i takes the exact test.  A row with N_i
     + M_i + t above 2**1000, or distances summing to 2**511 or more, takes
     the exact test throughout, so every N, d, b and bound screened is
-    finite.  So the screen keeps every edge the exact test gives.  Q(sqrt
-    d) frames take the exact test for every pair, through the same loop.
+    finite.  So the screen keeps every edge the exact test gives.
 
     Rows are written as ASCII 0/1 bytes into row i and column i of an m x
     m matrix, so row i read backwards is vertex i's mask in binary, and no
@@ -233,7 +230,7 @@ def build_graph(frame: Frame, tol_zero: float = 1e-10) -> FrameGraph:
     if not 0 <= tol_zero <= sys.float_info.max:  # NaN fails both
         raise GraphError("tol_zero must be a finite number >= 0")
     m = frame.count
-    gram = frame.integer_gram
+    gram = frame.exact_gram
     if gram is not None:
         # bit i of row i's sum is set when its diagonal entry is nonzero
         masks = [sum(1 << j for j, x in enumerate(row) if x)
@@ -241,22 +238,16 @@ def build_graph(frame: Frame, tol_zero: float = 1e-10) -> FrameGraph:
         zero = sum(1 << i for i, row in enumerate(gram) if not row[i])
         return FrameGraph._unchecked(masks, zero)
     vs = frame.vectors
-    screen = not frame.is_exact
-    # x > hi or x < -hi is |x| > hi; the exact zero is the int 0, since a
-    # QuadExt cannot be compared with a float
-    hi = tol_zero if screen else 0
     norms = [ordered_sum(map(mul, u, u)) for u in vs]
     # a sum of squares is never < 0
-    zero = sum(1 << i for i, x in enumerate(norms) if not x > hi)
-    if screen:
-        tops = list(accumulate(reversed(norms), max))[::-1]  # max(norms[j:])
-        two_t = 2 * tol_zero
-        rel, floor = (2 * frame.dim + 48) * _UNIT, (frame.dim + 8) * _TINY
+    zero = sum(1 << i for i, x in enumerate(norms) if not x > tol_zero)
+    tops = list(accumulate(reversed(norms), max))[::-1]  # max(norms[j:])
+    two_t = 2 * tol_zero
+    rel, floor = (2 * frame.dim + 48) * _UNIT, (frame.dim + 8) * _TINY
     adj = bytearray(b"0" * (m * m))
     for i, u in enumerate(vs[:-1]):
         pairs = range(i + 1, m)
-        # s = inf sends every pair of an exact frame to the exact test
-        s = norms[i] + tops[i + 1] + tol_zero if screen else math.inf
+        s = norms[i] + tops[i + 1] + tol_zero
         if s <= _SCREEN_MAX:
             d = list(map(dist, repeat(u), vs[i + 1:]))
             if sum(d) < _DIST_MAX:
@@ -272,7 +263,7 @@ def build_graph(frame: Frame, tol_zero: float = 1e-10) -> FrameGraph:
                 pairs = compress(pairs, codes.translate(_SCREEN_OPEN))
         for j in pairs:
             x = ordered_sum(map(mul, u, vs[j]))
-            if x > hi or x < -hi:
+            if x > tol_zero or x < -tol_zero:
                 adj[i * m + j] = adj[j * m + i] = 49  # b"1"
     masks = [int(adj[r:r + m][::-1], 2) for r in range(0, m * m, m)]
     return FrameGraph._unchecked(masks, zero)

@@ -13,7 +13,7 @@ this package targets.
 from __future__ import annotations
 
 import math
-from operator import itemgetter, sub
+from operator import itemgetter, mul, sub
 from typing import NamedTuple
 
 from .exactnum import EXACT_TYPES, ExactModeError
@@ -42,6 +42,16 @@ def ordered_sum(values, start=0):
     for x in values:
         total = total + x
     return total
+
+
+def project_out(v, basis):
+    """v minus its projection on each vector of the orthonormal list
+    `basis` in turn (modified Gram-Schmidt), and the norm of what is left,
+    float sums added left to right (see `ordered_sum`)."""
+    for b in basis:
+        proj = ordered_sum(map(mul, v, b))
+        v = [a - proj * c for a, c in zip(v, b)]
+    return v, math.sqrt(ordered_sum(map(mul, v, v)))
 
 
 def bareiss_step(p, d, prow, rows, fs):

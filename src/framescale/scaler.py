@@ -9,9 +9,10 @@ feasibility, phase 2 maximizes the floor.
 Infeasibility is returned as a Farkas certificate reassembled into a
 symmetric matrix Y with <f_i, Y f_i> <= 0 for all i and trace(Y) = 1.
 
-Exact LPs are solved by fraction-free integer pivoting.  A rational frame
-hands the simplex the integer products u_i[p] * u_i[q] of its integer image
-u_i = L * f_i (see `frames`), that is L^2 * [A | b]; one factor for all of
+Exact LPs are solved by fraction-free integer pivoting.  The LP rows are
+the frame's product table `Frame.outer_products` (see `frames`): on a
+rational frame the integer products u_i[p] * u_i[q] of its integer image
+u_i = L * f_i, that is L^2 * [A | b]; one factor for all of
 [A | b] leaves Bland's pivot path, the weights and the normalized
 certificate as they are.  The tableau then holds lists of Python ints
 over one common denominator D, so no pivot builds a Fraction or takes a
@@ -24,7 +25,7 @@ The report asks `solve_gram` first, on rational frames.  The trace inner
 product of sum_i w_i f_i f_i^t = I with f_j f_j^t is H w = d, H = G o G
 (entrywise square of the Gram matrix G) and d = diag G.  H is the Gram
 matrix of the f_i f_i^t, so when it is nonsingular at most one w exists.
-On the integer Gram matrix (`Frame.integer_gram`) the system reads
+On the integer Gram matrix (`Frame.exact_gram`) the system reads
 H' w = b with H' = L^4 H and b = L^2 diag G' = L^4 d.  H' is positive
 semidefinite, so `linalg.eliminate` takes [H' | b] fraction-free without
 row exchanges, and a zero pivot means that H is singular and the tableau
@@ -34,7 +35,8 @@ R = I - sum_i w_i f_i f_i^t is orthogonal to every f_i f_i^t, hence to
 I - R, so <f_i, R f_i> = 0 and tr R = |R|_F^2.  When R != 0 the frame is
 not scalable and Y = R / tr R, the least-norm trace-one matrix with every
 <f_i, Y f_i> = 0, is the certificate; it is formed from
-det(H') L^2 I - sum_i N_i u_i u_i^t and its trace.  When R = 0 and N >= 0
+det(H') L^2 I - sum_i N_i u_i u_i^t, one sum over the N_i per row of the
+product table, and its trace.  When R = 0 and N >= 0
 the weights are the only ones, so the answer is the tableau's to the last
 bit.  The tableau answers otherwise: no integer image, m > n(n+1)/2
 (H singular; tested before eliminating), a zero pivot, or a negative
@@ -84,29 +86,20 @@ class ScaleLP(NamedTuple):
 
     frame: Frame
     row_index: tuple  # tuple of (p, q), p <= q, lexicographic
-    scaled_matrix: tuple  # rows, each a tuple of m entries c * f_i[p] * f_i[q]
+    scaled_matrix: tuple  # the frame's product table `Frame.outer_products`
     scaled_rhs: tuple  # c on diagonal rows, 0 elsewhere
-    scale: int  # c
 
 
 def build_lp(frame: Frame) -> ScaleLP:
-    n, m = frame.dim, frame.count
+    n = frame.dim
     image = frame.integer_image
     if image is None:
-        vectors, scale = frame.vectors, 1
         one = Fraction(1) if frame.is_exact else 1.0
     else:
-        vectors = image.vectors
-        one = scale = image.scale ** 2
-    cols = tuple(zip(*vectors))
-    zero = one * 0
-    index, rows, rhs = [], [], []
-    for p in range(n):
-        for q in range(p, n):
-            index.append((p, q))
-            rows.append(tuple(map(mul, cols[p], cols[q])))
-            rhs.append(one if p == q else zero)
-    return ScaleLP(frame, tuple(index), tuple(rows), tuple(rhs), scale)
+        one = image.scale ** 2
+    index = tuple((p, q) for p in range(n) for q in range(p, n))
+    return ScaleLP(frame, index, frame.outer_products,
+                   tuple(one if p == q else one * 0 for p, q in index))
 
 
 class OracleResult(NamedTuple):
@@ -369,11 +362,11 @@ def solve_gram(frame: Frame) -> OracleResult | None:
     answer: no integer image, m > n(n+1)/2, H singular, or a negative
     unique weight.  The residual det(H') L^2 (I - sum_i w_i f_i f_i^t)
     has the trace n det(H') L^2 - sum_i N_i |u_i|^2."""
-    gram = frame.integer_gram
+    image = frame.integer_image
     n, m = frame.dim, frame.count
-    if gram is None or 2 * m > n * (n + 1):
+    if image is None or 2 * m > n * (n + 1):
         return None
-    scale = frame.integer_image.scale ** 2
+    gram, scale = frame.exact_gram, image.scale ** 2
     # row i of [H' | b] from column i on, reversed: see `eliminate`
     rows = [[scale * row[i]] + [x * x for x in reversed(row[i:])]
             for i, row in enumerate(gram)]
@@ -387,12 +380,10 @@ def solve_gram(frame: Frame) -> OracleResult | None:
     trace = n * d * scale - sum(x * row[i]
                                 for i, (x, row) in enumerate(zip(nums, gram)))
     if trace:
-        cols = tuple(zip(*frame.integer_image.vectors))
-        weighted = [tuple(map(mul, nums, col)) for col in cols]
-        return OracleResult("infeasible", farkas=SymmetricMatrix.from_function(
-            n, lambda p, q: Fraction((d * scale if p == q else 0)
-                                     - sum(map(mul, weighted[p], cols[q])),
-                                     trace)))
+        diagonal = [p == q for p in range(n) for q in range(p, n)]
+        return OracleResult("infeasible", farkas=SymmetricMatrix(n, [
+            Fraction(d * scale * on - sum(map(mul, nums, row)), trace)
+            for on, row in zip(diagonal, frame.outer_products)]))
     if min(nums) < 0:
         return None
     w = tuple(Fraction(x, d) for x in nums)

@@ -29,9 +29,9 @@ TOL = 1e-8
 
 def highs(lp):
     """(nonneg feasible, max floor t or None) from HiGHS."""
-    a = [[float(Fraction(x) / lp.scale) for x in row]
-         for row in lp.scaled_matrix]
-    b = [float(Fraction(x) / lp.scale) for x in lp.scaled_rhs]
+    c = lp.scaled_rhs[0]
+    a = [[float(Fraction(x) / c) for x in row] for row in lp.scaled_matrix]
+    b = [float(Fraction(x) / c) for x in lp.scaled_rhs]
     m = lp.frame.count
     nonneg = linprog([0.0] * m, A_eq=a, b_eq=b, bounds=(0, None),
                      method="highs")

@@ -40,9 +40,9 @@ MERCEDES = load("canonical/mercedes").frame
 
 def _system(lp):
     """A and b of a rational LP, from the scaled system the simplex reads."""
-    a = tuple(tuple(Fraction(x, lp.scale) for x in row)
-              for row in lp.scaled_matrix)
-    return a, tuple(Fraction(x, lp.scale) for x in lp.scaled_rhs)
+    c = lp.scaled_rhs[0]
+    a = tuple(tuple(Fraction(x, c) for x in row) for row in lp.scaled_matrix)
+    return a, tuple(Fraction(x, c) for x in lp.scaled_rhs)
 
 
 class TestBuildLP:
@@ -84,7 +84,7 @@ class TestBuildLP:
               for _ in range(n)] for _ in range(m)], exact=True)
         lp = build_lp(fr)
         c = fr.integer_image.scale ** 2
-        assert lp.scale == c and lp.frame is fr
+        assert lp.scaled_rhs[0] == c and lp.frame is fr
         a, b = _system(lp)
         for (p, q), row, scaled, bv, scaled_b in zip(
                 lp.row_index, a, lp.scaled_matrix, b, lp.scaled_rhs):
@@ -298,7 +298,6 @@ class TestScalingInvariance:
             scaled_matrix=tuple(tuple(k * a for a in r)
                                 for r in lp.scaled_matrix),
             scaled_rhs=tuple(k * b for b in lp.scaled_rhs),
-            scale=k * lp.scale,
         ))
         assert base_pivots and pivots == base_pivots
         assert scaled == base
