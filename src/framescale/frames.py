@@ -8,8 +8,9 @@ construction) refuse exact mode.
 
 An exact rational frame has one integer image, built once per frame: the
 vectors u_i = L * f_i for the least common multiple L of all its entry
-denominators.  One L for every vector keeps every exact step below an
-exact multiple of the rational quantity, with no Fraction arithmetic.
+denominators.  One L for every vector makes each integer quantity below
+an exact multiple of its rational counterpart, with no Fraction
+arithmetic.
 
 Every frame has one product table, `Frame.outer_products`: row (p, q),
 p <= q, holds the m products c * f_i[p] * f_i[q], ints with c = L^2 on

@@ -183,8 +183,9 @@ class FrameGraph:
 def build_graph(frame: Frame, tol_zero: float = 1e-10) -> FrameGraph:
     """Edge (i,j) iff |<f_i, f_j>| exceeds tol_zero, a finite number >= 0.
     On an exact frame the edge means <f_i, f_j> != 0, whatever tol_zero is,
-    and its edges and zero vectors are read off `Frame.exact_gram`.  Vector i is flagged zero_vector when
-    <f_i, f_i> is not above tol_zero (above 0 on an exact frame).
+    and its edges and zero vectors are read off `Frame.exact_gram`.
+    Vector i is flagged zero_vector when <f_i, f_i> is not above tol_zero
+    (above 0 on an exact frame).
 
     On a float frame <f_i, f_j> is the float x_ij that `ordered_sum` adds
     left to right from the rounded products, the same bits on every

@@ -36,11 +36,11 @@ I - R, so <f_i, R f_i> = 0 and tr R = |R|_F^2.  When R != 0 the frame is
 not scalable and Y = R / tr R, the least-norm trace-one matrix with every
 <f_i, Y f_i> = 0, is the certificate; it is formed from
 det(H') L^2 I - sum_i N_i u_i u_i^t, one sum over the N_i per row of the
-product table, and its trace.  When R = 0 and N >= 0
-the weights are the only ones, so the answer is the tableau's to the last
-bit.  The tableau answers otherwise: no integer image, m > n(n+1)/2
-(H singular; tested before eliminating), a zero pivot, or a negative
-unique weight, whose certificate needs a second solve.
+product table, and its trace.  When R = 0 and N >= 0 the weights are the
+only ones, so the answer is the tableau's to the last bit.  The tableau
+answers otherwise: no integer image, m > n(n+1)/2 (H singular; tested
+before eliminating), a zero pivot, or a negative unique weight, whose
+certificate needs a second solve.
 
 The oracle checks its own answers with `verify_weights` (the residual it
 reports, computed on the integer image for a rational frame) and
