@@ -11,6 +11,7 @@ necessary condition, and M's frame graph (K2 u K2) v K_{1,3} on its own.
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
@@ -189,25 +190,25 @@ def _cycle_pattern_ok(frame: Frame, m: int) -> bool:
     return True
 
 
+# Kn, Cn, Pn, En (kind case-insensitive) or K_{a,b}: every size a
+# nonnegative integer
+_NAMED_GRAPH = re.compile(
+    r"([KCPEkcpe])(\d+)|K_\{\s*\+?(\d+)\s*,\s*\+?(\d+)\s*\}")
+_NAMED_KINDS = {"K": complete_graph, "C": cycle_graph, "P": path_graph,
+                "E": empty_graph}
+
+
 def named_graph(spec: str) -> FrameGraph:
-    """Parse small named graphs: Kn, K_{a,b}, Cn, Pn, En (edgeless)."""
-    text = spec.strip()
-    if text.startswith("K_{") and text.endswith("}"):
-        a, b = text[3:-1].split(",")
-        return complete_bipartite_graph(int(a), int(b))
-    kind, num = text[0].upper(), text[1:]
-    if not num.isdigit():
+    """Parse small named graphs: Kn, K_{a,b}, Cn, Pn, En (edgeless).  Any
+    other name, a negative size or a count of sizes other than two among
+    them, is a CorpusError."""
+    match = _NAMED_GRAPH.fullmatch(spec.strip())
+    if match is None:
         raise CorpusError(f"cannot parse graph name {spec!r}")
-    k = int(num)
-    if kind == "K":
-        return complete_graph(k)
-    if kind == "C":
-        return cycle_graph(k)
-    if kind == "P":
-        return path_graph(k)
-    if kind == "E":
-        return empty_graph(k)
-    raise CorpusError(f"cannot parse graph name {spec!r}")
+    kind, num, a, b = match.groups()
+    if kind is None:
+        return complete_bipartite_graph(int(a), int(b))
+    return _NAMED_KINDS[kind.upper()](int(num))
 
 
 __all__ = [

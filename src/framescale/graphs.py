@@ -9,10 +9,11 @@ the products only for the pairs within that bound of ``tol_zero``, so the
 edges are those of the pairwise rule.  A graph holds the adjacency
 bitmasks it builds once (``FrameGraph.masks``) and one bitmask of the zero
 vectors (``FrameGraph.zero_vectors``); a vertex's flags, isolated or
-zero_vector, are read off those two.  All statistics are computed
-exactly, from the adjacency bitmasks.  The two exponential searches,
-independence number and longest induced path, run behind a configurable
-vertex cap as branch and bound over bitmasks:
+zero_vector, are read off those two.  Every constructor builds
+symmetric masks itself, so no mask is checked after it is built.  All
+statistics are computed exactly, from the adjacency bitmasks.  The two
+exponential searches, independence number and longest induced path, run
+up to DEFAULT_VERTEX_CAP vertices as branch and bound over bitmasks:
 
 - maximum independent set: a subtree is cut when its candidates, counted
   one by one or as the cliques of a greedy clique cover (an independent
@@ -116,26 +117,12 @@ class FrameGraph:
         self.zero_vectors = 0
 
     @classmethod
-    def from_masks(cls, masks) -> "FrameGraph":
-        """Graph whose vertex v has neighbourhood ``masks[v]``.  Raises
-        GraphError unless the masks are a graph: each a nonnegative int
-        below 2**m, with no bit v in ``masks[v]``, and bit u of
-        ``masks[v]`` set exactly when bit v of ``masks[u]`` is."""
-        m = len(masks)
-        if not m:
-            raise GraphError("need at least one vertex")
-        full = (1 << m) - 1
-        for v, mask in enumerate(masks):
-            if not (0 <= mask <= full and not mask >> v & 1
-                    and all(masks[u] >> v & 1 for u in mask_vertices(mask))):
-                raise GraphError(f"masks are not a graph at vertex {v}")
-        return cls._unchecked(masks)
-
-    @classmethod
     def _unchecked(cls, masks, zero_vectors: int = 0) -> "FrameGraph":
         """Graph on ``masks`` whose vertex v is flagged ``zero_vector`` when
-        bit v of ``zero_vectors`` is set; unlike ``from_masks`` it checks
-        nothing, for masks that are a graph by construction."""
+        bit v of ``zero_vectors`` is set.  It checks nothing: every caller
+        builds masks that are a graph (each below 2**m, no bit v in
+        ``masks[v]``, bit u of ``masks[v]`` set exactly when bit v of
+        ``masks[u]`` is) by construction."""
         g = cls.__new__(cls)
         g.vertex_count = len(masks)
         g.masks = tuple(masks)
@@ -590,11 +577,12 @@ def _longest_induced_path(g: FrameGraph):
     return length, tuple(path)
 
 
-def compute_stats(g: FrameGraph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> GraphStats:
+def compute_stats(g: FrameGraph) -> GraphStats:
     """All graph statistics, computed exactly.
 
     The exponential searches (alpha, longest induced path) are skipped and
-    reported as None with cap_exceeded=True when vertex_count > vertex_cap.
+    reported as None with cap_exceeded=True when vertex_count is above
+    DEFAULT_VERTEX_CAP.
     """
     m = g.vertex_count
     comps, part_sizes = _components(g)
@@ -602,7 +590,7 @@ def compute_stats(g: FrameGraph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> GraphS
     degrees = [mask.bit_count() for mask in g.masks]
     edge_count = sum(degrees) // 2
 
-    cap_exceeded = m > vertex_cap
+    cap_exceeded = m > DEFAULT_VERTEX_CAP
     alpha = mis = path_len = witness = None
     if not cap_exceeded:
         mask = _max_independent_set_masks(g.masks)

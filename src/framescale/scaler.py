@@ -5,7 +5,10 @@ w_i = a_i^2: stacking the upper triangle of sum_i w_i f_i f_i^t = I gives an
 equality system A w = b.  Strict scalability maximizes the floor t with
 w_i >= t.  One two-phase simplex with Bland's rule, on a tableau that
 stores only the nonbasic columns, answers both questions: phase 1 decides
-feasibility, phase 2 maximizes the floor.
+feasibility, phase 2 maximizes the floor.  Both phases set their objective
+row by the one cost rule of `_Tableau.set_objective`, and a feasible
+answer, from the tableau or from the Gram solve below, is assembled by
+one constructor.
 Infeasibility is returned as a Farkas certificate reassembled into a
 symmetric matrix Y with <f_i, Y f_i> <= 0 for all i and trace(Y) = 1.
 
@@ -43,7 +46,7 @@ before eliminating), a zero pivot, or a negative unique weight, whose
 certificate needs a second solve.
 
 The oracle checks its own answers with `verify_weights` (the residual it
-reports, computed on the integer image for a rational frame) and
+reports, read off the frame's product table) and
 `verify_farkas` (the gate on float certificates).  `verify_weights` lives
 in `frames`, where at unit weights it is the tightness test, and is
 re-exported here with `WeightReport`.
@@ -166,17 +169,8 @@ class _Tableau:
 
     def set_objective(self, cost):
         """Objective row D*c - sum_i c_B(i) T_i for costs c, one per original
-        column; its rhs entry is not read.  When every costed column is basic
-        at cost 1, as in phase 1 on the artificial basis, this is minus the
-        column sums of T, with floats added left to right, which gives the
-        bits of the subtraction loop."""
-        zero = self.d * 0
-        if (not any(cost[j] for j in self.cols)
-                and all(cost[j] == 1 for j in self.basis)):
-            add = sum if self.exact else ordered_sum
-            self.obj = [zero - add(col, zero) for col in zip(*self.t)]
-            return
-        obj = [self.d * cost[j] for j in self.cols] + [zero]
+        column; its rhs entry is not read."""
+        obj = [self.d * cost[j] for j in self.cols] + [self.d * 0]
         for row, j in zip(self.t, self.basis):
             cb = cost[j]
             if cb:
@@ -356,6 +350,14 @@ def _scaling(w) -> float:
     raise SolverError("a scaling sqrt(w) is outside the normal float range")
 
 
+def _feasible(w, strict: bool, residual) -> OracleResult:
+    """The strict answer at weights w: strictly_feasible or boundary, with
+    the scalings, the residual and the margin min w_i."""
+    return OracleResult("strictly_feasible" if strict else "boundary",
+                        weights=w, scalings=tuple(map(_scaling, w)),
+                        residual=residual, margin=min(w))
+
+
 def solve_gram(frame: Frame) -> OracleResult | None:
     """The strict answer read off the Hadamard Gram system of a rational
     frame (see the module docstring), or None when the tableau has to
@@ -387,11 +389,7 @@ def solve_gram(frame: Frame) -> OracleResult | None:
     if min(nums) < 0:
         return None
     w = tuple(Fraction(x, d) for x in nums)
-    return OracleResult(
-        "strictly_feasible" if min(nums) else "boundary",
-        weights=w, scalings=tuple(map(_scaling, w)),
-        residual=verify_weights(frame, w).residual, margin=min(w),
-    )
+    return _feasible(w, min(nums) > 0, verify_weights(frame, w).residual)
 
 
 def solve_strict(lp: ScaleLP, tol: float = FEASIBILITY_TOL) -> OracleResult:
@@ -433,11 +431,7 @@ def solve_strict(lp: ScaleLP, tol: float = FEASIBILITY_TOL) -> OracleResult:
             detail=f"feasible basis but weight residual {residual:.3e}",
         )
     strict = (t_star > 0) if exact else (float(t_star) > tol)
-    return OracleResult(
-        "strictly_feasible" if strict else "boundary",
-        weights=w, scalings=tuple(map(_scaling, w)), residual=residual,
-        margin=min(w),
-    )
+    return _feasible(w, strict, residual)
 
 
 def solve_scalable(lp: ScaleLP, tol: float = FEASIBILITY_TOL) -> OracleResult:

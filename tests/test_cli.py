@@ -131,11 +131,17 @@ class TestInputErrors:
          "--dim applies only to --graph"),
         (["filters", "--graph", "NOPE"], None,
          "error: --graph requires an explicit --dim\n"),
+        # braces doubled for str.format
+        (["filters", "--graph", "K_{{-1,2}}", "--dim", "1"], None,
+         "cannot read graph 'K_{-1,2}'"),
+        (["filters", "--graph", "K_{{1,2,3}}", "--dim", "1"], None,
+         "cannot read graph 'K_{1,2,3}'"),
     ], ids=["frame_keys", "no_vectors", "empty_csv", "ragged_csv",
             "graph_not_adjacency", "graph_unreadable", "graph_bad_json",
             "filters_no_input", "graph_no_input", "filters_frame_and_graph",
             "graph_frame_and_graph", "filters_dim_without_graph",
-            "filters_graph_without_dim"])
+            "filters_graph_without_dim", "graph_negative_size",
+            "graph_three_sizes"])
     def test_exit_2(self, tmp_path, capsys, argv, text, message):
         path = tmp_path / "input"
         if text is not None:

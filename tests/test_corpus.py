@@ -108,7 +108,14 @@ class TestNamedGraph:
         assert not named_graph("E4").edges
 
     def test_bad_names(self):
-        with pytest.raises(CorpusError):
-            named_graph("Q3")
-        with pytest.raises(CorpusError):
-            named_graph("Kx")
+        # a negative size, or a count of K_{...} sizes other than two,
+        # makes the name unknown
+        for name in ("Q3", "Kx", "K_{-1,2}", "K_{2,-1}", "K_{1}",
+                     "K_{1,2,3}", "K_{}", "K_{a,2}", "K-1", "K\u00b2"):
+            with pytest.raises(CorpusError):
+                named_graph(name)
+
+    def test_bipartite_sizes_as_int_reads_them(self):
+        for name in ("K_{ 2 , 3 }", "K_{+2,3}", "K_{02,3}"):
+            assert named_graph(name) == named_graph("K_{2,3}")
+        assert named_graph("K_{0,3}") == named_graph("E3")

@@ -174,7 +174,7 @@ class TestDiameterCodim2:
             edges += [(i, j) for i in range(m) for j in range(i + 1, m)
                       if rng.random() < 0.1]
             g = FrameGraph(m, edges)
-            if compute_stats(g, vertex_cap=0).diameter >= 3:
+            if compute_stats(g).diameter >= 3:
                 self.check_far_pair(g)
                 checked += 1
 

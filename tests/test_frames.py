@@ -135,6 +135,73 @@ class TestFrameOperator:
         assert frame_operator(fr) is frame_operator(fr)
         assert built == [fr]
 
+    @pytest.mark.parametrize("frame", [
+        pytest.param(Frame.from_vectors(
+            [[Fraction(1, 2), 0], [Fraction(1, 3), Fraction(2, 3)],
+             [Fraction(1, 3), Fraction(-2, 3)]], exact=True), id="L6"),
+        pytest.param(MERCEDES, id="mercedes"),
+    ])
+    def test_exact_analysis_reads_the_exact_operator(self, frame,
+                                                     monkeypatch):
+        """A whole exact analysis, oracle included, builds
+        Frame.exact_operator once, for is_frame and classify_tightness,
+        and never the float loop of Frame.operator."""
+        built = []
+        for name in ("operator", "exact_operator"):
+            def counted(fr, entries=Frame.__dict__[name].func, name=name):
+                built.append(name)
+                return entries(fr)
+
+            prop = cached_property(counted)
+            prop.__set_name__(Frame, name)
+            monkeypatch.setattr(Frame, name, prop)
+        fresh = Frame(frame.dim, frame.vectors, frame.scalar_mode)
+        report = analyze_frame(fresh, AnalysisConfig())
+        assert built == ["exact_operator"]
+        assert report["conclusion"]["verdict"] == "strictly_scalable"
+
+    @pytest.mark.parametrize("m, n, seed", [(6, 3, 0), (16, 6, 1),
+                                            (40, 10, 2)])
+    def test_float_weights_keep_the_loop_bits(self, m, n, seed):
+        """At float weights the residual and the tightness are those of
+        S_pq = sum_i w_i * (v_i[p] * v_i[q]) added left to right, on
+        Gaussian and on Parseval frames, at weights near 1 (Parseval or
+        nearly) and at weights that make a Parseval frame tight."""
+        rng = random.Random(f"float-weights:{seed}")
+        gauss = Frame.from_vectors([[rng.gauss(0, 1) for _ in range(n)]
+                                    for _ in range(m)])
+        parseval = random_parseval(m, n, seed)
+        cases = [(gauss, [rng.uniform(0.5, 2) for _ in range(m)]),
+                 (parseval, [1 + rng.uniform(-1e-10, 1e-10)
+                             for _ in range(m)]),
+                 (parseval, [1.0] * m), (parseval, [0.3] * m)]
+        kinds = set()
+        for fr, w in cases:
+            s = {}
+            for p in range(n):
+                for q in range(p, n):
+                    total = 0.0
+                    for x, v in zip(w, fr.vectors):
+                        total = total + x * (v[p] * v[q])
+                    s[p, q] = total
+            a = s[0, 0]
+            for p in range(1, n):
+                a = a + s[p, p]
+            a = a / n
+            residual = max(abs(x - (p == q)) for (p, q), x in s.items())
+            gap = max(abs(x - (a if p == q else 0)) for (p, q), x in s.items())
+            got = verify_weights(fr, w, 1e-9)
+            assert got.residual.hex() == residual.hex()
+            if residual < 1e-9:
+                want = Tightness("parseval", 1.0)
+            elif a > 0 and gap < 1e-9:
+                want = Tightness("tight", a)
+            else:
+                want = Tightness("not_tight")
+            assert repr(got.tightness) == repr(want)
+            kinds.add(want.kind)
+        assert kinds == {"parseval", "tight", "not_tight"}
+
 
 class TestIsFrame:
     def test_m1_spans(self):

@@ -293,6 +293,77 @@ def test_benchmark_span_bindings_resolve():
     assert targets and unbound <= _UNBOUND_SPANS
 
 
+# the public functions that only tests call: tests/test_acceptance.py
+# imports each of them, and it is kept as it is
+_TEST_ONLY = {"frame_operator", "scale_frame", "symmetric_eigs",
+              "zero_pattern_equal"}
+
+
+def _code_words(tree, skip=None):
+    """The identifiers a module's code names, and the words of its string
+    literals other than docstrings (comments are not in the tree), with
+    the subtree ``skip`` left out."""
+    docstrings = {id(node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Expr)
+                  and isinstance(node.value, ast.Constant)}
+    words, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+        if isinstance(node, ast.Name):
+            words.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            words.add(node.attr)
+        elif isinstance(node, ast.alias):
+            words.add(node.name.rpartition(".")[2])
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            words.update(re.findall(r"\w+", node.value))
+    return words
+
+
+def _public_defs(tree):
+    """(qualified name, node) of each public function and of each public
+    method of a public class, at module level."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for sub in node.body:
+                if (isinstance(sub, ast.FunctionDef)
+                        and not sub.name.startswith("_")):
+                    yield f"{node.name}.{sub.name}", sub
+        elif (isinstance(node, ast.FunctionDef)
+              and not node.name.startswith("_")):
+            yield node.name, node
+
+
+def test_no_public_helper_only_tests_call():
+    """Every public function and method of the package is named by code
+    outside its own definition: in its module, in another module (the
+    re-exports of __init__.py aside), or in perfbench/ or tools/, the
+    benchmark's span table included.  The only exceptions are the
+    helpers that the acceptance tests import."""
+    root = Path(__file__).parents[1]
+    package = {path: ast.parse(path.read_text())
+               for path in sorted((root / "src" / "framescale").glob("*.py"))
+               if path.name != "__init__.py"}
+    words = {path: _code_words(tree) for path, tree in package.items()}
+    scripts = set().union(*(_code_words(ast.parse(path.read_text()))
+                            for folder in ("perfbench", "tools")
+                            for path in sorted((root / folder).glob("*.py"))))
+    unused = set()
+    for path, tree in package.items():
+        named = scripts.union(*(w for p, w in words.items() if p != path))
+        for qualname, node in _public_defs(tree):
+            if (node.name not in named
+                    and node.name not in _code_words(tree, skip=node)):
+                unused.add(qualname)
+    assert unused == _TEST_ONLY
+    acceptance = ast.parse((root / "tests" / "test_acceptance.py").read_text())
+    assert _TEST_ONLY <= _code_words(acceptance)
+
+
 def test_benchmark_imports_resolve():
     """Every name the benchmark's scripts import from the package, at
     module level or inside a function, is still bound where they import

@@ -568,6 +568,20 @@ class TestVerifiersOnMixedDenominators:
         # weights that solve nothing in particular
         self._same_weights(fr, [Fraction(1, 2 + i % 3)
                                 for i in range(fr.count)], tol)
+        # quadratic irrational weights on the rational frame
+        self._same_weights(fr, [QuadExt(2, Fraction(1, 1 + i % 3),
+                                        Fraction(i % 2, 5))
+                                for i in range(fr.count)], tol)
+        # rational weights on a copy in Q(sqrt 2): every other vector is
+        # multiplied by 1 + sqrt(2) / 3
+        lift = QuadExt(2, 1, Fraction(1, 3))
+        qfr = Frame.from_vectors([[lift * x for x in v] if i % 2 else v
+                                  for i, v in enumerate(fr.vectors)],
+                                 exact=True)
+        if fr.count > 1:
+            assert qfr.integer_image is None
+        self._same_weights(qfr, [Fraction(1, 2 + i % 3)
+                                 for i in range(fr.count)], tol)
 
 
 def reference_strict(lp):
@@ -854,9 +868,10 @@ def unpacked_objective(tab, cost):
 
 @pytest.mark.parametrize("group", sorted(REFERENCE_DRAWS))
 def test_phase1_objective_from_the_input_rows(group, monkeypatch):
-    """The phase-1 objective row, taken as minus the column sums of the
-    rows, equals the one built row by row from the stored rows, on every
-    reference LP and on its float copy (to the bit)."""
+    """The phase-1 objective row equals the one built row by row from
+    the stored rows, on every reference LP and on its float copy (to the
+    bit, signed zeros included), so no shortcut for the artificial basis
+    moves a bit."""
     checked = []
     init = scaler._Tableau.__init__
 
