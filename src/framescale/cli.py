@@ -23,8 +23,14 @@ from itertools import chain
 
 from . import corpus
 from .exactnum import ExactModeError, parse_exact
-from .frames import Frame, FrameError, random_parseval
-from .graphs import FrameGraph, GraphError, build_graph, export_dot
+from .frames import DEFAULT_TOL, Frame, FrameError, random_parseval
+from .graphs import (
+    DEFAULT_TOL_ZERO,
+    FrameGraph,
+    GraphError,
+    build_graph,
+    export_dot,
+)
 from .linalg import JacobiConvergenceError
 from .report import (
     AnalysisConfig,
@@ -354,9 +360,9 @@ _DIM = _checked(int, lambda n: n >= 1, "must be a positive integer")
 def _add_common(sub, input_optional=False):
     sub.add_argument("input", nargs="?" if input_optional else None,
                      help="frame file, corpus name, or generator call")
-    sub.add_argument("--tol", type=_TOL, default=1e-8,
+    sub.add_argument("--tol", type=_TOL, default=DEFAULT_TOL,
                      help="solver / Parseval tolerance (default 1e-8)")
-    sub.add_argument("--tol-zero", type=_TOL_ZERO, default=1e-10,
+    sub.add_argument("--tol-zero", type=_TOL_ZERO, default=DEFAULT_TOL_ZERO,
                      help="adjacency zero threshold (default 1e-10)")
     sub.add_argument("--exact", action="store_true",
                      help="exact rational arithmetic; adjacency is then "

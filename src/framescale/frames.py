@@ -299,11 +299,13 @@ def verify_weights(frame: Frame, weights=None,
     `Frame.exact_operator` on an exact frame and `Frame.operator` on a
     float one; at given weights it is one sum over the w_i per row of
     `Frame.outer_products`.  Rational weights N_i / D on a rational frame
-    take the ints N_i instead, and c = D * L^2.  Floats add left to
-    right, so float products give the bits of the plain loop.  An exact
-    c * S is tight when it equals a * I with a > 0, and Parseval when
-    a = c.  A float S is Parseval when its residual max |S - I| is below
-    tol, and tight when max |S - a * I| is, for a = trace(S) / n.  The
+    take the ints N_i instead, and c = D * L^2; finite float weights count
+    as rational there, read exactly, so no product leaves the float range.
+    Floats add left to right, so float products give the bits of the
+    plain loop.  An exact c * S is tight when it equals a * I with a > 0,
+    and Parseval when a = c.  Otherwise (float weights or a float frame)
+    S is Parseval when its residual max |S - I| is below tol, and tight
+    when max |S - a * I| is, for a = trace(S) / n.  The
     residual is a float, math.inf when it lies beyond the float range;
     unit weights on an exact frame leave it None."""
     n = frame.dim
@@ -318,10 +320,13 @@ def verify_weights(frame: Frame, weights=None,
             raise ValueError("weight count mismatch")
         exact = frame.is_exact and not any(isinstance(w, float)
                                            for w in weights)
-        if image is not None and all(isinstance(w, (int, Fraction))
-                                     for w in weights):
-            d = math.lcm(*(w.denominator for w in weights))
-            weights = [w.numerator * (d // w.denominator) for w in weights]
+        if image is not None and all(
+                isinstance(w, (int, Fraction))
+                or isinstance(w, float) and math.isfinite(w)
+                for w in weights):
+            ratios = [w.as_integer_ratio() for w in weights]  # exact
+            d = math.lcm(*(q for _, q in ratios))
+            weights = [p * (d // q) for p, q in ratios]
             c *= d
         add = sum if exact else ordered_sum
         s = SymmetricMatrix(n, [add(map(mul, weights, row))
@@ -342,9 +347,9 @@ def verify_weights(frame: Frame, weights=None,
     elif residual < tol:
         tightness = Tightness("parseval", 1.0)
     else:
-        a = s.trace() / n
+        a = s.trace() / Fraction(n)  # a Fraction on int entries
         if a > 0 and s.deviation(a) / c < tol:
-            tightness = Tightness("tight", a / c)
+            tightness = Tightness("tight", float(a / c))
     return WeightReport(residual, tightness)
 
 

@@ -59,6 +59,7 @@ from .frames import Frame
 from .linalg import ordered_sum
 
 DEFAULT_VERTEX_CAP = 32
+DEFAULT_TOL_ZERO = 1e-10  # float adjacency threshold
 
 # The float screen of build_graph: unit roundoff, the smallest normal
 # float, and the caps above which a row takes the exact test throughout.
@@ -167,7 +168,8 @@ class FrameGraph:
         return f"FrameGraph(m={self.vertex_count}, edges={self.edge_count()})"
 
 
-def build_graph(frame: Frame, tol_zero: float = 1e-10) -> FrameGraph:
+def build_graph(frame: Frame,
+                tol_zero: float = DEFAULT_TOL_ZERO) -> FrameGraph:
     """Edge (i,j) iff |<f_i, f_j>| exceeds tol_zero, a finite number >= 0.
     On an exact frame the edge means <f_i, f_j> != 0, whatever tol_zero is,
     and its edges and zero vectors are read off `Frame.exact_gram`.

@@ -21,8 +21,20 @@ from .filters import (
     FilterBattery,
     run_all_filters,
 )
-from .frames import Frame, classify_tightness, is_frame, naimark_complement
-from .graphs import FrameGraph, GraphStats, build_graph, compute_stats
+from .frames import (
+    DEFAULT_TOL,
+    Frame,
+    classify_tightness,
+    is_frame,
+    naimark_complement,
+)
+from .graphs import (
+    DEFAULT_TOL_ZERO,
+    FrameGraph,
+    GraphStats,
+    build_graph,
+    compute_stats,
+)
 from .linalg import SymmetricMatrix
 from .scaler import OracleResult, build_lp, solve_gram, solve_strict
 
@@ -30,8 +42,8 @@ REPORT_VERSION = 3
 
 
 class AnalysisConfig(NamedTuple):
-    tol: float = 1e-8  # solver / Parseval tolerance
-    tol_zero: float = 1e-10  # adjacency threshold (not read in exact mode)
+    tol: float = DEFAULT_TOL  # solver / Parseval tolerance
+    tol_zero: float = DEFAULT_TOL_ZERO  # adjacency; not read in exact mode
     filters_only: bool = False
 
 

@@ -63,6 +63,7 @@ from typing import NamedTuple
 
 from .exactnum import QuadExt, magnitude, sign
 from .frames import (  # verify_weights and WeightReport: re-exported
+    DEFAULT_TOL,
     Frame,
     SymmetricMatrix,
     WeightReport,
@@ -70,7 +71,6 @@ from .frames import (  # verify_weights and WeightReport: re-exported
 )
 from .linalg import bareiss_step, eliminate, ordered_sum
 
-FEASIBILITY_TOL = 1e-8
 PIVOT_TOL = 1e-10
 PIVOT_CAP_FACTOR = 50  # pivots per tableau row plus column
 
@@ -392,7 +392,7 @@ def solve_gram(frame: Frame) -> OracleResult | None:
     return _feasible(w, min(nums) > 0, verify_weights(frame, w).residual)
 
 
-def solve_strict(lp: ScaleLP, tol: float = FEASIBILITY_TOL) -> OracleResult:
+def solve_strict(lp: ScaleLP, tol: float = DEFAULT_TOL) -> OracleResult:
     """Maximize the floor t over {Aw = b, w_i >= t >= 0}.
 
     Substituting w = t*1 + u (u >= 0) keeps the system in standard form.  It
@@ -434,14 +434,14 @@ def solve_strict(lp: ScaleLP, tol: float = FEASIBILITY_TOL) -> OracleResult:
     return _feasible(w, strict, residual)
 
 
-def solve_scalable(lp: ScaleLP, tol: float = FEASIBILITY_TOL) -> OracleResult:
+def solve_scalable(lp: ScaleLP, tol: float = DEFAULT_TOL) -> OracleResult:
     """Decide {Aw = b, w >= 0}: the nonneg projection of solve_strict, so
     feasible weights are the max-floor weights."""
     return solve_strict(lp, tol).nonneg()
 
 
 def verify_farkas(frame: Frame, y: SymmetricMatrix,
-                  tol: float = FEASIBILITY_TOL) -> bool:
+                  tol: float = DEFAULT_TOL) -> bool:
     """True iff <f_i, y f_i> <= tol for all i and trace(y) >= 1 - tol.
     Exact entries add exactly, and at tol == 0 the test takes their signs;
     otherwise the entries are converted to floats once and added left to

@@ -48,8 +48,11 @@ M1 = load("paper/M1").frame
 M2 = load("paper/M2").frame
 
 
-def run_one(fn, g, n, **kw):
-    return fn(g, g.vertex_count, n, compute_stats(g), **kw)
+def run_one(fn, g, n):
+    """The report of the battery's row for test fn on g alone."""
+    row = next(row for row in filters._GRAPH_FILTERS if row[2] is fn)
+    return filters._graph_report(row, fn(g, g.vertex_count, n,
+                                         compute_stats(g)))
 
 
 class TestVerdictLattice:
@@ -414,6 +417,17 @@ class TestRunAll:
             "unique_common_neighbor", "leaf_bridge", "tree", "cycle",
             "induced_path",
         ]
+
+    def test_disabled_battery_keeps_the_order(self):
+        # C4 plus an isolated vertex: every graph filter is reported, in
+        # the order of the enabled battery, and none applies
+        g = graph_union(cycle_graph(4), FrameGraph(1, []))
+        disabled = run_all_filters(g, 3).reports
+        enabled = run_all_filters(cycle_graph(4), 3).reports
+        assert [r.filter_id for r in disabled] == \
+            [r.filter_id for r in enabled]
+        assert len(disabled) == 11
+        assert not any(r.applicable for r in disabled)
 
 
 # (premise, consequence): every graph and dimension on which the premise

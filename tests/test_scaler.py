@@ -12,17 +12,17 @@ import pytest
 from framescale.corpus import load, names, onb, random_frame
 from framescale.exactnum import QuadExt
 from framescale.frames import (
+    DEFAULT_TOL,
     Frame,
     Tightness,
     classify_tightness,
     random_parseval,
     scale_frame,
 )
-from framescale.linalg import SymmetricMatrix
+from framescale.linalg import SymmetricMatrix, ordered_sum
 from framescale import scaler
 from framescale.report import oracle_json, scale_report
 from framescale.scaler import (
-    FEASIBILITY_TOL,
     WeightReport,
     build_lp,
     solve_gram,
@@ -327,6 +327,23 @@ class TestVerifiers:
         assert rep.residual == math.inf and rep.tightness.kind == "not_tight"
         assert verify_weights(big).residual is None
 
+    @pytest.mark.parametrize("exponent", [200, 400])
+    def test_float_weights_on_a_fine_rational_frame(self, exponent):
+        """Float weights on a rational frame of scale L = 10**exponent are
+        read exactly, so no float meets a table int L^2 * f_i[p] * f_i[q]
+        beyond the float range: the answers are those of the same weights
+        as Fractions."""
+        x = Fraction(1, 10 ** exponent)
+        fr = Frame.from_vectors([[1, x], [0, 1]], exact=True)
+        rep = verify_weights(fr, [0.5, 0.25])
+        assert rep.residual == 0.75 and rep.tightness.kind == "not_tight"
+        assert rep.residual == verify_weights(
+            fr, [Fraction(1, 2), Fraction(1, 4)]).residual
+        # 0.5 * (e1 e1^t + e2 e2^t) is tight; x e1 has weight 0
+        fr = Frame.from_vectors([[1, 0], [0, 1], [x, 0]], exact=True)
+        rep = verify_weights(fr, [0.5, 0.5, 0.0])
+        assert rep == WeightReport(0.5, Tightness("tight", 0.5))
+
     def test_verify_farkas_zero_matrix_fails(self):
         y = SymmetricMatrix.identity(4, one=Fraction(0), zero=Fraction(0))
         assert not verify_farkas(M1, y, 0)
@@ -476,7 +493,7 @@ def reference_classify(s, tol):
     return Tightness("not_tight")
 
 
-def reference_verify_weights(frame, weights, tol=FEASIBILITY_TOL):
+def reference_verify_weights(frame, weights, tol=DEFAULT_TOL):
     """The Fraction-arithmetic weight check, kept as the reference for
     the integer-image path of verify_weights."""
     weights = list(weights)
@@ -813,7 +830,7 @@ def test_gram_solve_falls_back_to_the_tableau(frame, status):
     assert solve_gram(frame) is None
     want = solve_strict(build_lp(frame))
     assert want.status == status
-    report = scale_report(frame, FEASIBILITY_TOL)
+    report = scale_report(frame, DEFAULT_TOL)
     assert {k: report[k] for k in ("nonneg", "strict")} == oracle_json(want)
 
 
@@ -856,28 +873,21 @@ def test_stored_slots_and_basis_partition_the_columns(frame, monkeypatch):
     assert checked and phases[0] == k + s and phases[1:] in ([], [k])
 
 
-def unpacked_objective(tab, cost):
-    """D*c - sum_i c_B(i) T_i over the stored rows, one row at a time,
-    floats subtracted left to right."""
-    obj = [tab.d * cost[j] for j in tab.cols] + [tab.d * 0]
-    for i, j in enumerate(tab.basis):
-        if cost[j]:
-            obj = [a - cost[j] * b for a, b in zip(obj, tab.t[i])]
-    return obj
-
-
 @pytest.mark.parametrize("group", sorted(REFERENCE_DRAWS))
 def test_phase1_objective_from_the_input_rows(group, monkeypatch):
-    """The phase-1 objective row equals the one built row by row from
-    the stored rows, on every reference LP and on its float copy (to the
-    bit, signed zeros included), so no shortcut for the artificial basis
-    moves a bit."""
+    """The phase-1 objective row equals 0 minus the column sums of the
+    input rows, added left to right, on every reference LP and on its
+    float copy (to the bit, signed zeros included)."""
     checked = []
     init = scaler._Tableau.__init__
 
     def recorded(tab, rows, cols, basis, exact, cost):
+        # every basic column is an artificial of cost 1, every other 0, so
+        # entry j is 0 minus the sum of column j of the input rows
+        assert [cost[j] for j in basis] == [1] * len(basis)
+        assert not any(cost[j] for j in cols)
+        want = [0 - ordered_sum(column) for column in zip(*rows)]
         init(tab, rows, cols, basis, exact, cost)
-        want = unpacked_objective(tab, cost)
         assert list(map(repr, tab.obj)) == list(map(repr, want))
         checked.append(tab.exact)
 
