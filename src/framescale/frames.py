@@ -289,6 +289,14 @@ class WeightReport(NamedTuple):
     tightness: Tightness
 
 
+def _float_ratio(x, c) -> float:
+    """x / c >= 0 as a float, math.inf beyond the float range."""
+    try:
+        return float(x / c)
+    except OverflowError:
+        return math.inf
+
+
 def verify_weights(frame: Frame, weights=None,
                    tol: float = DEFAULT_TOL) -> WeightReport:
     """Rebuild S = sum_i w_i f_i f_i^t and compare it with I and with a * I;
@@ -298,14 +306,18 @@ def verify_weights(frame: Frame, weights=None,
     rational frame, 1 otherwise): at unit weights it is
     `Frame.exact_operator` on an exact frame and `Frame.operator` on a
     float one; at given weights it is one sum over the w_i per row of
-    `Frame.outer_products`.  Rational weights N_i / D on a rational frame
-    take the ints N_i instead, and c = D * L^2; finite float weights count
-    as rational there, read exactly, so no product leaves the float range.
+    `Frame.outer_products`.  Rational weights N_i / D on an exact frame
+    take the ints N_i instead, and c = D * L^2 (c = D in Q(sqrt d));
+    finite float weights count as rational there, read exactly, so no
+    float meets an exact product.  A nan or infinite weight puts a nan or
+    an infinite product in every sum, so on an exact frame the sums take
+    the signs of the products instead, with c = 1, which gives every L
+    the answer of a small one.
     Floats add left to right, so float products give the bits of the
     plain loop.  An exact c * S is tight when it equals a * I with a > 0,
     and Parseval when a = c.  Otherwise (float weights or a float frame)
     S is Parseval when its residual max |S - I| is below tol, and tight
-    when max |S - a * I| is, for a = trace(S) / n.  The
+    when the float of max |S - a * I| is, for a = trace(S) / n.  The
     residual is a float, math.inf when it lies beyond the float range;
     unit weights on an exact frame leave it None."""
     n = frame.dim
@@ -318,26 +330,25 @@ def verify_weights(frame: Frame, weights=None,
         weights = list(weights)
         if len(weights) != frame.count:
             raise ValueError("weight count mismatch")
-        exact = frame.is_exact and not any(isinstance(w, float)
-                                           for w in weights)
-        if image is not None and all(
-                isinstance(w, (int, Fraction))
-                or isinstance(w, float) and math.isfinite(w)
-                for w in weights):
+        floats = [w for w in weights if isinstance(w, float)]
+        exact = frame.is_exact and not floats
+        table = frame.outer_products
+        if frame.is_exact and not all(map(math.isfinite, floats)):
+            # each sum takes a nan or infinite product, so the signs of
+            # the products give its answer at every scale
+            table, c = [list(map(sign, row)) for row in table], 1
+        elif frame.is_exact and all(isinstance(w, (int, Fraction, float))
+                                    for w in weights):
             ratios = [w.as_integer_ratio() for w in weights]  # exact
             d = math.lcm(*(q for _, q in ratios))
             weights = [p * (d // q) for p, q in ratios]
             c *= d
         add = sum if exact else ordered_sum
         s = SymmetricMatrix(n, [add(map(mul, weights, row))
-                                for row in frame.outer_products])
+                                for row in table])
     residual = None
     if weights is not None or not exact:
-        gap = s.deviation(c)
-        try:
-            residual = float(gap / c)
-        except OverflowError:
-            residual = math.inf
+        residual = _float_ratio(s.deviation(c), c)
     tightness = Tightness("not_tight")
     if exact:
         a = s.entry(0, 0)
@@ -348,7 +359,7 @@ def verify_weights(frame: Frame, weights=None,
         tightness = Tightness("parseval", 1.0)
     else:
         a = s.trace() / Fraction(n)  # a Fraction on int entries
-        if a > 0 and s.deviation(a) / c < tol:
+        if a > 0 and _float_ratio(s.deviation(a), c) < tol:
             tightness = Tightness("tight", float(a / c))
     return WeightReport(residual, tightness)
 

@@ -11,9 +11,11 @@ bitmasks it builds once (``FrameGraph.masks``) and one bitmask of the zero
 vectors (``FrameGraph.zero_vectors``); a vertex's flags, isolated or
 zero_vector, are read off those two.  Every constructor builds
 symmetric masks itself, so no mask is checked after it is built.  All
-statistics are computed exactly, from the adjacency bitmasks.  The two
-exponential searches, independence number and longest induced path, run
-up to DEFAULT_VERTEX_CAP vertices as branch and bound over bitmasks:
+statistics are computed exactly, from the adjacency bitmasks.  One
+iterative DFS over them gives the components, the colour classes and the
+bridges (Tarjan, IPL 2 (1974) 160-161).  The two exponential searches,
+independence number and longest induced path, run up to
+DEFAULT_VERTEX_CAP vertices as branch and bound over bitmasks:
 
 - maximum independent set: a subtree is cut when its candidates, counted
   one by one or as the cliques of a greedy clique cover (an independent
@@ -277,34 +279,55 @@ class GraphStats(NamedTuple):
     cap_exceeded: bool
 
 
-def _components(g: FrameGraph):
-    """Connected components as sorted vertex tuples, in order of their
-    smallest vertex, and per component the sizes (|X_c|, |Y_c|) of its two
-    colour classes, X_c holding the smallest vertex; the sizes are None
-    when some component has an odd cycle.  One BFS by layers per component:
-    an edge inside a layer closes an odd cycle."""
+def _depth_first(g: FrameGraph):
+    """Components, colour classes and bridges from one iterative DFS over
+    the masks, rooted at each component's smallest vertex.  Returns the
+    components as sorted vertex tuples, in order of their smallest vertex;
+    per component the sizes (|X_c|, |Y_c|) of the vertices at even and at
+    odd depth, so X_c holds the root, or None for every component once a
+    finished vertex has a neighbour at its own depth parity (an odd
+    cycle); and the bridges (min, max), sorted.  A tree edge (p, v) is a
+    bridge when it is the only edge leaving the subtree of v: the
+    subtree's neighbours outside it are just p, and p has one neighbour
+    inside it."""
     masks = g.masks
-    left = (1 << g.vertex_count) - 1
-    comps, parts = [], []
-    while left:
-        frontier = comp = left & -left
-        sides = [frontier, 0]  # even and odd BFS layers
-        parity = 0
-        while frontier:
-            reach = 0
-            for v in mask_vertices(frontier):
-                reach |= masks[v]
-            if reach & frontier:
+    unvisited = (1 << g.vertex_count) - 1
+    subtree = [1 << v for v in range(g.vertex_count)]
+    reach = list(masks)  # neighbours of the subtree, the subtree included
+    sides = [0, 0]  # vertices at even and at odd depth
+    comps, parts, bridges = [], [], []
+    while unvisited:
+        root = unvisited & -unvisited
+        unvisited ^= root
+        sides[0] |= root
+        stack = [root.bit_length() - 1]
+        while stack:
+            v = stack[-1]
+            nxt = masks[v] & unvisited
+            if nxt:
+                low = nxt & -nxt
+                unvisited ^= low
+                sides[len(stack) & 1] |= low
+                stack.append(low.bit_length() - 1)
+                continue
+            stack.pop()
+            if masks[v] & sides[len(stack) & 1]:
                 parts = None
-            frontier = reach ^ (reach & comp)
-            comp |= frontier
-            parity ^= 1
-            sides[parity] |= frontier
-        left ^= comp
+            if stack:
+                p = stack[-1]
+                sub, r = subtree[v], reach[v]
+                if (r ^ (r & sub) == 1 << p
+                        and (masks[p] & sub).bit_count() == 1):
+                    bridges.append((min(p, v), max(p, v)))
+                subtree[p] |= sub
+                reach[p] |= r
+        comp = subtree[v]  # v, popped last, is the root
         comps.append(tuple(mask_vertices(comp)))
         if parts is not None:
-            parts.append((sides[0].bit_count(), sides[1].bit_count()))
-    return tuple(comps), None if parts is None else tuple(parts)
+            parts.append(((sides[0] & comp).bit_count(),
+                          (sides[1] & comp).bit_count()))
+    return (tuple(comps), None if parts is None else tuple(parts),
+            tuple(sorted(bridges)))
 
 
 def _diameter(g: FrameGraph) -> int:
@@ -331,39 +354,6 @@ def _diameter(g: FrameGraph) -> int:
         if d > best:
             best = d
     return best
-
-
-def _bridges(g: FrameGraph):
-    """Bridge edges by one DFS over bitmasks.  A DFS tree edge (p, v) is a
-    bridge when it is the only edge leaving the subtree of v: the subtree's
-    neighbours outside it are just p, and p has one neighbour inside it."""
-    masks = g.masks
-    unvisited = (1 << g.vertex_count) - 1
-    subtree = [1 << v for v in range(g.vertex_count)]
-    reach = list(masks)  # neighbours of the subtree, the subtree included
-    out = []
-    while unvisited:
-        root = unvisited & -unvisited
-        unvisited ^= root
-        stack = [root.bit_length() - 1]
-        while stack:
-            v = stack[-1]
-            nxt = masks[v] & unvisited
-            if nxt:
-                low = nxt & -nxt
-                unvisited ^= low
-                stack.append(low.bit_length() - 1)
-                continue
-            stack.pop()
-            if stack:
-                p = stack[-1]
-                sub, r = subtree[v], reach[v]
-                if (r ^ (r & sub) == 1 << p
-                        and (masks[p] & sub).bit_count() == 1):
-                    out.append((min(p, v), max(p, v)))
-                subtree[p] |= sub
-                reach[p] |= reach[v]
-    return tuple(sorted(out))
 
 
 def _max_independent_set_masks(adj_masks):
@@ -420,6 +410,7 @@ def _max_independent_set_masks(adj_masks):
         grow(candidates ^ bit, chosen, size)
 
     grow((1 << len(adj_masks)) - 1, 0, 0)
+    del grow  # its cell refers to itself: free it without the collector
     return best_mask
 
 
@@ -573,6 +564,7 @@ def _longest_induced_path(g: FrameGraph):
                 grow_a(nxt, rest, hb, 2)
                 a_arm.pop()
 
+    del grow_a, grow_b  # as in the MIS search: free them without gc
     path = [order[v] for v in best]
     if path[-1] < path[0]:
         path.reverse()
@@ -587,7 +579,7 @@ def compute_stats(g: FrameGraph) -> GraphStats:
     DEFAULT_VERTEX_CAP.
     """
     m = g.vertex_count
-    comps, part_sizes = _components(g)
+    comps, part_sizes, bridges = _depth_first(g)
     connected = len(comps) == 1
     degrees = [mask.bit_count() for mask in g.masks]
     edge_count = sum(degrees) // 2
@@ -608,7 +600,7 @@ def compute_stats(g: FrameGraph) -> GraphStats:
         component_part_sizes=part_sizes,
         alpha=alpha,
         max_independent_set=mis,
-        bridges=_bridges(g),
+        bridges=bridges,
         leaves=tuple(v for v in range(m) if degrees[v] == 1),
         is_complete=edge_count == m * (m - 1) // 2,
         is_empty=not edge_count,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import random
@@ -559,6 +560,19 @@ class TestStats:
         assert st.is_empty and st.alpha == 3
         assert st.induced_path_vertices == 1
 
+    @pytest.mark.parametrize("g", [cycle_graph(9), path_graph(12),
+                                   complete_bipartite_graph(3, 4)])
+    def test_searches_leave_nothing_to_the_collector(self, g):
+        """The recursive searches drop their self-referring closures, so a
+        graph under the cap leaves no cycle for gc to free."""
+        gc.collect()
+        gc.disable()
+        try:
+            compute_stats(g)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_cap_skips_exponential_fields(self):
         st = compute_stats(cycle_graph(40))
         assert st.cap_exceeded
@@ -748,6 +762,15 @@ class TestSearchesMatchReference:
         for g in (complete_graph(40), cycle_graph(40), path_graph(40),
                   empty_graph(40), complete_bipartite_graph(7, 12),
                   graph_union(cycle_graph(9), complete_graph(4)),
+                  # a bipartite component before an odd cycle
+                  graph_union(path_graph(4), cycle_graph(5)),
+                  graph_union(complete_bipartite_graph(2, 3),
+                              complete_graph(3)),
+                  # bridges and leaves in several components
+                  graph_union(graph_union(complete_bipartite_graph(1, 3),
+                                          complete_graph(2)),
+                              graph_union(complete_bipartite_graph(1, 4),
+                                          complete_graph(2))),
                   graph_union(gnp(rng, 20, 0.3), gnp(rng, 20, 0.5)),
                   graph_join(cycle_graph(5), empty_graph(3))):
             self.check_stats(g)

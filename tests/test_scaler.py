@@ -344,6 +344,33 @@ class TestVerifiers:
         rep = verify_weights(fr, [0.5, 0.5, 0.0])
         assert rep == WeightReport(0.5, Tightness("tight", 0.5))
 
+    def test_float_weights_on_a_quadratic_frame(self):
+        """Float weights on a frame in Q(sqrt 2) are read exactly, as on a
+        rational frame, and the tight test compares a float with tol."""
+        r2 = QuadExt(2, 0, 1)
+        fr = Frame.from_vectors([[1, r2], [0, 1]], exact=True)
+        rep = verify_weights(fr, [0.5, 0.25])
+        assert rep.residual == float(r2 / 2)
+        assert rep.tightness.kind == "not_tight"
+        assert rep.residual == verify_weights(
+            fr, [Fraction(1, 2), Fraction(1, 4)]).residual
+        # 0.5 * e1 e1^t + 0.25 * e2 e2^t + 0.125 * 2 e2 e2^t = 0.5 * I
+        fr = Frame.from_vectors([[1, 0], [0, 1], [0, r2]], exact=True)
+        rep = verify_weights(fr, [0.5, 0.25, 0.125])
+        assert rep == WeightReport(0.5, Tightness("tight", 0.5))
+
+    @pytest.mark.parametrize("scale", [3, 10 ** 400], ids=["L=3", "L=1e400"])
+    @pytest.mark.parametrize("w, residual", [
+        (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "inf")])
+    def test_non_finite_float_weights(self, scale, w, residual):
+        """A nan or infinite weight gives the answer of a small scale at
+        every scale L, with no product of a float and a table int."""
+        fr = Frame.from_vectors([[1, Fraction(1, scale)], [0, 1]],
+                                exact=True)
+        rep = verify_weights(fr, [w, 0.25])
+        assert repr(rep.residual) == residual
+        assert rep.tightness == Tightness("not_tight")
+
     def test_verify_farkas_zero_matrix_fails(self):
         y = SymmetricMatrix.identity(4, one=Fraction(0), zero=Fraction(0))
         assert not verify_farkas(M1, y, 0)

@@ -12,6 +12,11 @@ captured.  The list covers
   --graph, and with a nonzero --tol-zero on exact frames;
 - generator calls under every frame command, at two seeds;
 - named graphs under `filters --graph` at several --dim, and `graph --graph`;
+- adjacency files of graphs with several components and no isolated
+  vertex (bipartite components balanced only by a sign choice, a
+  bipartite component before an odd cycle, bridges and leaves inside
+  components of 3 or more vertices) under `filters --graph` at --dim 2-4
+  and `graph --graph --format json`;
 - three frames with a zero vector under `analyze`, `filters`, `graph` and
   `graph --format json`: an exact one, a float one whose vector lies below
   --tol-zero, and a float one whose vector is flagged zero_vector but
@@ -174,6 +179,37 @@ NONSPANNING_FILES = (
     ("line_zero.json", '{"dimension": 2, "vectors": [["1/2", "1"], '
      '["0", "0"], ["-3", "-6"]]}'),
 )
+
+
+# (file name, vertex count, edges) of graphs with several components and
+# no isolated vertex, so that the filter battery runs on them: bipartite
+# components balanced only by a sign choice, a bipartite component before
+# an odd cycle, and bridges and leaves inside components of 3 or more
+# vertices
+COMPONENT_GRAPHS = (
+    ("two_stars.json", 8, "0-1 0-2 0-3 4-5 4-6 4-7"),
+    ("paths_star.json", 10, "0-1 1-2 3-4 4-5 6-9 7-9 8-9"),
+    ("path_c5.json", 9, "0-1 1-2 2-3 4-5 5-6 6-7 7-8 4-8"),
+    ("k23_k3.json", 8, "0-2 0-3 0-4 1-2 1-3 1-4 5-6 6-7 5-7"),
+    ("lollipop_path_star.json", 13,
+     "0-1 1-2 0-2 2-3 3-4 5-6 6-7 7-8 9-10 9-11 9-12"),
+    ("barbell_c4.json", 12,
+     "0-1 1-2 0-2 2-3 3-4 4-5 3-5 5-6 7-8 8-9 9-10 7-10 10-11"),
+)
+
+
+def component_graphs(d: Path) -> list:
+    calls = []
+    for name, m, edges in COMPONENT_GRAPHS:
+        rows = [[0] * m for _ in range(m)]
+        for pair in edges.split():
+            i, j = map(int, pair.split("-"))
+            rows[i][j] = rows[j][i] = 1
+        (d / name).write_text(json.dumps({"adjacency": rows}))
+        calls += [["filters", "--graph", str(d / name), "--dim", str(k)]
+                  for k in (2, 3, 4)]
+        calls.append(["graph", "--graph", str(d / name), "--format", "json"])
+    return calls
 
 
 def nonspanning(d: Path) -> list:
@@ -417,7 +453,8 @@ def build_calls(seed: int, d: Path) -> list:
                   for k in (1, 2, 3, 5)]
         calls += [["graph", "--graph", g],
                   ["graph", "--graph", g, "--format", "json"]]
-    return (calls + zero_vectors(d) + nonspanning(d) + band_calls(seed, d)
+    return (calls + component_graphs(d) + zero_vectors(d) + nonspanning(d)
+            + band_calls(seed, d)
             + tableau_calls(seed, d) + rational_calls(seed, d)
             + input_errors(d) + pools(seed, d))
 
